@@ -5,15 +5,13 @@ Exit codes: 0 success, 2 malformed input, 3 geometric precondition failure,
 4 violation certificate produced (so CI fails loudly).
 
 Every randomized command requires --seed; identical (command, seed, config)
-reruns are byte-identical.  SANTALO_LAB_THREADS caps internal parallelism
-(this implementation is single-process; the cap is echoed for provenance).
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -78,7 +76,6 @@ def _config_header(args, tols) -> dict:
     return {
         "seed": getattr(args, "seed", None),
         "tolerances": tols,
-        "threads": int(os.environ.get("SANTALO_LAB_THREADS", "1") or 1),
     }
 
 

@@ -42,16 +42,24 @@ def as_vector(x) -> np.ndarray:
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that coincide with an earlier row within `tol` (max-norm)."""
+    """Drop rows that coincide with an earlier kept row within `tol` (max-norm)."""
     if len(rows) <= 1:
         return rows
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    keep = [0]
-    for i in range(1, len(srt)):
-        if np.max(np.abs(srt[i] - srt[keep[-1]])) > tol:
-            keep.append(i)
+    srt = rows[np.lexsort(rows.T[::-1])]
+    # Sorted by the first column, so every row within `tol` of row i lies in
+    # the block srt[start[i]:i] right before it.
+    start = np.searchsorted(srt[:, 0], srt[:, 0] - tol)
+    keep = np.ones(len(srt), dtype=bool)
+    for i in np.flatnonzero(start < np.arange(len(srt))):
+        block = slice(start[i], i)
+        near = np.max(np.abs(srt[block] - srt[i]), axis=1) <= tol
+        keep[i] = not np.any(near & keep[block])
     return srt[keep]
+
+
+def embed_point(C, v: float, axis: int) -> np.ndarray:
+    """Point with coordinate `v` on `axis` and the coordinates C elsewhere."""
+    return np.insert(np.asarray(C, dtype=float), axis, v)
 
 
 @dataclass(frozen=True)
@@ -204,66 +212,45 @@ def convex_hull(points) -> tuple[VPolytope, HPolytope]:
 
 def volume(P: VPolytope) -> float:
     """d-volume by fanning the facet triangulation from the vertex mean."""
-    v, _ = _volume_centroid(P)
-    return v
+    return moments(P)[0]
 
 
 def centroid(P: VPolytope) -> np.ndarray:
     """Exact centroid via the same triangulation as `volume`."""
-    _, c = _volume_centroid(P)
-    return c
+    return moments(P)[1]
 
 
-def _volume_centroid(P: VPolytope) -> tuple[float, np.ndarray]:
-    d = P.dim
-    if d == 1:
-        lo, hi = float(P.vertices.min()), float(P.vertices.max())
-        return hi - lo, np.array([(lo + hi) / 2.0])
-    simplices = P.facet_simplices
-    verts = P.vertices
-    apex = verts.mean(axis=0)
-    # |det| of the d edge vectors of each fan simplex, vectorized.
-    mats = verts[simplices] - apex  # (m, d, d)
-    dets = np.abs(np.linalg.det(mats))
-    total = float(dets.sum())
-    if total <= 0.0:
-        raise DegenerateInput("polytope has zero volume")
-    simplex_centroids = (verts[simplices].sum(axis=1) + apex) / (d + 1)
-    cen = (dets[:, None] * simplex_centroids).sum(axis=0) / total
-    return total / math.factorial(d), cen
+def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
+    """(volume, centroid, second moment) in one vectorized fan pass.
 
-
-def second_moment(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
-    """(volume, centroid, covariance) with exact polytope moments.
-
-    The covariance is the body's normalized inertia about its centroid,
-    computed over the same fan triangulation as `volume`.
+    The second moment is the normalized inertia about the origin,
+    int_P x x^T dx / |P|; every moment is exact for a polytope.
     """
     d = P.dim
     if d == 1:
         lo, hi = float(P.vertices.min()), float(P.vertices.max())
-        c = (lo + hi) / 2.0
-        return hi - lo, np.array([c]), np.array([[(hi - lo) ** 2 / 12.0]])
+        return (hi - lo, np.array([(lo + hi) / 2.0]),
+                np.array([[(lo * lo + lo * hi + hi * hi) / 3.0]]))
+    # Read the simplices first: the first hull access may prune `vertices`
+    # and renumber the simplices against the pruned array.
+    simplices = P.facet_simplices
     verts = P.vertices
     apex = verts.mean(axis=0)
-    total = 0.0
-    first = np.zeros(d)
-    second = np.zeros((d, d))
-    fact = math.factorial(d)
-    for s in P.facet_simplices:
-        w = np.vstack([verts[s], apex])  # d+1 simplex vertices
-        vol = abs(np.linalg.det(verts[s] - apex)) / fact
-        if vol == 0.0:
-            continue
-        ssum = w.sum(axis=0)
-        total += vol
-        first += vol * ssum / (d + 1)
-        second += vol / ((d + 1) * (d + 2)) * (w.T @ w + np.outer(ssum, ssum))
+    # Fan simplex = one boundary simplex (d vertices) plus the apex.
+    fan = verts[simplices]  # (m, d, d)
+    dets = np.abs(np.linalg.det(fan - apex))
+    total = float(dets.sum())
     if total <= 0.0:
         raise DegenerateInput("polytope has zero volume")
-    c = first / total
-    cov = second / total - np.outer(c, c)
-    return total, c, cov
+    w = dets / total
+    sums = fan.sum(axis=1) + apex  # vertex sum s of each fan simplex
+    cen = w @ sums / (d + 1)
+    # int_S x x^T = |S| (sum_i v_i v_i^T + s s^T) / ((d+1)(d+2)); the weights
+    # sum to one, so the apex contributes apex apex^T once.
+    flat = fan.reshape(-1, d)
+    second = ((flat.T * np.repeat(w, d)) @ flat + np.outer(apex, apex)
+              + (sums.T * w) @ sums) / ((d + 1) * (d + 2))
+    return total / math.factorial(d), cen, second
 
 
 def interior_point(P: VPolytope | HPolytope) -> np.ndarray:

@@ -386,21 +386,6 @@ class MonotonicityReport:
     worst_interior_drop: float
 
 
-def _renormalized_pi(K: VPolytope, direction: np.ndarray, squeeze: float) -> tuple[float, float]:
-    """(volume product, raw volume); bodies squeezed along `direction`.
-
-    The volume product is affine-invariant, so squeezing long bodies keeps
-    the Santalo solve well-conditioned without changing the result.
-    """
-    d = K.dim
-    if squeeze != 1.0:
-        M = np.eye(d) - (1.0 - squeeze) * np.outer(direction, direction)
-        Kn = geo.apply_affine(K, M)
-    else:
-        Kn = K
-    return pol.volume_product(Kn), geo.volume(K)
-
-
 def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
                                 tol_rel: float = 1e-7) -> MonotonicityReport:
     """Sweep the volume product over the move's range; check endpoint minimality.
@@ -413,11 +398,9 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
     ts = np.linspace(t1, t2, n_grid)
     pis = np.empty(n_grid)
     vols = np.empty(n_grid)
-    theta = move.system.direction
     for i, t in enumerate(ts):
         K = sh.body_at(move.system, t)
-        squeeze = 1.0 / (1.0 + abs(t)) if move.volume_behavior == "affine" else 1.0
-        pis[i], vols[i] = _renormalized_pi(K, theta, squeeze)
+        pis[i], vols[i] = pol.volume_product(K), geo.volume(K)
     scale = float(np.max(pis))
     endpoint_min = min(pis[0], pis[-1])
     worst_drop = float(endpoint_min - np.min(pis[1:-1]))
@@ -431,12 +414,8 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
         volume_ok = bool(np.max(np.abs(vols - secant)) <= 1e-9 * np.max(vols))
 
     inv = 1.0 / pis * vols  # = 1/|K_t^*| up to the constant-volume factor
-    conv_viol = -math.inf
-    for i in range(n_grid):
-        for j in range(i + 2, n_grid, 2):
-            m = (i + j) // 2
-            conv_viol = max(conv_viol, inv[m] - 0.5 * (inv[i] + inv[j]))
-    inverse_convex = conv_viol <= tol_rel * float(np.max(inv))
+    inverse_convex = sh._midpoint_verdict(ts, inv, np.ones(n_grid, dtype=bool),
+                                          tol_rel).is_midpoint_convex
     return MonotonicityReport(ts, pis, vols, endpoint_minimal,
                               volume_ok, inverse_convex, worst_drop)
 

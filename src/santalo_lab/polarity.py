@@ -35,9 +35,6 @@ class PolarBody:
     polar: VPolytope
     polar_volume: float
 
-    def centroid(self) -> np.ndarray:
-        return geo.centroid(self.polar)
-
 
 @dataclass
 class HalfVolumes:
@@ -159,13 +156,6 @@ class HalfVolumeRatioCurve:
             raise LineMissesBody(str(exc)) from exc
         if self.top - self.bottom <= geo.TAU_GEOM * K.scale():
             raise LineMissesBody("line meets the body in a degenerate chord")
-        self._keep = [i for i in range(d) if i != self.axis]
-
-    def _embed(self, v: float) -> np.ndarray:
-        z = np.empty(self.K.dim)
-        z[self._keep] = self.C
-        z[self.axis] = v
-        return z
 
     def at(self, v: float) -> RatioValue:
         eps = geo.TAU_GEOM * max(1.0, abs(self.bottom), abs(self.top))
@@ -173,7 +163,8 @@ class HalfVolumeRatioCurve:
             return RatioValue(0.0, diverged=True)
         if v >= self.top - eps:
             return RatioValue(math.inf, diverged=True)
-        hv = half_volumes(self.K, self._embed(v), axis=self.axis)
+        hv = half_volumes(self.K, geo.embed_point(self.C, v, self.axis),
+                          axis=self.axis)
         return RatioValue(hv.ratio, diverged=hv.diverged)
 
     def __call__(self, v: float) -> float:

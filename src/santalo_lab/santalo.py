@@ -2,10 +2,11 @@
 
 The Santalo point S(K) is the unique interior minimizer of z -> |K^{*z}|;
 it is characterized by the polar's centroid sitting at the polarity origin.
-The solver follows the negative polar-centroid direction (which is a descent
-direction: the objective's gradient equals (d+1)|K^{*z}| * centroid(K^{*z}))
-with a backtracking line search and a step cap that keeps the iterate well
-inside the body, where the objective is finite.
+The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
+(d+1)(d+2) int_{K^{*z}} y y^T dy, both moments of the polar.  The solver is
+damped Newton from the vertex mean, with Armijo backtracking and a step cap
+that keeps the iterate well inside the body, where the objective is finite.
+Newton steps are affine-invariant, so no preconditioning is needed.
 """
 
 from __future__ import annotations
@@ -34,118 +35,55 @@ class SantaloResult:
     converged: bool
 
 
-def _residual(pb: pol.PolarBody) -> float:
-    """Polar-centroid norm normalized by the polar diameter (scale-free)."""
-    return float(np.linalg.norm(pb.centroid())) / geo.diameter(pb.polar)
-
-
 def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
                   max_iterations: int = MAX_ITERATIONS,
-                  start=None, use_fd_gradient: bool = False) -> SantaloResult:
-    """Minimize z -> |K^{*z}| over the interior of K.
+                  start=None) -> SantaloResult:
+    """Minimize z -> |K^{*z}| over the interior of K by damped Newton.
 
-    The descent runs on an affinely normalized copy of the body (unit
-    moment covariance) and the result is polished in the original frame:
-    the Santalo point is exactly affine-equivariant, and normalization
-    keeps plain gradient descent well-conditioned on skewed bodies.
-    Returns the best iterate with a non-converged flag when the iteration
-    cap is reached.  `start` overrides the default Chebyshev-center seed
-    (used for warm starts in sweeps).  `use_fd_gradient` replaces the
-    polar-centroid step direction by a central finite-difference gradient
-    (cross-checking aid; h = 1e-6 * inradius).
+    Starts at `start` when it is strictly interior (warm starts in sweeps),
+    else at the vertex mean.  Returns the last iterate with a non-converged
+    flag when the iteration cap is reached or the line search stalls.
     """
-    _, c, cov = geo.second_moment(K)
-    # eigendecomposition is PSD-safe; floor guards near-flat numerics
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.maximum(evals, 1e-14 * float(np.max(evals)))
-    L = evecs * np.sqrt(evals)  # cov = L L^T
-    L_inv = (evecs / np.sqrt(evals)).T
-    kappa = float(math.sqrt(np.max(evals) / np.min(evals)))
-    Kn = geo.VPolytope((K.vertices - c) @ L_inv.T)
-    start_n = None if start is None else L_inv @ (geo.as_vector(start) - c)
-    res_n = _descend(Kn, tol_sant / max(1.0, kappa), max_iterations, start_n,
-                     use_fd_gradient)
-    z = L @ res_n.point + c
-    polish_budget = max(50, max_iterations - res_n.iterations)
-    res = _descend(K, tol_sant, polish_budget, z, use_fd_gradient)
-    return SantaloResult(res.point, res.polar_volume, res.centroid_residual,
-                         res_n.iterations + res.iterations,
-                         res.converged)
-
-
-def _descend(K: VPolytope, tol_sant: float, max_iterations: int,
-             start, use_fd_gradient: bool) -> SantaloResult:
     h = K.halfspaces
-    z = None
-    if start is not None:
-        z = geo.as_vector(start)
-        if np.min(h.slack(z)) <= geo.TAU_GEOM * K.scale():
-            z = None
-    if z is None:
-        z = geo.interior_point(K)
-    inradius = float(np.min(h.slack(geo.interior_point(K)))) if use_fd_gradient else 0.0
-
+    z = None if start is None else geo.as_vector(start)
+    if z is None or np.min(h.slack(z)) <= geo.TAU_GEOM * K.scale():
+        z = K.vertices.mean(axis=0)
     pb = pol.polar(K, z)
-    f = pb.polar_volume
-    step = 1.0
     iterations = 0
-    while iterations < max_iterations:
-        c = pb.centroid()
-        res = _residual(pb)
-        if res <= tol_sant:
-            return SantaloResult(z, f, res, iterations, True)
-        if use_fd_gradient:
-            grad = _fd_gradient(K, z, 1e-6 * inradius)
-            direction = -grad / ((K.dim + 1) * f)
-        else:
-            direction = -c
+    while True:
+        f, c, M = geo.moments(pb.polar)
+        # Polar-centroid norm normalized by the polar diameter (scale-free).
+        res = float(np.linalg.norm(c)) / geo.diameter(pb.polar)
+        if res <= tol_sant or iterations == max_iterations:
+            break
         iterations += 1
+        # Newton step -H^{-1} grad with grad = (d+1) f c, H = (d+1)(d+2) f M.
+        direction = -np.linalg.solve(M, c) / (K.dim + 2)
+        slope = (K.dim + 1) * f * float(c @ direction)
         # Cap the step so the iterate keeps facet slack >= 0.1 x current min.
         slack = h.slack(z)
-        m = float(np.min(slack))
         along = h.normals @ direction
         with np.errstate(divide="ignore"):
-            caps = (slack - 0.1 * m) / along
-        caps = caps[along > 0]
-        cap = float(np.min(caps)) if caps.size else math.inf
-        t = min(step, cap)
-        accepted = False
+            caps = (slack - 0.1 * np.min(slack)) / along
+        t = min(1.0, float(np.min(caps[along > 0], initial=math.inf)))
         for _ in range(60):
-            z_new = z + t * direction
             try:
-                pb_new = pol.polar(K, z_new)
+                pb_new = pol.polar(K, z + t * direction)
             except pol.CenterNotInterior:
                 t *= 0.5
                 continue
-            if pb_new.polar_volume < f:
-                z, pb, f = z_new, pb_new, pb_new.polar_volume
-                step = 1.5 * t
-                accepted = True
+            if pb_new.polar_volume <= f + 1e-4 * t * slope:  # Armijo
                 break
             t *= 0.5
-        if not accepted:
+        else:
             # Line search exhausted: the centroid residual is the verdict.
             break
-    res = _residual(pb)
-    return SantaloResult(z, f, res, iterations, res <= tol_sant)
-
-
-def _fd_gradient(K: VPolytope, z: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h
-        g[i] = (pol.polar(K, z + e).polar_volume
-                - pol.polar(K, z - e).polar_volume) / (2 * h)
-    return g
+        z, pb = z + t * direction, pb_new
+    return SantaloResult(z, pb.polar_volume, res, iterations, res <= tol_sant)
 
 
 def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:
-    z = np.empty(K.dim)
-    keep = [i for i in range(K.dim) if i != axis]
-    z[keep] = C
-    z[axis] = v
-    hv = pol.half_volumes(K, z, axis=axis)
+    hv = pol.half_volumes(K, geo.embed_point(C, v, axis), axis=axis)
     if hv.diverged or hv.b_plus < pol.TAU_VOL:
         raise BracketFailure("half volume underflow at an interior probe")
     return math.log(hv.b_plus) - math.log(hv.b_minus)

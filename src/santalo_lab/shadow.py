@@ -388,8 +388,6 @@ class AffineFamilyFit:
 def fit_affine_family(system: ShadowSystem, n_grid: int = 9,
                       tol_rel: float = 1e-7) -> AffineFamilyFit:
     """Fit (v, V, u) to a system whose sweeps look affine; verify the map."""
-    from . import santalo as san
-
     axis = san._system_axis(system)
     if axis != system.dim - 1:
         raise ValueError("fit expects the direction on the last axis")

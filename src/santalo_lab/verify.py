@@ -16,7 +16,6 @@ polytope clips, never quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,13 +227,6 @@ def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
                                 "equality": bool(abs(margin) <= allowed)})
 
 
-def _embed(C: np.ndarray, v: float, axis: int, d: int) -> np.ndarray:
-    z = np.empty(d)
-    z[[i for i in range(d) if i != axis]] = C
-    z[axis] = v
-    return z
-
-
 def half_volume_inequality_check(system: sh.ShadowSystem, s: float, t: float,
                                  a_s: float, a_t: float, C,
                                  tol: float = 1e-9) -> CheckReport:
@@ -245,14 +237,13 @@ def half_volume_inequality_check(system: sh.ShadowSystem, s: float, t: float,
     """
     C = geo.as_vector(C)
     axis = san._system_axis(system)
-    d = system.dim
     K_s = sh.body_at(system, s)
     K_t = sh.body_at(system, t)
     K_m = sh.body_at(system, 0.5 * (s + t))
     a_m = 0.5 * (a_s + a_t)
-    hv_s = pol.half_volumes(K_s, _embed(C, a_s, axis, d), axis=axis)
-    hv_t = pol.half_volumes(K_t, _embed(C, a_t, axis, d), axis=axis)
-    hv_m = pol.half_volumes(K_m, _embed(C, a_m, axis, d), axis=axis)
+    hv_s = pol.half_volumes(K_s, geo.embed_point(C, a_s, axis), axis=axis)
+    hv_t = pol.half_volumes(K_t, geo.embed_point(C, a_t, axis), axis=axis)
+    hv_m = pol.half_volumes(K_m, geo.embed_point(C, a_m, axis), axis=axis)
     slack_plus = 0.5 * (1 / hv_s.b_plus + 1 / hv_t.b_plus) - 1 / hv_m.b_plus
     slack_minus = 0.5 * (1 / hv_s.b_minus + 1 / hv_t.b_minus) - 1 / hv_m.b_minus
     rel_plus = slack_plus * hv_m.b_plus
@@ -287,18 +278,16 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     volumes.  Any broken link localizes a geometry bug.
     """
     axis = san._system_axis(system)
-    d = system.dim
-    keep = [i for i in range(d) if i != axis]
     K_s = sh.body_at(system, s)
     K_t = sh.body_at(system, t)
     K_m = sh.body_at(system, 0.5 * (s + t))
     res_m = san.santalo_point(K_m)
-    C = res_m.point[keep]
+    C = np.delete(res_m.point, axis)
     a = float(res_m.point[axis])
     a_s, a_t = san.balanced_points(system, s, t, a, C)
 
-    G_s = _embed(C, a_s, axis, d)
-    G_t = _embed(C, a_t, axis, d)
+    G_s = geo.embed_point(C, a_s, axis)
+    G_t = geo.embed_point(C, a_t, axis)
     prof_g = polar_slice_profile(K_s, G_s, axis=axis, n_samples=n_samples)
     prof_h = polar_slice_profile(K_t, G_t, axis=axis, n_samples=n_samples)
     prof_f = polar_slice_profile(K_m, res_m.point, axis=axis, n_samples=n_samples)

@@ -176,6 +176,50 @@ class TestCentroid:
         assert np.allclose(geo.centroid(Q), A @ geo.centroid(P) + b, atol=1e-9)
 
 
+class TestMoments:
+    def test_cube(self):
+        C, _ = geo.convex_hull([[x, y, z] for x in (-1.0, 1.0)
+                                for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+        vol, c, M = geo.moments(C)
+        assert vol == pytest.approx(8.0, rel=1e-12)
+        assert np.allclose(c, 0.0, atol=1e-12)
+        assert np.allclose(M, np.eye(3) / 3, atol=1e-12)
+
+    def test_matches_per_simplex_loop(self, rng):
+        # reference: sum the moments of the fan simplices one at a time
+        P = random_body(rng, 3)
+        apex = P.vertices.mean(axis=0)
+        total, first, second = 0.0, np.zeros(3), np.zeros((3, 3))
+        for s in P.facet_simplices:
+            w = np.vstack([P.vertices[s], apex])
+            vol = abs(np.linalg.det(P.vertices[s] - apex)) / 6
+            total += vol
+            first += vol * w.sum(axis=0) / 4
+            second += vol / 20 * (w.T @ w + np.outer(w.sum(axis=0), w.sum(axis=0)))
+        vol, c, M = geo.moments(P)
+        assert vol == pytest.approx(total, rel=1e-12)
+        assert np.allclose(c, first / total, rtol=0, atol=1e-12)
+        assert np.allclose(M, second / total, rtol=0, atol=1e-12)
+
+    def test_redundant_first_vertex_on_first_call(self):
+        # The first hull access prunes the interior point and renumbers the
+        # simplices; the fan must index the pruned vertex array.
+        P = geo.VPolytope([[0.2, 0.2], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert geo.volume(P) == pytest.approx(0.5, rel=1e-12)
+        assert np.allclose(geo.centroid(P), [1 / 3, 1 / 3], atol=1e-12)
+
+
+class TestDedupeRows:
+    def test_near_duplicate_with_a_row_sorted_between(self):
+        rows = np.array([[0.0, 5.0], [1e-10, 3.0], [2e-10, 5.0]])
+        assert len(geo._dedupe_rows(rows, 1e-9)) == 2
+
+
+def test_embed_point():
+    assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 1), [1.0, 7.0, 2.0])
+    assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 2), [1.0, 2.0, 7.0])
+
+
 class TestSection:
     def test_cube_midslice(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)

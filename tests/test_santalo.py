@@ -72,11 +72,32 @@ class TestSantaloPoint:
         points = np.array(points)
         assert np.max(np.linalg.norm(points - points[0], axis=1)) < 1e-6
 
-    def test_fd_gradient_agrees(self, rng):
-        K = random_body(rng, 2)
-        r1 = san.santalo_point(K)
-        r2 = san.santalo_point(K, use_fd_gradient=True)
-        assert np.linalg.norm(r1.point - r2.point) < 1e-6
+    def test_newton_derivatives_match_central_differences(self, rng):
+        # grad |K^{*z}| = (d+1)|K^*| c and Hess = (d+1)(d+2)|K^*| M, with c
+        # and M the polar's centroid and second moment about the center
+        for d in (2, 3):
+            K = random_body(rng, d)
+            z = 0.7 * K.vertices.mean(axis=0) + 0.3 * K.vertices[0]
+
+            def grad(x):
+                f, c, _ = geo.moments(pol.polar(K, x).polar)
+                return (d + 1) * f * c
+
+            f, _, M = geo.moments(pol.polar(K, z).polar)
+            hess = (d + 1) * (d + 2) * f * M
+            h = 1e-5 * K.scale()
+            fd_grad = np.empty(d)
+            fd_hess = np.empty((d, d))
+            for i in range(d):
+                e = h * np.eye(d)[i]
+                fd_grad[i] = (pol.polar(K, z + e).polar_volume
+                              - pol.polar(K, z - e).polar_volume) / (2 * h)
+                fd_hess[:, i] = (grad(z + e) - grad(z - e)) / (2 * h)
+            g = grad(z)
+            assert np.linalg.norm(g) > 1e-3 * f  # z is off the Santalo point
+            assert np.allclose(fd_grad, g, rtol=0, atol=1e-6 * np.abs(g).max())
+            assert np.allclose(fd_hess, hess, rtol=0,
+                               atol=1e-6 * np.abs(hess).max())
 
     def test_iteration_cap_reports_nonconverged(self, rng):
         K = random_body(rng, 3)
