@@ -119,13 +119,15 @@ class VPolytope:
 
     Use `convex_hull` to build one from raw points; the direct constructor
     trusts its input (internal fast path for affine images, polars, ...).
-    Facets and a facet triangulation are computed lazily and cached.
+    Facets, a facet triangulation and the polar fan (see
+    `polarity._polar_fan`) are computed lazily and cached.
     """
 
     def __init__(self, vertices, halfspaces: HPolytope | None = None, simplices=None):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self._halfspaces = halfspaces
         self._simplices = simplices
+        self._polar_fan = None
         if not np.all(np.isfinite(self.vertices)):
             raise DegenerateInput("non-finite vertex coordinates")
 

@@ -481,8 +481,7 @@ class CampaignReport:
 def _vp_with_condition(K: VPolytope) -> tuple[float, float]:
     res = san.santalo_point(K)
     pb = pol.polar(K, res.point)
-    c = geo.centroid(pb.polar)
-    R = float(np.max(np.linalg.norm(pb.polar.vertices - c, axis=1)))
+    R = float(np.max(np.linalg.norm(pb.polar.vertices - pb.polar_centroid, axis=1)))
     d = K.dim
     ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * R ** d
     return geo.volume(K) * res.polar_volume, ball / res.polar_volume

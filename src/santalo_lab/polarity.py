@@ -3,8 +3,10 @@
 The polar of K about an interior point z is
     K^{*z} = {y : <y, x - z> <= 1 for every x in K},
 so for a polytope the polar's H-form has one halfspace per vertex of K, and
-its vertices correspond to facets of K.  Vertices are obtained by running the
-hull machinery in the dual (the origin is always interior to the polar).
+its vertices are n_F / (b_F - <n_F, z>), one per facet <n_F, x> <= b_F of K.
+As z moves inside K these polars are projective images of each other, so one
+boundary triangulation, found by a single Qhull run per body and cached on
+it, serves every center: after that first call a polar is closed-form.
 """
 
 from __future__ import annotations
@@ -27,13 +29,17 @@ TAU_VOL = 1e-12
 class PolarBody:
     """Polar polytope of `base` about `center`, in the polar's own frame.
 
-    The polarity center is the origin of the polar's coordinates.
+    The polarity center is the origin of the polar's coordinates.  The
+    polar's moments come from one `geometry.moments` pass: its centroid, and
+    its second moment about the origin, int y y^T dy / |K^{*z}|.
     """
 
     base: VPolytope
     center: np.ndarray
     polar: VPolytope
     polar_volume: float
+    polar_centroid: np.ndarray
+    polar_second_moment: np.ndarray
 
 
 @dataclass
@@ -66,22 +72,35 @@ def _check_interior(K: VPolytope, z) -> np.ndarray:
     return z
 
 
+def _polar_fan(K: VPolytope) -> np.ndarray:
+    """(m, d) facet indices of K triangulating the boundary of every polar.
+
+    Polar vertex F is y_F = n_F / slack_F(z).  The projective map
+    y -> y / (1 + <y, z0 - z>) takes K^{*z0} onto K^{*z} and carries a boundary
+    triangulation along, so one Qhull of the y_F at the vertex mean z0 serves
+    every center; it is cached on K.
+    """
+    if K._polar_fan is None:
+        h = K.halfspaces  # before `vertices`: the first hull access may prune them
+        z0 = K.vertices.mean(axis=0)
+        try:
+            hull = ConvexHull(h.normals / h.slack(z0)[:, None])
+        except QhullError as exc:  # cannot happen for valid K, defensive
+            raise DegenerateInput(f"polar hull failed: {exc}") from exc
+        K._polar_fan = hull.simplices
+    return K._polar_fan
+
+
 def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z = _check_interior(K, z)
+    h = K.halfspaces
     dual_pts = K.vertices - z
-    try:
-        hull = ConvexHull(dual_pts)
-    except QhullError as exc:  # cannot happen for valid K, defensive
-        raise DegenerateInput(f"polar hull failed: {exc}") from exc
-    n = hull.equations[:, :-1]
-    c = -hull.equations[:, -1]
-    verts = n / c[:, None]
-    verts = geo._dedupe_rows(verts, geo.TAU_GEOM * max(1.0, float(np.max(np.abs(verts)))))
     norms = np.linalg.norm(dual_pts, axis=1)
     hform = HPolytope(dual_pts / norms[:, None], 1.0 / norms)
-    body = VPolytope(verts, halfspaces=hform)
-    return PolarBody(base=K, center=z, polar=body, polar_volume=geo.volume(body))
+    body = VPolytope(h.normals / h.slack(z)[:, None], halfspaces=hform,
+                     simplices=_polar_fan(K))
+    return PolarBody(K, z, body, *geo.moments(body))
 
 
 def bipolar(pb: PolarBody) -> VPolytope:

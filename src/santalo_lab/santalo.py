@@ -51,7 +51,7 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
     pb = pol.polar(K, z)
     iterations = 0
     while True:
-        f, c, M = geo.moments(pb.polar)
+        f, c, M = pb.polar_volume, pb.polar_centroid, pb.polar_second_moment
         # Polar-centroid norm normalized by the polar diameter (scale-free).
         res = float(np.linalg.norm(c)) / geo.diameter(pb.polar)
         if res <= tol_sant or iterations == max_iterations:

@@ -32,6 +32,14 @@ def simplex_file(tmp_path):
 
 
 @pytest.fixture
+def pentagon_file(tmp_path):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps({"dim": 2, "vertices":
+                                [[0, 0], [3, 0], [4, 2], [1, 3], [-1, 1]]}) + "\n")
+    return str(path)
+
+
+@pytest.fixture
 def system_file(tmp_path):
     rng = np.random.default_rng(4)
     system = sh.random_shadow_system(2, rng)
@@ -70,6 +78,12 @@ class TestPolarCommand:
         rc, _ = run_cli(["vp", str(flat)])
         assert rc == 3
 
+    def test_rerun_byte_identical(self, pentagon_file):
+        rc1, out1 = run_cli(["polar", pentagon_file])
+        rc2, out2 = run_cli(["polar", pentagon_file])
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+
 
 class TestSantaloCommand:
     def test_reports_residual_and_iterations(self, simplex_file):
@@ -79,6 +93,12 @@ class TestSantaloCommand:
         assert rep["converged"]
         assert rep["residual"] <= 1e-8
         assert np.allclose(rep["point"], [1 / 3, 1 / 3], atol=1e-6)
+
+    def test_rerun_byte_identical(self, pentagon_file):
+        rc1, out1 = run_cli(["santalo", pentagon_file])
+        rc2, out2 = run_cli(["santalo", pentagon_file])
+        assert rc1 == rc2 == 0
+        assert out1 == out2
 
 
 class TestShadowCommand:

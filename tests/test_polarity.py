@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
 from conftest import random_body, set_equal, vertices_match
 from santalo_lab import geometry as geo
+from santalo_lab import mahler
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
@@ -80,6 +82,64 @@ class TestPolar:
             scaled = geo.apply_affine(Sq, t * np.eye(2))
             v = pol.polar(scaled, [0, 0]).polar_volume
             assert v == pytest.approx(t ** -2 * 2.0, rel=1e-9)
+
+
+def qhull_polar_moments(K, z):
+    """Moments of K^{*z} from two fresh Qhull runs (dual hull, then hull)."""
+    dual = ConvexHull(K.vertices - z)
+    P, _ = geo.convex_hull(dual.equations[:, :-1] / -dual.equations[:, -1:])
+    return geo.moments(P)
+
+
+def fan_bodies():
+    ang = 2 * math.pi * np.arange(6) / 6
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])  # polar has square facets
+    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
+    bodies = [geo.convex_hull(pts)[0] for pts in (cube, octahedron, hexagon)]
+    return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))]
+
+
+class TestPolarFan:
+    @pytest.mark.parametrize("K", fan_bodies(),
+                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6"])
+    def test_cached_fan_matches_fresh_qhull(self, K):
+        mean = K.vertices.mean(axis=0)
+        for lam in (0.35, 0.9):  # off-center, the second one near a vertex
+            z = mean + lam * (K.vertices[0] - mean)
+            pb = pol.polar(K, z)
+            vol, cen, second = qhull_polar_moments(K, z)
+            scale = pb.polar.scale()
+            assert pb.polar_volume == pytest.approx(vol, rel=1e-12)
+            assert np.abs(pb.polar_centroid - cen).max() <= 1e-12 * scale
+            assert np.abs(pb.polar_second_moment - second).max() <= 1e-12 * scale ** 2
+
+    def test_redundant_trusted_list_on_first_call(self):
+        K = geo.VPolytope([[.2, .2], [0, 0], [1, 0], [0, 1]])
+        T, _ = geo.convex_hull([[0, 0], [1, 0], [0, 1]])
+        z = [0.3, 0.3]
+        assert pol.polar(K, z).polar_volume == pytest.approx(
+            pol.polar(T, z).polar_volume, rel=1e-12)
+
+    def test_one_qhull_per_body(self, monkeypatch, rng):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ConvexHull(*args, **kwargs)
+
+        K, fresh = random_body(rng, 3), random_body(rng, 3)
+        # Both modules: a lazy re-hull of the polar in geometry counts too.
+        monkeypatch.setattr(pol, "ConvexHull", counting)
+        monkeypatch.setattr(geo, "ConvexHull", counting)
+        z = K.vertices.mean(axis=0)
+        pol.polar(K, z)
+        assert len(calls) == 1
+        pol.polar(K, 0.8 * z + 0.2 * K.vertices[0])
+        assert len(calls) == 1
+        calls.clear()
+        san.santalo_point(fresh)
+        assert len(calls) == 1
 
 
 class TestVolumeProduct:
