@@ -4,8 +4,9 @@ Subcommands: polar, santalo, vp, shadow, search, symmetrize, verify.
 Exit codes: 0 success, 2 malformed input, 3 geometric precondition failure,
 4 violation certificate produced (so CI fails loudly).
 
-Every randomized command requires --seed; identical (command, seed, config)
-reruns are byte-identical.
+The randomized command (search) requires --seed; identical (command, seed,
+config) reruns are byte-identical.  Subcommands that read a tolerance take
+--tol NAME=VALUE for that one name; any other name is malformed input.
 """
 
 from __future__ import annotations
@@ -59,14 +60,19 @@ def _load_system(path: str) -> sh.ShadowSystem:
         raise _MalformedInput(str(exc)) from exc
 
 
-def _tol_overrides(pairs) -> dict:
+def _tol_overrides(args, known: str) -> dict:
+    """Parse repeated --tol name=value; `known` is the one name read."""
     out = {}
-    for item in pairs or []:
+    for item in args.tol or []:
         if "=" not in item:
             raise _MalformedInput(f"--tol expects name=value, got {item!r}")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name != known:
+            raise _MalformedInput(f"unknown tolerance {name!r}; "
+                                  f"{args.command} reads only {known!r}")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError as exc:
             raise _MalformedInput(f"bad tolerance value in {item!r}") from exc
     return out
@@ -85,7 +91,7 @@ def _print(line: str, out) -> None:
 
 def cmd_polar(args, out) -> int:
     K = _load_polytope(args.input)
-    tols = _tol_overrides(args.tol)
+    tols = _tol_overrides(args, "tol_sant")
     if args.center is not None:
         center = np.asarray(json.loads(args.center), dtype=float)
     else:
@@ -107,7 +113,7 @@ def cmd_polar(args, out) -> int:
 
 def cmd_santalo(args, out) -> int:
     K = _load_polytope(args.input)
-    tols = _tol_overrides(args.tol)
+    tols = _tol_overrides(args, "tol_sant")
     res = san.santalo_point(K, tol_sant=tols.get("tol_sant", san.TOL_SANT))
     report = {
         "config": _config_header(args, tols),
@@ -123,7 +129,7 @@ def cmd_santalo(args, out) -> int:
 
 def cmd_vp(args, out) -> int:
     K = _load_polytope(args.input)
-    tols = _tol_overrides(args.tol)
+    tols = _tol_overrides(args, "tol_sant")
     report = {
         "config": _config_header(args, tols),
         "volume": geo.volume(K),
@@ -137,7 +143,7 @@ def cmd_vp(args, out) -> int:
 
 def cmd_shadow(args, out) -> int:
     system = _load_system(args.input)
-    tols = _tol_overrides(args.tol)
+    tols = _tol_overrides(args, "tau_conv")
     lo, hi = system.interval
     grid = np.linspace(lo, hi, args.grid)
     records = sh.sweep(system, grid)
@@ -171,7 +177,7 @@ def _verdict_dict(v: sh.ConvexityVerdict) -> dict:
 
 
 def cmd_search(args, out) -> int:
-    tols = _tol_overrides(args.tol)
+    tols = _tol_overrides(args, "campaign")
     tol = tols.get("campaign", 1e-6)
     header = _config_header(args, tols)
 
@@ -191,7 +197,6 @@ def cmd_search(args, out) -> int:
 
 def cmd_symmetrize(args, out) -> int:
     K = _load_polytope(args.input)
-    tols = _tol_overrides(args.tol)
     try:
         normal = np.asarray(json.loads(args.normal), dtype=float)
     except json.JSONDecodeError as exc:
@@ -199,7 +204,7 @@ def cmd_symmetrize(args, out) -> int:
     H = geo.Hyperplane(normal, args.offset)
     KH = sh.steiner_symmetral(K, H)
     report = {
-        "config": _config_header(args, tols),
+        "config": _config_header(args, {}),
         "volume": geo.volume(K),
         "symmetral_volume": geo.volume(KH),
         "volume_product": pol.volume_product(K),
@@ -212,13 +217,12 @@ def cmd_symmetrize(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     system = _load_system(args.input)
-    tols = _tol_overrides(args.tol)
     lo, hi = system.interval
     s = args.s if args.s is not None else lo
     t = args.t if args.t is not None else hi
     rep = ver.midpoint_bound_check(system, s, t)
     report = {
-        "config": _config_header(args, tols),
+        "config": _config_header(args, {}),
         "s": s, "t": t,
         "hypothesis": {"status": rep.hypothesis.status,
                        "worst_slack": rep.hypothesis.worst_slack,
@@ -243,57 +247,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "shadow-system experiments for convex polytopes.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_seed=False):
-        sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="tolerance override, repeatable")
-        if needs_seed:
-            sp.add_argument("--seed", type=int, required=True,
-                            help="RNG seed (required for reproducibility)")
-        else:
-            sp.add_argument("--seed", type=int, default=None)
+    def tol_flag(sp, name):
+        sp.add_argument("--tol", action="append", metavar=f"{name}=VALUE",
+                        help=f"override the {name} tolerance")
 
     sp = sub.add_parser("polar", help="polar body about a center (default: Santalo point)")
     sp.add_argument("input", help="polytope JSON file or - for stdin")
     sp.add_argument("--center", help="JSON list, e.g. '[0.1, 0.2]'")
-    common(sp)
+    tol_flag(sp, "tol_sant")
     sp.set_defaults(func=cmd_polar)
 
     sp = sub.add_parser("santalo", help="Santalo point, polar volume, residual")
     sp.add_argument("input")
-    common(sp)
+    tol_flag(sp, "tol_sant")
     sp.set_defaults(func=cmd_santalo)
 
     sp = sub.add_parser("vp", help="volume product about the Santalo point")
     sp.add_argument("input")
-    common(sp)
+    tol_flag(sp, "tol_sant")
     sp.set_defaults(func=cmd_vp)
 
     sp = sub.add_parser("shadow", help="sweep a shadow system; CSV + verdicts")
     sp.add_argument("input", help="shadow-system JSON file or -")
     sp.add_argument("--grid", type=int, default=33)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
-    common(sp)
+    tol_flag(sp, "tau_conv")
     sp.set_defaults(func=cmd_shadow)
 
     sp = sub.add_parser("search", help="randomized few-vertex campaign")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=int, default=1000)
-    common(sp, needs_seed=True)
+    sp.add_argument("--seed", type=int, required=True,
+                    help="RNG seed (required for reproducibility)")
+    tol_flag(sp, "campaign")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("symmetrize", help="Steiner symmetral about a hyperplane")
     sp.add_argument("input")
     sp.add_argument("--normal", required=True, help="JSON list")
     sp.add_argument("--offset", type=float, default=0.0)
-    common(sp)
     sp.set_defaults(func=cmd_symmetrize)
 
     sp = sub.add_parser("verify", help="midpoint-convexity chain on a system")
     sp.add_argument("input")
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--t", type=float, default=None)
-    common(sp)
     sp.set_defaults(func=cmd_verify)
     return p
 

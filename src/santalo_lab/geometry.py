@@ -11,6 +11,7 @@ which is reliable at desk scale in this range).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ from .errors import (
 TAU_GEOM = 1e-9
 
 MAX_DIM = 6
+
+# Vertex-index pairs spanning the edges of a (d-1)-simplex, by d.
+_EDGES = {d: np.array(list(itertools.combinations(range(d), 2)))
+          for d in range(2, MAX_DIM + 1)}
 
 
 def as_vector(x) -> np.ndarray:
@@ -120,7 +125,8 @@ class VPolytope:
     Use `convex_hull` to build one from raw points; the direct constructor
     trusts its input (internal fast path for affine images, polars, ...).
     Facets, a facet triangulation and the polar fan (see
-    `polarity._polar_fan`) are computed lazily and cached.
+    `polarity._polar_fan`) are computed lazily and cached; `vertices` never
+    changes.
     """
 
     def __init__(self, vertices, halfspaces: HPolytope | None = None, simplices=None):
@@ -139,28 +145,25 @@ class VPolytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def _ensure_hull(self):
-        if self._halfspaces is None or self._simplices is None:
-            vert_idx, h, simplices = _hull_of(self.vertices)
+    def _hull(self):
+        """Fill whichever of facets and triangulation is missing (one hull)."""
+        _, h, simplices = _hull_of(self.vertices)
+        if self._halfspaces is None:
             self._halfspaces = h
-            if len(vert_idx) == self.n_vertices:
-                self._simplices = simplices
-            else:
-                # Trusted constructor was fed a redundant list; re-prune.
-                remap = -np.ones(self.n_vertices, dtype=int)
-                remap[vert_idx] = np.arange(len(vert_idx))
-                self.vertices = self.vertices[vert_idx]
-                self._simplices = remap[simplices]
+        if self._simplices is None:
+            self._simplices = simplices
 
     @property
     def halfspaces(self) -> HPolytope:
-        self._ensure_hull()
+        if self._halfspaces is None:
+            self._hull()
         return self._halfspaces
 
     @property
     def facet_simplices(self) -> np.ndarray:
-        """(m, d) vertex-index array triangulating the boundary."""
-        self._ensure_hull()
+        """(m, d) indices into `vertices`, as given, triangulating the boundary."""
+        if self._simplices is None:
+            self._hull()
         return self._simplices
 
     def contains(self, x, tol: float = TAU_GEOM) -> bool:
@@ -233,13 +236,10 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
         lo, hi = float(P.vertices.min()), float(P.vertices.max())
         return (hi - lo, np.array([(lo + hi) / 2.0]),
                 np.array([[(lo * lo + lo * hi + hi * hi) / 3.0]]))
-    # Read the simplices first: the first hull access may prune `vertices`
-    # and renumber the simplices against the pruned array.
-    simplices = P.facet_simplices
     verts = P.vertices
     apex = verts.mean(axis=0)
     # Fan simplex = one boundary simplex (d vertices) plus the apex.
-    fan = verts[simplices]  # (m, d, d)
+    fan = verts[P.facet_simplices]  # (m, d, d)
     dets = np.abs(np.linalg.det(fan - apex))
     total = float(dets.sum())
     if total <= 0.0:
@@ -270,17 +270,15 @@ def interior_point(P: VPolytope | HPolytope) -> np.ndarray:
     return res.x[:-1]
 
 
-def vertex_enumeration(h: HPolytope, interior=None) -> VPolytope:
+def vertex_enumeration(h: HPolytope) -> VPolytope:
     """Vertices of a bounded H-polytope.
 
-    Runs the hull machinery in the dual: after translating an interior point
-    to the origin and scaling facets to offset one, hull facets of the scaled
-    normals correspond one-to-one to vertices of the original body.
+    Runs the hull machinery in the dual: after translating the Chebyshev
+    center to the origin and scaling facets to offset one, hull facets of the
+    scaled normals correspond one-to-one to vertices of the original body.
     """
     d = h.dim
-    if interior is None:
-        interior = interior_point(h)
-    interior = as_vector(interior)
+    interior = interior_point(h)
     b = h.slack(interior)
     if np.min(b) <= TAU_GEOM:
         raise DegenerateInput("interior point has non-positive facet slack")
@@ -319,32 +317,36 @@ def section(P: VPolytope, axis: int, level: float) -> VPolytope:
     margin = TAU_GEOM * max(1.0, abs(lo), abs(hi))
     if not (lo + margin < level < hi - margin):
         raise EmptySection(f"level {level} outside open range ({lo}, {hi})")
-    h = P.halfspaces
-    keep = [i for i in range(d) if i != axis]
-    A_rest = h.normals[:, keep]
-    b_rest = h.offsets - h.normals[:, axis] * level
-    row_norm = np.linalg.norm(A_rest, axis=1)
-    flat = row_norm <= TAU_GEOM
-    if np.any(b_rest[flat] < -margin):
-        raise EmptySection("level violates an axis-orthogonal facet")
+    cut = np.delete(level_cut(P, axis, level), axis, axis=1)
     if d == 2:
-        pos = (~flat) & (A_rest[:, 0] > 0)
-        neg = (~flat) & (A_rest[:, 0] < 0)
-        if not (np.any(pos) and np.any(neg)):
-            raise EmptySection("slice has no 1-d extent")
-        hi1 = float(np.min(b_rest[pos] / A_rest[pos, 0]))
-        lo1 = float(np.max(b_rest[neg] / A_rest[neg, 0]))
+        lo1, hi1 = float(cut.min()), float(cut.max())
         if hi1 - lo1 <= margin:
             raise EmptySection("slice has no 1-d extent")
         return VPolytope(np.array([[lo1], [hi1]]))
-    hh = HPolytope(A_rest[~flat], b_rest[~flat])
-    # Interior point of the slice: walk from an interior point of P toward an
-    # extreme vertex until the slicing level is reached (stays interior).
-    c = P.vertices.mean(axis=0)
-    target = P.vertices[np.argmax(coords) if c[axis] < level else np.argmin(coords)]
-    s = (level - c[axis]) / (target[axis] - c[axis])
-    q = c + s * (target - c)
-    return vertex_enumeration(hh, interior=q[keep])
+    return convex_hull(cut)[0]
+
+
+def level_cut(P: VPolytope, axis: int, level: float) -> np.ndarray:
+    """Points where P's boundary triangulation meets {x_axis = level}.
+
+    These are the vertices on the level and the crossings of triangulation
+    edges with it, with coordinate `axis` set to `level`.  Every edge of P is
+    an edge of the triangulation and every diagonal lies in P, so their hull
+    is exactly the section P ∩ {x_axis = level}.
+    """
+    verts = P.vertices
+    rel = verts[:, axis] - level
+    tol = TAU_GEOM * max(1.0, abs(level), float(np.abs(rel).max()))
+    side = (rel > tol).astype(int) - (rel < -tol)
+    a, b = P.facet_simplices[:, _EDGES[P.dim]].reshape(-1, 2).T
+    crossing = side[a] * side[b] < 0
+    a, b = a[crossing], b[crossing]
+    # Symmetric in (a, b): an edge shared by two simplices gives bitwise-equal
+    # points, which the hull merges.
+    ra, rb = rel[a, None], rel[b, None]
+    pts = np.vstack([verts[side == 0], (ra * verts[b] - rb * verts[a]) / (ra - rb)])
+    pts[:, axis] = level
+    return pts
 
 
 def chord(P: VPolytope, X, axis: int = -1) -> tuple[float, float]:

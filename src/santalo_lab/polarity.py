@@ -2,11 +2,11 @@
 
 The polar of K about an interior point z is
     K^{*z} = {y : <y, x - z> <= 1 for every x in K},
-so for a polytope the polar's H-form has one halfspace per vertex of K, and
-its vertices are n_F / (b_F - <n_F, z>), one per facet <n_F, x> <= b_F of K.
-As z moves inside K these polars are projective images of each other, so one
-boundary triangulation, found by a single Qhull run per body and cached on
-it, serves every center: after that first call a polar is closed-form.
+so for a polytope its vertices are n_F / (b_F - <n_F, z>), one per facet
+<n_F, x> <= b_F of K.  As z moves inside K these polars are projective
+images of each other, so one boundary triangulation, found by a single Qhull
+run per body and cached on it, serves every center: after that first call a
+polar is closed-form.  Its H-form is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import geometry as geo
 from .errors import CenterNotInterior, DegenerateInput, LineMissesBody
-from .geometry import HPolytope, VPolytope
+from .geometry import VPolytope
 
 # Below this absolute half-volume, a ratio is reported as a tagged divergence.
 TAU_VOL = 1e-12
@@ -81,7 +81,7 @@ def _polar_fan(K: VPolytope) -> np.ndarray:
     every center; it is cached on K.
     """
     if K._polar_fan is None:
-        h = K.halfspaces  # before `vertices`: the first hull access may prune them
+        h = K.halfspaces
         z0 = K.vertices.mean(axis=0)
         try:
             hull = ConvexHull(h.normals / h.slack(z0)[:, None])
@@ -95,11 +95,7 @@ def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z = _check_interior(K, z)
     h = K.halfspaces
-    dual_pts = K.vertices - z
-    norms = np.linalg.norm(dual_pts, axis=1)
-    hform = HPolytope(dual_pts / norms[:, None], 1.0 / norms)
-    body = VPolytope(h.normals / h.slack(z)[:, None], halfspaces=hform,
-                     simplices=_polar_fan(K))
+    body = VPolytope(h.normals / h.slack(z)[:, None], simplices=_polar_fan(K))
     return PolarBody(K, z, body, *geo.moments(body))
 
 
@@ -117,34 +113,21 @@ def volume_product(K: VPolytope, tol_sant: float | None = None) -> float:
     return geo.volume(K) * res.polar_volume
 
 
-def _clip_volume(hform_normals, hform_offsets, clip_normal, interior) -> float:
-    """Volume of {A x <= b} cut by <clip_normal, x> <= 0, by vertex enumeration."""
-    normals = np.vstack([hform_normals, clip_normal])
-    offsets = np.append(hform_offsets, 0.0)
-    body = geo.vertex_enumeration(HPolytope(normals, offsets), interior=interior)
-    return geo.volume(body)
-
-
 def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
     """B_+ and B_-: polar volume above/below {x_axis = 0} through the center.
 
-    Computed by clipping the polar polytope exactly, never by quadrature.
+    Each half is the hull of that side's polar vertices and the polar's cut
+    at height 0 (`geometry.level_cut`), so it is exact, never quadrature.
     """
     pb = polar(K, z)
-    d = K.dim
-    axis = range(d)[axis]
-    h = pb.polar.halfspaces
-    heights = pb.polar.vertices[:, axis]
-    top = pb.polar.vertices[int(np.argmax(heights))]
-    bot = pb.polar.vertices[int(np.argmin(heights))]
+    axis = range(K.dim)[axis]
+    verts = pb.polar.vertices
+    heights = verts[:, axis]
     if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")
-    e = np.zeros(d)
-    e[axis] = 1.0
-    # 0 is interior to the polar, so half of an extreme vertex is interior to
-    # the corresponding clipped half (LP-free interior points).
-    b_plus = _clip_volume(h.normals, h.offsets, -e, 0.5 * top)
-    b_minus = _clip_volume(h.normals, h.offsets, e, 0.5 * bot)
+    cut = geo.level_cut(pb.polar, axis, 0.0)
+    b_plus = geo.volume(geo.convex_hull(np.vstack([verts[heights > 0], cut]))[0])
+    b_minus = geo.volume(geo.convex_hull(np.vstack([verts[heights < 0], cut]))[0])
     return HalfVolumes(b_plus=b_plus, b_minus=b_minus)
 
 

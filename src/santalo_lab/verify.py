@@ -32,12 +32,16 @@ N_PROFILE_SAMPLES = 257
 
 @dataclass
 class SliceProfile:
-    """Sampled one-dimensional profile x -> (d-1)-volume of a slice."""
+    """Sampled one-dimensional profile x -> (d-1)-volume of a slice.
+
+    `mid_ys`, when present, holds exact values at the midpoints of
+    consecutive `xs`; profiles without it are piecewise-linear data.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     support: tuple[float, float]
-    _evaluator: object = None  # exact resampling callable, when available
+    mid_ys: np.ndarray | None = None
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -51,16 +55,18 @@ class SliceProfile:
     def integral(self) -> float:
         return float(np.trapezoid(self.ys, self.xs))
 
+    def _mids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid midpoints and the profile's values there."""
+        mids = 0.5 * (self.xs[:-1] + self.xs[1:])
+        return mids, self(mids) if self.mid_ys is None else self.mid_ys
+
     def refined_integral(self) -> tuple[float, float]:
         """(integral on midpoint-doubled grid, relative change vs base grid).
 
-        Midpoint values come from the exact evaluator when available,
-        otherwise from interpolation (in which case the change is zero by
-        construction and the profile is already exact piecewise-linear).
+        Without exact midpoint values the change is zero by construction:
+        the profile is already exact piecewise-linear data.
         """
-        mids = 0.5 * (self.xs[:-1] + self.xs[1:])
-        vals = (np.array([self._evaluator(m) for m in mids])
-                if self._evaluator is not None else self(mids))
+        mids, vals = self._mids()
         xs2 = np.empty(2 * len(self.xs) - 1)
         ys2 = np.empty_like(xs2)
         xs2[0::2], xs2[1::2] = self.xs, mids
@@ -70,12 +76,9 @@ class SliceProfile:
         return i2, abs(i2 - i1) / max(abs(i2), 1e-300)
 
     def interpolation_defect(self) -> float:
-        """Max |exact - interpolated| at grid midpoints (0 without evaluator)."""
-        if self._evaluator is None:
-            return 0.0
-        mids = 0.5 * (self.xs[:-1] + self.xs[1:])
-        exact = np.array([self._evaluator(m) for m in mids])
-        return float(np.max(np.abs(exact - self(mids)))) if len(mids) else 0.0
+        """Max |exact - interpolated| at grid midpoints (0 without mid_ys)."""
+        mids, vals = self._mids()
+        return float(np.max(np.abs(vals - self(mids)))) if len(mids) else 0.0
 
 
 def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
@@ -95,19 +98,11 @@ def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
     return geo.volume(face)
 
 
-def slice_profile(P: VPolytope, axis: int = -1,
-                  n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
-    """Exact-sampled slice-volume profile of P along a coordinate axis.
-
-    The grid is `n_samples` uniform heights augmented with every vertex
-    height (the breakpoints of the profile), so 2D profiles interpolate
-    exactly and 3D profiles are piecewise-quadratic between samples.
-    """
-    d = P.dim
-    axis = range(d)[axis]
+def _sample(P: VPolytope, axis: int, n_samples: int, extra=()) -> SliceProfile:
+    """Exact profile of P on `n_samples` uniform heights, every vertex height
+    and `extra`; each grid point and each grid midpoint is evaluated once."""
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, n_samples), heights]))
 
     def evaluate(x: float) -> float:
         if x <= lo or x >= hi:
@@ -119,37 +114,41 @@ def slice_profile(P: VPolytope, axis: int = -1,
         except EmptySection:
             return _extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
 
-    ys = np.array([evaluate(x) for x in xs])
-    return SliceProfile(xs, ys, (lo, hi), _evaluator=evaluate)
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, n_samples), heights, extra]))
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (lo, hi),
+                        np.array([evaluate(x) for x in mids]))
+
+
+def slice_profile(P: VPolytope, axis: int = -1,
+                  n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
+    """Exact-sampled slice-volume profile of P along a coordinate axis.
+
+    The grid is `n_samples` uniform heights augmented with every vertex
+    height (the breakpoints of the profile), so 2D profiles interpolate
+    exactly and 3D profiles are piecewise-quadratic between samples.
+    """
+    return _sample(P, range(P.dim)[axis], n_samples)
 
 
 def positive_part(profile: SliceProfile) -> SliceProfile:
     """Restriction to x >= 0 (the grid is assumed to contain 0)."""
     keep = profile.xs >= 0
+    mid_ys = None if profile.mid_ys is None else profile.mid_ys[keep[:-1]]
     return SliceProfile(profile.xs[keep], profile.ys[keep],
-                        (0.0, profile.support[1]), profile._evaluator)
-
-
-def negative_part(profile: SliceProfile) -> SliceProfile:
-    """Mirror of the x <= 0 part onto the positive half-line."""
-    keep = profile.xs <= 0
-    ev = profile._evaluator
-    mirrored = (lambda x: ev(-x)) if ev is not None else None
-    return SliceProfile(-profile.xs[keep][::-1], profile.ys[keep][::-1],
-                        (0.0, -profile.support[0]), mirrored)
+                        (0.0, profile.support[1]), mid_ys)
 
 
 def polar_slice_profile(K: VPolytope, center, axis: int = -1,
                         n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
-    """Slice profile of the polar body K^{*center} along `axis`."""
-    pb = pol.polar(K, center)
-    prof = slice_profile(pb.polar, axis=axis, n_samples=n_samples)
+    """Slice profile of the polar body K^{*center} along `axis`.
+
+    The grid of `slice_profile` with height 0 added.
+    """
+    P = pol.polar(K, center).polar
+    prof = _sample(P, range(P.dim)[axis], n_samples, [0.0])
     if not prof.support[0] < 0 < prof.support[1]:
         raise EmptySection("polar does not straddle zero height")
-    if 0.0 not in prof.xs:
-        xs = np.unique(np.append(prof.xs, 0.0))
-        prof = SliceProfile(xs, np.array([prof._evaluator(x) for x in xs]),
-                            prof.support, prof._evaluator)
     return prof
 
 

@@ -168,6 +168,39 @@ class TestSymmetrizeCommand:
         assert rep["symmetral_volume_product"] >= rep["volume_product"] - 1e-7
 
 
+class TestRejectedFlags:
+    @pytest.mark.parametrize("command", ["polar", "santalo", "vp", "shadow",
+                                         "symmetrize", "verify"])
+    def test_seed_outside_search_exits_2(self, command, square_file, system_file):
+        path = system_file if command in ("shadow", "verify") else square_file
+        extra = ["--normal", "[1, 0]"] if command == "symmetrize" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, *extra, "--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["symmetrize", "verify"])
+    def test_tol_where_none_is_read_exits_2(self, command, square_file, system_file):
+        path = system_file if command == "verify" else square_file
+        extra = ["--normal", "[1, 0]"] if command == "symmetrize" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, *extra, "--tol", "tol_sant=1e-4"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, known", [
+        (["santalo", "{square}", "--tol", "tol_snat=1e-4"], "tol_sant"),
+        (["shadow", "{system}", "--grid", "5", "--tol", "tol_sant=1e-4"], "tau_conv"),
+        (["search", "--d", "2", "--k", "4", "--trials", "5", "--seed", "1",
+          "--tol", "tau_conv=1e-4"], "campaign"),
+    ])
+    def test_unknown_tolerance_name_exits_2(self, argv, known, square_file,
+                                            system_file, capsys):
+        argv = [a.format(square=square_file, system=system_file) for a in argv]
+        rc, out = run_cli(argv)
+        assert rc == 2
+        assert out == ""
+        assert repr(known) in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_chain_passes(self, system_file):
         rc, out = run_cli(["verify", system_file])

@@ -202,11 +202,21 @@ class TestMoments:
         assert np.allclose(M, second / total, rtol=0, atol=1e-12)
 
     def test_redundant_first_vertex_on_first_call(self):
-        # The first hull access prunes the interior point and renumbers the
-        # simplices; the fan must index the pruned vertex array.
+        # The fan must skip the unused interior point of a trusted list.
         P = geo.VPolytope([[0.2, 0.2], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert geo.volume(P) == pytest.approx(0.5, rel=1e-12)
         assert np.allclose(geo.centroid(P), [1 / 3, 1 / 3], atol=1e-12)
+
+
+class TestVPolytope:
+    def test_trusted_redundant_list_keeps_its_vertices(self):
+        pts = [[0, 0], [1, 0], [0, 1], [.2, .2]]
+        P = geo.VPolytope(pts)
+        assert P.n_vertices == 4
+        P.halfspaces
+        P.facet_simplices
+        assert P.n_vertices == 4
+        assert np.array_equal(P.vertices, np.asarray(pts, dtype=float))
 
 
 class TestDedupeRows:
@@ -218,6 +228,24 @@ class TestDedupeRows:
 def test_embed_point():
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 1), [1.0, 7.0, 2.0])
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 2), [1.0, 2.0, 7.0])
+
+
+def hform_section(P, axis, level):
+    """Reference section: vertex enumeration of P's sliced H-form."""
+    h = P.halfspaces
+    keep = [i for i in range(P.dim) if i != axis]
+    A = h.normals[:, keep]
+    b = h.offsets - h.normals[:, axis] * level
+    sliced = np.linalg.norm(A, axis=1) > geo.TAU_GEOM
+    return geo.vertex_enumeration(geo.HPolytope(A[sliced], b[sliced]))
+
+
+def section_bodies(rng):
+    cube = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    return {"cube": geo.convex_hull(cube)[0],
+            "octahedron": geo.convex_hull(octahedron)[0],
+            "random-3": random_body(rng, 3), "random-4": random_body(rng, 4)}
 
 
 class TestSection:
@@ -241,6 +269,26 @@ class TestSection:
             geo.section(S, 2, 1.5)
         with pytest.raises(EmptySection):
             geo.section(S, 2, 1.0)  # boundary level is excluded too
+
+    @pytest.mark.parametrize("body", ["cube", "octahedron", "random-3", "random-4"])
+    def test_matches_hform_reference(self, body, rng):
+        P = section_bodies(rng)[body]
+        for axis in range(P.dim):
+            heights = P.vertices[:, axis]
+            lo, hi = heights.min(), heights.max()
+            inner = heights[(heights > lo + 1e-6) & (heights < hi - 1e-6)]
+            for level in np.concatenate([rng.uniform(lo, hi, size=4), inner]):
+                sec = geo.section(P, axis, level)
+                ref = hform_section(P, axis, level)
+                assert vertices_match(sec, ref.vertices, tol=1e-12 * P.scale())
+                assert geo.volume(sec) == pytest.approx(geo.volume(ref), rel=1e-12)
+
+    def test_polygon_section_is_an_interval(self, rng):
+        P = random_body(rng, 2)
+        level = P.vertices[:, 1].mean()
+        sec = geo.section(P, 1, level)
+        lo, hi = hform_section(P, 1, level).vertices[:, 0]
+        assert sec.vertices[:, 0] == pytest.approx([lo, hi], rel=1e-12)
 
     def test_profile_brunn_minkowski_concavity(self, rng):
         # (1/(d-1))-th power of the slice volume is concave on the support

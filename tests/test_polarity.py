@@ -141,6 +141,31 @@ class TestPolarFan:
         san.santalo_point(fresh)
         assert len(calls) == 1
 
+    def test_cuts_hull_only_their_result(self, qhull_calls, rng):
+        K = random_body(rng, 3)
+        z = K.vertices.mean(axis=0)
+        qhull_calls.clear()
+        geo.section(K, 2, z[2])
+        assert len(qhull_calls) == 1
+        pol.polar(K, z)  # caches the fan
+        qhull_calls.clear()
+        pol.half_volumes(K, z, axis=2)
+        assert len(qhull_calls) == 2
+
+
+@pytest.fixture
+def qhull_calls(monkeypatch):
+    """Arguments of every Qhull run, in polarity and in geometry."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ConvexHull(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "ConvexHull", counting)
+    monkeypatch.setattr(geo, "ConvexHull", counting)
+    return calls
+
 
 class TestVolumeProduct:
     def test_triangles(self, rng):
@@ -174,6 +199,19 @@ class TestHalfVolumes:
             pv = pol.polar(K, z).polar_volume
             assert hv.b_plus + hv.b_minus == pytest.approx(pv, rel=1e-12)
 
+    @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:],
+                             ids=["cube", "octahedron", "4-simplex", "random-3-6"])
+    def test_matches_hform_clips(self, K):
+        mean = K.vertices.mean(axis=0)
+        z = mean + 0.3 * (K.vertices[0] - mean)
+        pv = pol.polar(K, z).polar_volume
+        for axis in range(K.dim):
+            hv = pol.half_volumes(K, z, axis=axis)
+            e = np.eye(K.dim)[axis]
+            assert hv.b_plus == pytest.approx(hform_clip_volume(K, z, -e), rel=1e-12)
+            assert hv.b_minus == pytest.approx(hform_clip_volume(K, z, e), rel=1e-12)
+            assert hv.b_plus + hv.b_minus == pytest.approx(pv, rel=1e-12)
+
     def test_triangle_matches_rational_clipping(self, rng):
         for _ in range(20):
             pts = oracle.lattice_points(rng, 6)
@@ -189,6 +227,14 @@ class TestHalfVolumes:
             assert hv.b_plus == pytest.approx(float(plus), rel=1e-9)
             assert hv.b_minus == pytest.approx(float(minus), rel=1e-9)
             assert hv.ratio == pytest.approx(float(plus / minus), rel=1e-9)
+
+
+def hform_clip_volume(K, z, clip_normal):
+    """Reference half: vertex enumeration of the polar's H-form cut by
+    <clip_normal, y> <= 0 (one halfspace <x - z, y> <= 1 per vertex x of K)."""
+    normals = np.vstack([K.vertices - z, clip_normal])
+    offsets = np.append(np.ones(K.n_vertices), 0.0)
+    return geo.volume(geo.vertex_enumeration(geo.HPolytope(normals, offsets)))
 
 
 class TestRatioCurve:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from santalo_lab import geometry as geo
+from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
 
@@ -33,6 +34,30 @@ class TestSliceProfile:
             prof = ver.slice_profile(P, axis=0)
             _, change = prof.refined_integral()
             assert change < 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_section_sampled_once(self, d, rng, monkeypatch):
+        keys = []
+        section = geo.section
+
+        def counting(P, axis, level):
+            keys.append((P.vertices.tobytes(), axis, level))
+            return section(P, axis, level)
+
+        system = sh.random_shadow_system(d, rng)
+        monkeypatch.setattr(geo, "section", counting)
+        ver.midpoint_bound_check(system, *system.interval, n_samples=33)
+        assert keys and len(set(keys)) == len(keys)
+
+    def test_polar_profile_samples_are_section_volumes(self, rng):
+        K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
+        z = geo.interior_point(K)
+        prof = ver.polar_slice_profile(K, z, axis=2, n_samples=17)
+        P = pol.polar(K, z).polar
+        mids = 0.5 * (prof.xs[:-1] + prof.xs[1:])
+        for xs, ys in ((prof.xs[1:-1], prof.ys[1:-1]), (mids, prof.mid_ys)):
+            exact = [geo.volume(geo.section(P, 2, x)) for x in xs]
+            assert np.array_equal(ys, exact)
 
     def test_polar_profile_includes_zero(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(6, 2)))
