@@ -275,15 +275,8 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
                        "endpoint bodies are pyramids or simplices", label)
 
 
-def _frame_data(K: VPolytope, cfg: _Config):
-    H = cfg.hyperplane
-    coords = geo.to_frame(K.vertices, H)
-    i1, i2 = cfg.off
-    return H, coords, i1, i2
-
-
 def _double_pyramid_move(K: VPolytope, cfg: _Config) -> DescentMove:
-    H, coords, i1, i2 = _frame_data(K, cfg)
+    i1, i2 = cfg.off
     xi1, xi2 = cfg.xi  # xi1 < 0 < xi2
     x1, x2 = K.vertices[i1], K.vertices[i2]
     v = x2 - x1
@@ -301,7 +294,8 @@ def _double_pyramid_move(K: VPolytope, cfg: _Config) -> DescentMove:
 
 
 def _skew_move(K: VPolytope, cfg: _Config) -> DescentMove:
-    H, coords, i1, i2 = _frame_data(K, cfg)
+    i1, i2 = cfg.off
+    coords = geo.to_frame(K.vertices, cfg.hyperplane)
     xi1, xi2 = cfg.xi  # 0 < xi1 < xi2
     X = coords[:, :-1]
     F_idx = list(cfg.coplanar)
@@ -329,7 +323,8 @@ def _skew_move(K: VPolytope, cfg: _Config) -> DescentMove:
 
 
 def _parallel_move(K: VPolytope, cfg: _Config, t_max: float = 1e3) -> DescentMove:
-    H, coords, i1, i2 = _frame_data(K, cfg)
+    i1, i2 = cfg.off
+    coords = geo.to_frame(K.vertices, cfg.hyperplane)
     xi = cfg.xi[0]
     d = K.dim
     X = coords[:, :-1]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import geometry as geo
 from . import polarity as pol
@@ -22,7 +23,6 @@ from .errors import BracketFailure
 from .geometry import VPolytope
 
 TOL_SANT = 1e-8
-TOL_RATIO = 1e-8
 MAX_ITERATIONS = 500
 
 
@@ -89,15 +89,15 @@ def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:
     return math.log(hv.b_plus) - math.log(hv.b_minus)
 
 
-def balanced_points(system, s: float, t: float, a: float, C,
-                    tol_ratio: float = TOL_RATIO) -> tuple[float, float]:
+def balanced_points(system, s: float, t: float, a: float, C) -> tuple[float, float]:
     """Heights (a_s, a_t) with (a_s+a_t)/2 = a and equal half-volume ratios.
 
-    Found by bisection on rho(v) = log lambda_s(v) - log lambda_t(2a - v)
-    over its open definition interval; rho is negative at the left end and
-    positive at the right end, so a sign change is guaranteed.  Bisection
-    does not assume monotonicity.  Raises BracketFailure when no sign change
-    is found after endpoint refinement (upstream tolerance breach).
+    Found by Brent's method on rho(v) = log lambda_s(v) - log lambda_t(2a - v)
+    over a sign-change bracket inside its open definition interval; rho is
+    negative at the left end and positive at the right end, so a sign change
+    is guaranteed.  Brent's method keeps the bracket and does not assume
+    monotonicity.  Raises BracketFailure when no sign change is found after
+    endpoint refinement (upstream tolerance breach).
     """
     from .shadow import body_at  # local import, module cycle
 
@@ -145,19 +145,8 @@ def balanced_points(system, s: float, t: float, a: float, C,
     if v_lo is None:
         raise BracketFailure("no sign change after endpoint refinement")
 
-    for _ in range(200):
-        v = 0.5 * (v_lo + v_hi)
-        lam_s = _log_ratio(K_s, C, v, axis)
-        lam_t = _log_ratio(K_t, C, 2 * a - v, axis)
-        if abs(lam_s - lam_t) <= tol_ratio:
-            return v, 2 * a - v
-        if lam_s - lam_t < 0:
-            v_lo = v
-        else:
-            v_hi = v
-        if v_hi - v_lo <= 1e-16 * max(1.0, abs(v_lo), abs(v_hi)):
-            break
-    v = 0.5 * (v_lo + v_hi)
+    xtol = 1e-15 * max(1.0, abs(v_lo), abs(v_hi))
+    v = brentq(rho, v_lo, v_hi, xtol=xtol, disp=False)
     return v, 2 * a - v
 
 

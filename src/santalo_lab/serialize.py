@@ -1,9 +1,9 @@
 """JSON / CSV formats for polytopes, shadow systems, and sweep records.
 
-Polytope JSON: {"dim": d, "vertices": [[x1..xd], ...]} with an optional
-"halfspaces": [{"normal": [...], "offset": b}, ...].  Shadow-system JSON:
-{"base_points": [...], "speeds": [...], "direction": [...], "interval":
-[lo, hi]}.  All numbers decimal; files are newline-terminated UTF-8.
+Polytope JSON: {"dim": d, "vertices": [[x1..xd], ...]}.  Shadow-system
+JSON: {"base_points": [...], "speeds": [...], "direction": [...],
+"interval": [lo, hi]}.  All numbers decimal; files are newline-terminated
+UTF-8.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ def _listify(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def polytope_to_dict(P: VPolytope, include_halfspaces: bool = False) -> dict:
-    out = {"dim": P.dim, "vertices": _listify(P.vertices)}
-    if include_halfspaces:
-        h = P.halfspaces
-        out["halfspaces"] = [{"normal": _listify(n), "offset": float(b)}
-                             for n, b in zip(h.normals, h.offsets)]
-    return out
+def polytope_to_dict(P: VPolytope) -> dict:
+    return {"dim": P.dim, "vertices": _listify(P.vertices)}
 
 
 def polytope_from_dict(data: dict) -> VPolytope:

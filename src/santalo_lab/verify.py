@@ -9,8 +9,9 @@ chain behind the midpoint convexity of 1/|K_t^*|:
   midpoint:     1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|) / 2
 
 Profiles are sampled with exact section volumes (augmented by the polar's
-vertex heights, so 2D profiles are exact piecewise-linear data); only the
-two integrals of the conclusion use quadrature.  Half-volumes are exact
+vertex heights, so 2D profiles are exact piecewise-linear data); polar
+profiles cover only the half x >= 0 that the checks read.  Only the two
+integrals of the conclusion use quadrature.  Half-volumes are exact
 polytope clips, never quadrature.
 """
 
@@ -98,11 +99,17 @@ def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
     return geo.volume(face)
 
 
-def _sample(P: VPolytope, axis: int, n_samples: int, extra=()) -> SliceProfile:
-    """Exact profile of P on `n_samples` uniform heights, every vertex height
-    and `extra`; each grid point and each grid midpoint is evaluated once."""
+def _sample(P: VPolytope, axis: int, n_samples: int,
+            start: float | None = None) -> SliceProfile:
+    """Exact profile of P from height `start` (default: its lowest) up.
+
+    The grid is `n_samples` uniform heights over P's whole height range,
+    every vertex height and `start`; only its points >= `start` are kept.
+    Each kept grid point and each midpoint between them is evaluated once.
+    """
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
+    start = lo if start is None else start
 
     def evaluate(x: float) -> float:
         if x <= lo or x >= hi:
@@ -114,9 +121,10 @@ def _sample(P: VPolytope, axis: int, n_samples: int, extra=()) -> SliceProfile:
         except EmptySection:
             return _extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
 
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, n_samples), heights, extra]))
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, n_samples), heights, [start]]))
+    xs = xs[xs >= start]
     mids = 0.5 * (xs[:-1] + xs[1:])
-    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (lo, hi),
+    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (start, hi),
                         np.array([evaluate(x) for x in mids]))
 
 
@@ -131,25 +139,16 @@ def slice_profile(P: VPolytope, axis: int = -1,
     return _sample(P, range(P.dim)[axis], n_samples)
 
 
-def positive_part(profile: SliceProfile) -> SliceProfile:
-    """Restriction to x >= 0 (the grid is assumed to contain 0)."""
-    keep = profile.xs >= 0
-    mid_ys = None if profile.mid_ys is None else profile.mid_ys[keep[:-1]]
-    return SliceProfile(profile.xs[keep], profile.ys[keep],
-                        (0.0, profile.support[1]), mid_ys)
-
-
 def polar_slice_profile(K: VPolytope, center, axis: int = -1,
                         n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
-    """Slice profile of the polar body K^{*center} along `axis`.
+    """Slice profile of the polar body K^{*center} along `axis`, on x >= 0.
 
-    The grid of `slice_profile` with height 0 added.
+    The grid of `slice_profile` with height 0 added, restricted to the half
+    x >= 0 that the harmonic checks read; the support is (0, top).  The
+    polar always straddles 0: the facet normals of K positively span R^d.
     """
     P = pol.polar(K, center).polar
-    prof = _sample(P, range(P.dim)[axis], n_samples, [0.0])
-    if not prof.support[0] < 0 < prof.support[1]:
-        raise EmptySection("polar does not straddle zero height")
-    return prof
+    return _sample(P, range(P.dim)[axis], n_samples, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +289,8 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     prof_g = polar_slice_profile(K_s, G_s, axis=axis, n_samples=n_samples)
     prof_h = polar_slice_profile(K_t, G_t, axis=axis, n_samples=n_samples)
     prof_f = polar_slice_profile(K_m, res_m.point, axis=axis, n_samples=n_samples)
-    hyp = harmonic_hypothesis_check(positive_part(prof_f), positive_part(prof_g),
-                                    positive_part(prof_h))
-    conc = harmonic_conclusion_check(positive_part(prof_f), positive_part(prof_g),
-                                     positive_part(prof_h))
+    hyp = harmonic_hypothesis_check(prof_f, prof_g, prof_h)
+    conc = harmonic_conclusion_check(prof_f, prof_g, prof_h)
     half = half_volume_inequality_check(system, s, t, a_s, a_t, C)
 
     pv_s_G = pol.polar(K_s, G_s).polar_volume

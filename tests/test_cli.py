@@ -209,3 +209,9 @@ class TestVerifyCommand:
         assert rep["passed"]
         assert rep["hypothesis"]["status"] == "pass"
         assert rep["midpoint_slack"] >= -1e-9
+
+    def test_rerun_byte_identical(self, system_file):
+        rc1, out1 = run_cli(["verify", system_file])
+        rc2, out2 = run_cli(["verify", system_file])
+        assert rc1 == rc2 == 0
+        assert out1 == out2

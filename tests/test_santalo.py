@@ -140,9 +140,12 @@ class TestBalancedPoints:
             lam_t = pol.half_volumes(sh.body_at(system, t),
                                      np.array([c[0], a_t]), axis=1).ratio
             assert lam_s == pytest.approx(lam_t, rel=2e-8)
+            rho = (san._log_ratio(sh.body_at(system, s), c[:1], a_s, 1)
+                   - san._log_ratio(sh.body_at(system, t), c[:1], a_t, 1))
+            assert abs(rho) <= 1e-12
 
     def test_against_dense_scan(self, rng):
-        # bisection lands where a dense scan of rho crosses zero
+        # the Brent root lands where a dense scan of rho crosses zero
         system = self._system(rng)
         s, t = system.interval
         K_s = sh.body_at(system, s)

@@ -48,6 +48,8 @@ class TestSliceProfile:
         monkeypatch.setattr(geo, "section", counting)
         ver.midpoint_bound_check(system, *system.interval, n_samples=33)
         assert keys and len(set(keys)) == len(keys)
+        # polar profiles cover only the half x >= 0 that the checks read
+        assert all(level >= 0 for _, _, level in keys)
 
     def test_polar_profile_samples_are_section_volumes(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
@@ -63,7 +65,7 @@ class TestSliceProfile:
         K, _ = geo.convex_hull(rng.normal(size=(6, 2)))
         prof = ver.polar_slice_profile(K, geo.interior_point(K), axis=1)
         assert 0.0 in prof.xs
-        assert prof.support[0] < 0 < prof.support[1]
+        assert prof.xs[0] == 0.0 and prof.support[1] > 0
 
 
 class TestHarmonicHypothesis:
