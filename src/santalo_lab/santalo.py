@@ -11,6 +11,7 @@ Newton steps are affine-invariant, so no preconditioning is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +120,7 @@ def balanced_points(system, s: float, t: float, a: float, C) -> tuple[float, flo
     if hi - lo <= geo.TAU_GEOM * span:
         raise BracketFailure("empty definition interval for rho")
 
+    @functools.cache  # brentq re-evaluates the bracket ends first
     def rho(v: float) -> float:
         return (_log_ratio(K_s, C, v, axis)
                 - _log_ratio(K_t, C, 2 * a - v, axis))

@@ -8,11 +8,12 @@ chain behind the midpoint convexity of 1/|K_t^*|:
   half-volume:  1/B_+(mid) <= (1/B_+(s) + 1/B_+(t)) / 2   (same for B_-)
   midpoint:     1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|) / 2
 
-Profiles are sampled with exact section volumes (augmented by the polar's
-vertex heights, so 2D profiles are exact piecewise-linear data); polar
-profiles cover only the half x >= 0 that the checks read.  Only the two
-integrals of the conclusion use quadrature.  Half-volumes are exact
-polytope clips, never quadrature.
+A slice profile of a d-polytope is a polynomial of degree d-1 between
+consecutive vertex heights (Curry and Schoenberg), so d exact section
+volumes per piece fix it: profiles are exact piecewise polynomials, their
+values and integrals carry only rounding error.  Polar profiles cover only
+the half x >= 0 that the checks read.  Half-volumes are exact polytope
+clips.
 """
 
 from __future__ import annotations
@@ -31,55 +32,59 @@ from .geometry import VPolytope
 N_PROFILE_SAMPLES = 257
 
 
+def _lobatto(n: int) -> np.ndarray:
+    """The n+1 Chebyshev-Lobatto points of [0, 1], increasing."""
+    return 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+
+
 @dataclass
 class SliceProfile:
-    """Sampled one-dimensional profile x -> (d-1)-volume of a slice.
+    """Piecewise-polynomial profile x -> (d-1)-volume of a slice.
 
-    `mid_ys`, when present, holds exact values at the midpoints of
-    consecutive `xs`; profiles without it are piecewise-linear data.
+    Piece i is the polynomial of degree `degree` through (xs, ys) at the
+    nodes xs[i*degree : (i+1)*degree + 1]; neighbouring pieces share their
+    end node, and the profile is 0 outside [xs[0], xs[-1]].  Degree 1 is
+    piecewise-linear data; above it, a piece's nodes must be its
+    Chebyshev-Lobatto points, on which its polynomial is fitted.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     support: tuple[float, float]
-    mid_ys: np.ndarray | None = None
+    degree: int = 1
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
         self.ys = np.asarray(self.ys, dtype=float)
         if np.any(self.ys < 0):
             raise ValueError("profile values must be non-negative")
+        n = self.degree
+        if len(self.xs) < 2 or (len(self.xs) - 1) % n:
+            raise ValueError("need a whole number of pieces of `degree` + 1 nodes")
+        self._knots = self.xs[::n]
+        # Row i: piece i's coefficients of t^0..t^n, t = (x - knot_i) / width_i.
+        nodes = n * np.arange(len(self._knots) - 1)[:, None] + np.arange(n + 1)
+        self._coef = np.linalg.solve(np.vander(_lobatto(n), increasing=True),
+                                     self.ys[nodes].T).T
 
     def __call__(self, x):
-        return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
+        """Value of the piece containing x (Horner), 0 outside the nodes."""
+        x = np.asarray(x, dtype=float)
+        knots = self._knots
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+        t = (x - knots[i]) / (knots[i + 1] - knots[i])
+        value = self._coef[i, -1]
+        for k in range(self.degree - 1, -1, -1):
+            value = value * t + self._coef[i, k]
+        return np.where((x >= knots[0]) & (x <= knots[-1]), value, 0.0)[()]
 
     def integral(self) -> float:
-        return float(np.trapezoid(self.ys, self.xs))
+        """Exact integral, each piece's polynomial integrated term by term.
 
-    def _mids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid midpoints and the profile's values there."""
-        mids = 0.5 * (self.xs[:-1] + self.xs[1:])
-        return mids, self(mids) if self.mid_ys is None else self.mid_ys
-
-    def refined_integral(self) -> tuple[float, float]:
-        """(integral on midpoint-doubled grid, relative change vs base grid).
-
-        Without exact midpoint values the change is zero by construction:
-        the profile is already exact piecewise-linear data.
+        On Chebyshev-Lobatto nodes this is Clenshaw-Curtis quadrature.
         """
-        mids, vals = self._mids()
-        xs2 = np.empty(2 * len(self.xs) - 1)
-        ys2 = np.empty_like(xs2)
-        xs2[0::2], xs2[1::2] = self.xs, mids
-        ys2[0::2], ys2[1::2] = self.ys, vals
-        i2 = float(np.trapezoid(ys2, xs2))
-        i1 = self.integral()
-        return i2, abs(i2 - i1) / max(abs(i2), 1e-300)
-
-    def interpolation_defect(self) -> float:
-        """Max |exact - interpolated| at grid midpoints (0 without mid_ys)."""
-        mids, vals = self._mids()
-        return float(np.max(np.abs(vals - self(mids)))) if len(mids) else 0.0
+        moments = 1.0 / np.arange(1, self.degree + 2)
+        return float(np.diff(self._knots) @ (self._coef @ moments))
 
 
 def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
@@ -99,56 +104,44 @@ def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
     return geo.volume(face)
 
 
-def _sample(P: VPolytope, axis: int, n_samples: int,
-            start: float | None = None) -> SliceProfile:
+def _sample(P: VPolytope, axis: int, start: float | None = None) -> SliceProfile:
     """Exact profile of P from height `start` (default: its lowest) up.
 
-    The grid is `n_samples` uniform heights over P's whole height range,
-    every vertex height and `start`; only its points >= `start` are kept.
-    Each kept grid point and each midpoint between them is evaluated once.
+    The knots are `start` and the vertex heights above it; each piece
+    between consecutive knots gets its d Chebyshev-Lobatto nodes, and each
+    node is evaluated once.
     """
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
     start = lo if start is None else start
 
     def evaluate(x: float) -> float:
-        if x <= lo or x >= hi:
-            if x < lo or x > hi:
-                return 0.0
-            return _extreme_face_volume(P, axis, top=(x >= hi))
         try:
             return geo.volume(geo.section(P, axis, x))
         except EmptySection:
             return _extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
 
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, n_samples), heights, [start]]))
-    xs = xs[xs >= start]
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (start, hi),
-                        np.array([evaluate(x) for x in mids]))
+    knots = np.unique(np.append(heights[heights > start], start))
+    degree = P.dim - 1
+    xs = np.append((knots[:-1, None] + np.diff(knots)[:, None]
+                    * _lobatto(degree)[:-1]).ravel(), hi)
+    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (start, hi), degree)
 
 
-def slice_profile(P: VPolytope, axis: int = -1,
-                  n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
-    """Exact-sampled slice-volume profile of P along a coordinate axis.
-
-    The grid is `n_samples` uniform heights augmented with every vertex
-    height (the breakpoints of the profile), so 2D profiles interpolate
-    exactly and 3D profiles are piecewise-quadratic between samples.
-    """
-    return _sample(P, range(P.dim)[axis], n_samples)
+def slice_profile(P: VPolytope, axis: int = -1) -> SliceProfile:
+    """Exact slice-volume profile of P along a coordinate axis."""
+    return _sample(P, range(P.dim)[axis])
 
 
-def polar_slice_profile(K: VPolytope, center, axis: int = -1,
-                        n_samples: int = N_PROFILE_SAMPLES) -> SliceProfile:
+def polar_slice_profile(K: VPolytope, center, axis: int = -1) -> SliceProfile:
     """Slice profile of the polar body K^{*center} along `axis`, on x >= 0.
 
-    The grid of `slice_profile` with height 0 added, restricted to the half
-    x >= 0 that the harmonic checks read; the support is (0, top).  The
+    The profile of `slice_profile` restricted to the half x >= 0 that the
+    harmonic checks read, with a knot at 0; the support is (0, top).  The
     polar always straddles 0: the facet normals of K positively span R^d.
     """
     P = pol.polar(K, center).polar
-    return _sample(P, range(P.dim)[axis], n_samples, 0.0)
+    return _sample(P, range(P.dim)[axis], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,71 +151,61 @@ def polar_slice_profile(K: VPolytope, center, axis: int = -1,
 @dataclass
 class CheckReport:
     passed: bool
-    status: str                 # "pass" | "inconclusive" | "violation"
+    status: str                 # "pass" | "violation"
     worst_slack: float
     witness: tuple = ()
     details: dict = field(default_factory=dict)
 
 
+def _check_grid(p: SliceProfile, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """p's nodes and `n_samples` uniform heights over its support, kept where
+    the height and p are positive, with p's values there."""
+    xs = np.union1d(p.xs, np.linspace(*p.support, n_samples))
+    vals = p(xs)
+    keep = (xs > 0) & (vals > 0)
+    return xs[keep], vals[keep]
+
+
 def harmonic_hypothesis_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
-                              grid=None, tol: float = 1e-7) -> CheckReport:
+                              n_samples: int = N_PROFILE_SAMPLES,
+                              tol: float = 1e-7) -> CheckReport:
     """Check f(2zy/(z+y)) >= g(y)^{z/(z+y)} h(z)^{y/(z+y)} on grid pairs.
 
-    Slack is normalized by max f.  Negative slacks smaller in magnitude than
-    the interpolation-error estimate are classified inconclusive.
+    y runs over g's grid and z over h's: a profile's nodes plus `n_samples`
+    uniform heights over its support.  Slack is normalized by max f.
     """
-    ys = np.asarray(grid, dtype=float) if grid is not None else g.xs
-    zs = np.asarray(grid, dtype=float) if grid is not None else h.xs
-    ys = ys[(ys > 0) & (g(ys) > 0)]
-    zs = zs[(zs > 0) & (h(zs) > 0)]
+    ys, g_ys = _check_grid(g, n_samples)
+    zs, h_zs = _check_grid(h, n_samples)
     if len(ys) == 0 or len(zs) == 0:
         raise ValueError("no positive grid pairs with positive profile values")
-    Y, Z = np.meshgrid(ys, zs, indexing="ij")
+    Y, Z = ys[:, None], zs[None, :]
     lam = Z / (Z + Y)
-    m = 2.0 * Z * Y / (Z + Y)
-    lhs = f(m)
-    rhs = g(Y) ** lam * h(Z) ** (1.0 - lam)
-    scale = float(np.max(f.ys))
-    slack = (lhs - rhs) / scale
-    worst = float(np.min(slack))
+    lhs = f(2.0 * Z * Y / (Z + Y))
+    rhs = g_ys[:, None] ** lam * h_zs[None, :] ** (1.0 - lam)
+    slack = (lhs - rhs) / float(np.max(f.ys))
     i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-    err = f.interpolation_defect() / scale
-    if worst >= -tol:
-        status = "pass"
-    elif abs(worst) <= err:
-        status = "inconclusive"
-    else:
-        status = "violation"
+    worst = float(slack[i, j])
+    status = "pass" if worst >= -tol else "violation"
     return CheckReport(status == "pass", status, worst,
-                       witness=(float(Y[i, j]), float(Z[i, j])),
-                       details={"n_pairs": int(slack.size),
-                                "interp_error": err})
+                       witness=(float(ys[i]), float(zs[j])),
+                       details={"n_pairs": int(slack.size)})
 
 
 def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
                               tol: float = 1e-6) -> CheckReport:
-    """Check 1/int f <= (1/int g + 1/int h)/2 with trapezoid integration.
+    """Check 1/int f <= (1/int g + 1/int h)/2 with the exact integrals.
 
-    The tolerance is relative and is widened by the integration-error
-    estimate obtained from midpoint-refined grids.
+    The margin (rhs - lhs)/rhs passes at >= -tol; `equality` is |margin| <= tol.
     """
-    If, ef = f.refined_integral()
-    Ig, eg = g.refined_integral()
-    Ih, eh = h.refined_integral()
+    If, Ig, Ih = f.integral(), g.integral(), h.integral()
     lhs = 1.0 / If
     rhs = 0.5 * (1.0 / Ig + 1.0 / Ih)
-    err = ef + eg + eh
     margin = (rhs - lhs) / rhs
-    allowed = tol + err
-    if margin >= -allowed:
-        status = "pass" if margin >= 0 else "inconclusive"
-    else:
-        status = "violation"
-    return CheckReport(status != "violation", status, float(margin),
+    status = "pass" if margin >= -tol else "violation"
+    return CheckReport(status == "pass", status, float(margin),
                        details={"integrals": (If, Ig, Ih),
                                 "lhs": lhs, "rhs": rhs,
-                                "integration_error": err,
-                                "equality": bool(abs(margin) <= allowed)})
+                                "equality": bool(abs(margin) <= tol)})
 
 
 def half_volume_inequality_check(system: sh.ShadowSystem, s: float, t: float,
@@ -273,7 +256,8 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     its height, then checks: the slice-profile hypothesis, its integrated
     conclusion, the exact half-volume inequality, and finally the midpoint
     bound 1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|)/2 through the solved polar
-    volumes.  Any broken link localizes a geometry bug.
+    volumes.  Any broken link localizes a geometry bug.  `n_samples` is
+    the number of uniform heights in the hypothesis check's grids.
     """
     axis = san._system_axis(system)
     K_s = sh.body_at(system, s)
@@ -286,10 +270,10 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
 
     G_s = geo.embed_point(C, a_s, axis)
     G_t = geo.embed_point(C, a_t, axis)
-    prof_g = polar_slice_profile(K_s, G_s, axis=axis, n_samples=n_samples)
-    prof_h = polar_slice_profile(K_t, G_t, axis=axis, n_samples=n_samples)
-    prof_f = polar_slice_profile(K_m, res_m.point, axis=axis, n_samples=n_samples)
-    hyp = harmonic_hypothesis_check(prof_f, prof_g, prof_h)
+    prof_g = polar_slice_profile(K_s, G_s, axis=axis)
+    prof_h = polar_slice_profile(K_t, G_t, axis=axis)
+    prof_f = polar_slice_profile(K_m, res_m.point, axis=axis)
+    hyp = harmonic_hypothesis_check(prof_f, prof_g, prof_h, n_samples)
     conc = harmonic_conclusion_check(prof_f, prof_g, prof_h)
     half = half_volume_inequality_check(system, s, t, a_s, a_t, C)
 
@@ -301,8 +285,8 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
         * res_m.polar_volume
     sant_slack = (0.5 * (1 / res_s.polar_volume + 1 / res_t.polar_volume)
                   - 1 / res_m.polar_volume) * res_m.polar_volume
-    passed = (hyp.status != "violation" and conc.status != "violation"
-              and half.passed and mid_slack >= -tol and sant_slack >= -tol)
+    passed = (hyp.passed and conc.passed and half.passed
+              and mid_slack >= -tol and sant_slack >= -tol)
     return MidpointBoundReport(hyp, conc, half, float(mid_slack),
                                float(sant_slack), passed, (a_s, a_t))
 
@@ -311,9 +295,9 @@ def equality_family(template, B: float, C: float,
                     n: int = 513) -> tuple[SliceProfile, SliceProfile, SliceProfile]:
     """Equality-case triple g(Bx) = h(Cx) = f(2BCx/(B+C)) from one template.
 
-    The template is any callable on [0, 1] with unit integral (sampled to
-    piecewise-linear data here); the returned profiles make the harmonic
-    conclusion an equality up to quadrature error.
+    The template is any callable on [0, 1], sampled at `n` uniform points
+    to degree-1 profile data of unit integral; the returned profiles make
+    the harmonic conclusion an equality up to rounding.
     """
     xs = np.linspace(0.0, 1.0, n)
     ys = np.array([template(x) for x in xs])

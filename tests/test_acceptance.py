@@ -195,18 +195,23 @@ def test_criterion_8_2d_minimality():
 def test_criterion_9_functional_inequality_pipeline():
     rng = np.random.default_rng(SEED + 9)
     failures = 0
+    worst_hyp = worst_conc = math.inf
     for i in range(50):
         d = 3 if i % 5 == 0 else 2
         system = sh.random_shadow_system(d, rng)
         rep = ver.midpoint_bound_check(system, *system.interval)
         failures += not rep.passed
+        worst_hyp = min(worst_hyp, rep.hypothesis.worst_slack)
+        worst_conc = min(worst_conc, rep.conclusion.worst_slack)
     f, g, h = ver.equality_family(lambda x: min(3.0 * x, 1.2 * (1 - x)),
                                   B=0.8, C=1.7)
     eq = ver.harmonic_conclusion_check(f, g, h)
     hyp = ver.harmonic_hypothesis_check(f, g, h)
     ok = failures == 0 and eq.details["equality"] and hyp.passed
     _report("9 functional-inequality pipeline (50 triples + equality fixture)",
-            ok, f"failures={failures}, equality margin={eq.worst_slack:.2e}")
+            ok, f"failures={failures}, worst hypothesis slack={worst_hyp:.2e}, "
+            f"worst conclusion margin={worst_conc:.2e}, "
+            f"equality margin={eq.worst_slack:.2e}")
     assert ok
 
 

@@ -144,6 +144,23 @@ class TestBalancedPoints:
                    - san._log_ratio(sh.body_at(system, t), c[:1], a_t, 1))
             assert abs(rho) <= 1e-12
 
+    def test_no_probe_repeats(self, rng, monkeypatch):
+        probes = []
+        log_ratio = san._log_ratio
+
+        def recording(K, C, v, axis):
+            probes.append((K.vertices.tobytes(), v))
+            return log_ratio(K, C, v, axis)
+
+        monkeypatch.setattr(san, "_log_ratio", recording)
+        for d in (2, 3):
+            system = self._system(rng, d)
+            s, t = system.interval
+            c = geo.interior_point(sh.body_at(system, 0.5 * (s + t)))
+            probes.clear()
+            san.balanced_points(system, s, t, float(c[-1]), c[:-1])
+            assert probes and len(set(probes)) == len(probes)
+
     def test_against_dense_scan(self, rng):
         # the Brent root lands where a dense scan of rho crosses zero
         system = self._system(rng)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from santalo_lab import geometry as geo
+from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
@@ -11,29 +12,52 @@ def tent_template(x):
     return min(3.0 * x, 1.2 * (1.0 - x))
 
 
+def route_bodies():
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    simplex4 = np.vstack([np.zeros(4), np.eye(4)])
+    rng = np.random.default_rng(7)
+    return ([geo.convex_hull(pts)[0] for pts in (cube, octahedron, simplex4)]
+            + [mah.random_polytope(d, k, rng) for d, k in ((2, 5), (3, 6), (4, 7))])
+
+
 class TestSliceProfile:
     def test_cube_profile_is_constant(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)
                                 for y in (-1, 1.0) for z in (-1, 1.0)])
-        prof = ver.slice_profile(C, axis=2, n_samples=33)
+        prof = ver.slice_profile(C, axis=2)
         inner = (prof.xs > -0.99) & (prof.xs < 0.99)
         assert np.allclose(prof.ys[inner], 4.0, rtol=1e-10)
         # flat top face keeps the endpoint value at the face area
         assert prof.ys[0] == pytest.approx(4.0, rel=1e-9)
 
-    def test_polygon_profile_exact_piecewise_linear(self, rng):
-        P, _ = geo.convex_hull(rng.normal(size=(7, 2)))
-        prof = ver.slice_profile(P, axis=1, n_samples=65)
-        # interpolation defect vanishes when every breakpoint is sampled
-        assert prof.interpolation_defect() < 1e-12
+    def test_profile_exact_at_random_heights(self, rng):
+        # a piece of degree d-1 through d exact sections is the profile itself
+        for d in (2, 3, 4):
+            P, _ = geo.convex_hull(rng.normal(size=(d + 5, d)))
+            prof = ver.slice_profile(P, axis=1)
+            lo, hi = prof.support
+            xs = rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 20)
+            exact = [geo.volume(geo.section(P, 1, x)) for x in xs]
+            assert np.allclose(prof(xs), exact, rtol=1e-12, atol=0.0)
 
-    def test_integral_doubling_control(self, rng):
-        # accepted reports: refining the grid moves the integral < 1e-8
-        for _ in range(5):
-            P, _ = geo.convex_hull(rng.normal(size=(6, 2)))
-            prof = ver.slice_profile(P, axis=0)
-            _, change = prof.refined_integral()
-            assert change < 1e-8
+    def test_integral_is_body_volume(self, rng):
+        for d in (2, 3, 4):
+            for _ in range(5):
+                P, _ = geo.convex_hull(rng.normal(size=(d + 4, d)))
+                prof = ver.slice_profile(P, axis=0)
+                assert prof.integral() == pytest.approx(geo.volume(P), rel=1e-12)
+
+    @pytest.mark.parametrize("K", route_bodies(),
+                             ids=["cube", "octahedron", "4-simplex",
+                                  "random-2-5", "random-3-6", "random-4-7"])
+    def test_polar_profile_integral_is_half_volume(self, K):
+        # two routes to B_+: integrated sections and the exact polar clip
+        z = 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]
+        for axis in range(K.dim):
+            prof = ver.polar_slice_profile(K, z, axis=axis)
+            b_plus = pol.half_volumes(K, z, axis=axis).b_plus
+            assert prof.integral() == pytest.approx(b_plus, rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_each_section_sampled_once(self, d, rng, monkeypatch):
@@ -54,12 +78,12 @@ class TestSliceProfile:
     def test_polar_profile_samples_are_section_volumes(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
         z = geo.interior_point(K)
-        prof = ver.polar_slice_profile(K, z, axis=2, n_samples=17)
+        prof = ver.polar_slice_profile(K, z, axis=2)
         P = pol.polar(K, z).polar
-        mids = 0.5 * (prof.xs[:-1] + prof.xs[1:])
-        for xs, ys in ((prof.xs[1:-1], prof.ys[1:-1]), (mids, prof.mid_ys)):
-            exact = [geo.volume(geo.section(P, 2, x)) for x in xs]
-            assert np.array_equal(ys, exact)
+        exact = [geo.volume(geo.section(P, 2, x)) for x in prof.xs[:-1]]
+        assert np.array_equal(prof.ys[:-1], exact)
+        # the last node is the polar's top, a single vertex here
+        assert prof.ys[-1] == 0.0
 
     def test_polar_profile_includes_zero(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(6, 2)))
@@ -80,6 +104,13 @@ class TestHarmonicHypothesis:
         system = sh.random_shadow_system(2, rng)
         rep = ver.midpoint_bound_check(system, *system.interval)
         assert rep.hypothesis.status == "pass"
+
+    def test_3d_shadow_triples_pass_exactly(self, rng):
+        for _ in range(12):
+            system = sh.random_shadow_system(3, rng)
+            rep = ver.midpoint_bound_check(system, *system.interval)
+            assert rep.hypothesis.status == "pass"
+            assert rep.hypothesis.worst_slack >= -1e-12
 
     def test_scaled_down_f_reports_violation_with_witness(self):
         f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
