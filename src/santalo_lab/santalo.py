@@ -90,9 +90,12 @@ def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:
     return math.log(hv.b_plus) - math.log(hv.b_minus)
 
 
-def balanced_points(system, s: float, t: float, a: float, C) -> tuple[float, float]:
+def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
+                    C, axis: int) -> tuple[float, float]:
     """Heights (a_s, a_t) with (a_s+a_t)/2 = a and equal half-volume ratios.
 
+    K_s, K_m and K_t are a shadow system's bodies at s, (s+t)/2 and t along
+    the coordinate axis `axis`; (C, a) must be strictly inside K_m.
     Found by Brent's method on rho(v) = log lambda_s(v) - log lambda_t(2a - v)
     over a sign-change bracket inside its open definition interval; rho is
     negative at the left end and positive at the right end, so a sign change
@@ -100,18 +103,10 @@ def balanced_points(system, s: float, t: float, a: float, C) -> tuple[float, flo
     monotonicity.  Raises BracketFailure when no sign change is found after
     endpoint refinement (upstream tolerance breach).
     """
-    from .shadow import body_at  # local import, module cycle
-
-    if not s < t:
-        raise ValueError("need s < t")
     C = geo.as_vector(C)
-    axis = _system_axis(system)
-    K_s = body_at(system, s)
-    K_t = body_at(system, t)
-    K_mid = body_at(system, (s + t) / 2.0)
     alpha_s, beta_s = geo.chord(K_s, C, axis=axis)
     alpha_t, beta_t = geo.chord(K_t, C, axis=axis)
-    alpha_m, beta_m = geo.chord(K_mid, C, axis=axis)
+    alpha_m, beta_m = geo.chord(K_m, C, axis=axis)
     span = max(beta_m - alpha_m, geo.TAU_GEOM)
     if not (alpha_m + geo.TAU_GEOM * span < a < beta_m - geo.TAU_GEOM * span):
         raise ValueError("a must be strictly inside the mid-body chord")
@@ -151,11 +146,3 @@ def balanced_points(system, s: float, t: float, a: float, C) -> tuple[float, flo
     v = brentq(rho, v_lo, v_hi, xtol=xtol, disp=False)
     return v, 2 * a - v
 
-
-def _system_axis(system) -> int:
-    """Coordinate axis of the system's direction; raises if it is skew."""
-    theta = system.direction
-    axis = int(np.argmax(np.abs(theta)))
-    if abs(abs(theta[axis]) - 1.0) > 1e-9:
-        raise ValueError("half-volume machinery needs an axis-aligned direction")
-    return axis

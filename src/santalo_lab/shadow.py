@@ -8,7 +8,6 @@ convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +62,14 @@ class ShadowSystem:
     @property
     def dim(self) -> int:
         return self.base_points.shape[1]
+
+    @property
+    def axis(self) -> int:
+        """Coordinate axis of the direction; ValueError if the direction is skew."""
+        axis = int(np.argmax(np.abs(self.direction)))
+        if abs(abs(self.direction[axis]) - 1.0) > 1e-9:
+            raise ValueError("half-volume machinery needs an axis-aligned direction")
+        return axis
 
 
 def body_at(system: ShadowSystem, t: float) -> VPolytope:
@@ -207,51 +214,24 @@ def affine_family(K_mid: VPolytope, v: float, V, u: float,
 # Steiner symmetrization as a shadow system
 # ---------------------------------------------------------------------------
 
-def _facet_vertex_sets(P: VPolytope) -> list[np.ndarray]:
-    """Vertex index sets per (deduped) facet."""
-    h = P.halfspaces
-    sets = []
-    scale = P.scale()
-    for i in range(h.n_facets):
-        on = np.abs(h.normals[i] @ P.vertices.T - h.offsets[i]) <= 1e-8 * max(1.0, scale)
-        sets.append(np.flatnonzero(on))
-    return sets
+def _segment_crossings_2d(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Intersection points of two 2D segment families (incl. endpoints).
 
-
-def _edges_3d(P: VPolytope) -> set[tuple[int, int]]:
-    """Edge index pairs of a 3-polytope via per-facet cyclic orderings."""
-    edges: set[tuple[int, int]] = set()
-    for idx in _facet_vertex_sets(P):
-        if len(idx) < 3:
-            continue
-        pts = P.vertices[idx]
-        center = pts.mean(axis=0)
-        # order facet vertices by angle in the facet plane
-        rel = pts - center
-        _, _, vt = np.linalg.svd(rel, full_matrices=False)
-        uv = rel @ vt[:2].T
-        order = np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))
-        cyc = idx[order]
-        for a, b in zip(cyc, np.roll(cyc, -1)):
-            edges.add((min(a, b), max(a, b)))
-    return edges
-
-
-def _segment_crossings_2d(segs_a, segs_b, tol) -> list[np.ndarray]:
-    """Intersection points of two 2D segment families (incl. endpoints)."""
-    out = []
-    for (p1, p2), (q1, q2) in itertools.product(segs_a, segs_b):
-        r = p2 - p1
-        s = q2 - q1
-        denom = r[0] * s[1] - r[1] * s[0]
-        if abs(denom) <= tol:
-            continue
-        w = q1 - p1
-        tt = (w[0] * s[1] - w[1] * s[0]) / denom
-        uu = (w[0] * r[1] - w[1] * r[0]) / denom
-        if -1e-12 <= tt <= 1 + 1e-12 and -1e-12 <= uu <= 1 + 1e-12:
-            out.append(p1 + tt * r)
-    return out
+    Segments are (n, 2, 2) endpoint pairs.  All (a, b) pairs are tested in
+    one broadcast, skipping near-parallel ones; points come in a-major order.
+    """
+    p1, q1 = a[:, None, 0], b[None, :, 0]
+    r, s = a[:, None, 1] - p1, b[None, :, 1] - q1
+    cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    denom = cross(r, s)
+    w = q1 - p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tt = cross(w, s) / denom
+        uu = cross(w, r) / denom
+    inside = lambda x: (x >= -1e-12) & (x <= 1 + 1e-12)
+    hit = (np.abs(denom) > tol) & inside(tt) & inside(uu)
+    i, j = np.nonzero(hit)
+    return p1[i, 0] + tt[i, j, None] * r[i, 0]
 
 
 def steiner_system(K: VPolytope, H: Hyperplane) -> ShadowSystem:
@@ -259,7 +239,10 @@ def steiner_system(K: VPolytope, H: Hyperplane) -> ShadowSystem:
 
     The system samples the chords of K orthogonal to H at every projected
     vertex and, in 3D, at every crossing of projected upper and lower edges
-    (the breakpoints of the chord-length function).  Both endpoints of a
+    (the breakpoints of the chord-length function): the edges of K's cached
+    boundary triangles whose outward normals point up, resp. down, along H's
+    normal.  Facet diagonals add crossings only where the chord functions
+    are affine, which leaves every K_t unchanged.  Both endpoints of a
     sampled chord get the speed that carries the chord midpoint onto H, so
     every body K_t preserves all chord lengths orthogonal to H:
     K_{-1} = K, K_0 = the Steiner symmetral K_H, K_1 = the mirror image.
@@ -272,29 +255,20 @@ def steiner_system(K: VPolytope, H: Hyperplane) -> ShadowSystem:
     coords = geo.to_frame(K.vertices, H)
     Kf = VPolytope(coords)  # isometric image; heights relative to H
     scale = Kf.scale()
-    samples = [coords[i, :-1] for i in range(len(coords))]
+    samples = coords[:, :-1]
     if d == 3:
-        edges = _edges_3d(Kf)
-        h = Kf.halfspaces
-        fsets = _facet_vertex_sets(Kf)
-        top_edges, bottom_edges = set(), set()
-        for fi, idx in enumerate(fsets):
-            sgn = h.normals[fi, -1]
-            pool = top_edges if sgn > geo.TAU_GEOM else (
-                bottom_edges if sgn < -geo.TAU_GEOM else None)
-            if pool is None:
-                continue
-            members = set(idx)
-            for e in edges:
-                if e[0] in members and e[1] in members:
-                    pool.add(e)
-        seg = lambda e: (coords[e[0], :2], coords[e[1], :2])
-        crossings = _segment_crossings_2d(
-            [seg(e) for e in top_edges], [seg(e) for e in bottom_edges],
-            1e-14 * max(1.0, scale) ** 2)
-        samples.extend(crossings)
-    X_arr = geo._dedupe_rows(np.atleast_2d(np.array(samples)),
-                             1e-12 * max(1.0, scale))
+        tri = Kf.facet_simplices
+        p0, p1, p2 = coords[tri].transpose(1, 0, 2)
+        normal = np.cross(p1 - p0, p2 - p0)
+        normal *= np.sign(np.sum((p0 - coords.mean(axis=0)) * normal, axis=1))[:, None]
+        up = normal[:, -1] / np.linalg.norm(normal, axis=1)
+        edges = np.sort(tri[:, geo._EDGES[d]], axis=2)
+        seg = lambda faces: samples[np.unique(edges[faces].reshape(-1, 2), axis=0)]
+        crossings = _segment_crossings_2d(seg(up > geo.TAU_GEOM),
+                                          seg(up < -geo.TAU_GEOM),
+                                          1e-14 * max(1.0, scale) ** 2)
+        samples = np.vstack([samples, crossings])
+    X_arr = geo._dedupe_rows(samples, 1e-12 * max(1.0, scale))
     base, speeds = [], []
     for X in X_arr:
         lo, hi = geo._vertical_extent(Kf, X, d - 1)
@@ -388,8 +362,7 @@ class AffineFamilyFit:
 def fit_affine_family(system: ShadowSystem, n_grid: int = 9,
                       tol_rel: float = 1e-7) -> AffineFamilyFit:
     """Fit (v, V, u) to a system whose sweeps look affine; verify the map."""
-    axis = san._system_axis(system)
-    if axis != system.dim - 1:
+    if system.axis != system.dim - 1:
         raise ValueError("fit expects the direction on the last axis")
     lo, hi = system.interval
     mid = 0.5 * (lo + hi)

@@ -208,23 +208,20 @@ def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
                                 "equality": bool(abs(margin) <= tol)})
 
 
-def half_volume_inequality_check(system: sh.ShadowSystem, s: float, t: float,
-                                 a_s: float, a_t: float, C,
+def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
+                                 z_s, z_t, axis: int,
                                  tol: float = 1e-9) -> CheckReport:
     """Exact-clip check of the harmonic half-volume inequality.
 
-    Verifies 1/B_+(mid) <= (1/B_+(s) + 1/B_+(t))/2 and the B_- analogue at
-    centers (C, a_s), (C, a_t) and their midpoint; slack >= -tol relative.
+    K_s, K_m and K_t are a shadow system's bodies at s, (s+t)/2 and t along
+    the coordinate axis `axis`.  Verifies 1/B_+(mid) <= (1/B_+(s) + 1/B_+(t))/2
+    and the B_- analogue at centers z_s, z_t and their midpoint (for K_m);
+    slack >= -tol relative.
     """
-    C = geo.as_vector(C)
-    axis = san._system_axis(system)
-    K_s = sh.body_at(system, s)
-    K_t = sh.body_at(system, t)
-    K_m = sh.body_at(system, 0.5 * (s + t))
-    a_m = 0.5 * (a_s + a_t)
-    hv_s = pol.half_volumes(K_s, geo.embed_point(C, a_s, axis), axis=axis)
-    hv_t = pol.half_volumes(K_t, geo.embed_point(C, a_t, axis), axis=axis)
-    hv_m = pol.half_volumes(K_m, geo.embed_point(C, a_m, axis), axis=axis)
+    z_s, z_t = geo.as_vector(z_s), geo.as_vector(z_t)
+    hv_s = pol.half_volumes(K_s, z_s, axis=axis)
+    hv_t = pol.half_volumes(K_t, z_t, axis=axis)
+    hv_m = pol.half_volumes(K_m, 0.5 * (z_s + z_t), axis=axis)
     slack_plus = 0.5 * (1 / hv_s.b_plus + 1 / hv_t.b_plus) - 1 / hv_m.b_plus
     slack_minus = 0.5 * (1 / hv_s.b_minus + 1 / hv_t.b_minus) - 1 / hv_m.b_minus
     rel_plus = slack_plus * hv_m.b_plus
@@ -252,21 +249,24 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
                          tol: float = 1e-9) -> MidpointBoundReport:
     """Reconstruct the full midpoint-convexity chain on one system instance.
 
-    Solves the mid-body Santalo point, balances the half-volume ratios at
+    Builds the bodies K_s, K_mid and K_t once (s < t, else ValueError),
+    solves the mid-body Santalo point, balances the half-volume ratios at
     its height, then checks: the slice-profile hypothesis, its integrated
     conclusion, the exact half-volume inequality, and finally the midpoint
     bound 1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|)/2 through the solved polar
     volumes.  Any broken link localizes a geometry bug.  `n_samples` is
     the number of uniform heights in the hypothesis check's grids.
     """
-    axis = san._system_axis(system)
+    if not s < t:
+        raise ValueError("need s < t")
+    axis = system.axis
     K_s = sh.body_at(system, s)
     K_t = sh.body_at(system, t)
     K_m = sh.body_at(system, 0.5 * (s + t))
     res_m = san.santalo_point(K_m)
     C = np.delete(res_m.point, axis)
     a = float(res_m.point[axis])
-    a_s, a_t = san.balanced_points(system, s, t, a, C)
+    a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, C, axis)
 
     G_s = geo.embed_point(C, a_s, axis)
     G_t = geo.embed_point(C, a_t, axis)
@@ -275,7 +275,7 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     prof_f = polar_slice_profile(K_m, res_m.point, axis=axis)
     hyp = harmonic_hypothesis_check(prof_f, prof_g, prof_h, n_samples)
     conc = harmonic_conclusion_check(prof_f, prof_g, prof_h)
-    half = half_volume_inequality_check(system, s, t, a_s, a_t, C)
+    half = half_volume_inequality_check(K_s, K_m, K_t, G_s, G_t, axis)
 
     pv_s_G = pol.polar(K_s, G_s).polar_volume
     pv_t_G = pol.polar(K_t, G_t).polar_volume

@@ -8,7 +8,7 @@ from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
-from santalo_lab.errors import NotInCone, TooManyVertices
+from santalo_lab.errors import DegenerateInput, NotInCone, TooManyVertices
 from santalo_lab.mahler import CaseLabel
 
 
@@ -225,7 +225,7 @@ class TestDescentMonotonicity:
                 continue
             try:
                 K, _ = geo.convex_hull(np.vstack([F, x1, x2]))
-            except Exception:
+            except DegenerateInput:
                 continue
             if K.n_vertices == 6 and mah.classify(K) is CaseLabel.DOUBLE_PYR_IIb1:
                 return K
@@ -248,7 +248,7 @@ class TestDescentMonotonicity:
             try:
                 K, _ = geo.convex_hull(np.vstack([F, np.append(X1, xi),
                                                   np.append(X2, xi)]))
-            except Exception:
+            except DegenerateInput:
                 continue
             if K.n_vertices == 6 and mah.classify(K) is CaseLabel.PARALLEL_IIb3:
                 break

@@ -285,10 +285,7 @@ class TestSliceInclusion:
             K_m = sh.body_at(system, 0.5 * (s + t))
             c_m = geo.interior_point(K_m)
             C = c_m[:1]
-            try:
-                a_s, a_t = san.balanced_points(system, s, t, float(c_m[1]), C)
-            except Exception:
-                continue
+            a_s, a_t = san.balanced_points(K_s, K_m, K_t, float(c_m[1]), C, 1)
             G_s = np.array([C[0], a_s])
             G_t = np.array([C[0], a_t])
             G_m = np.array([C[0], 0.5 * (a_s + a_t)])

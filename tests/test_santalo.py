@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
+from santalo_lab import verify as ver
 from santalo_lab.errors import BracketFailure
 
 
@@ -118,30 +121,32 @@ class TestBalancedPoints:
     def _system(self, rng, d=2):
         return sh.random_shadow_system(d, rng)
 
+    def _bodies(self, system):
+        s, t = system.interval
+        return [sh.body_at(system, x) for x in (s, 0.5 * (s + t), t)]
+
     def test_symmetric_system_centers(self):
         # two translated squares: balanced points are the square centers
         sq = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
         system = sh.ShadowSystem(sq, np.ones(4), [0.0, 1.0], (-1.0, 1.0))
-        a_s, a_t = san.balanced_points(system, -0.5, 0.5, 0.0, [0.0])
+        bodies = [sh.body_at(system, x) for x in (-0.5, 0.0, 0.5)]
+        a_s, a_t = san.balanced_points(*bodies, 0.0, [0.0], system.axis)
         assert a_s == pytest.approx(-0.5, abs=1e-6)
         assert a_t == pytest.approx(0.5, abs=1e-6)
 
     def test_ratio_agreement_and_midpoint(self, rng):
         for _ in range(10):
             system = self._system(rng)
-            s, t = system.interval
-            K_m = sh.body_at(system, 0.5 * (s + t))
+            K_s, K_m, K_t = self._bodies(system)
             c = geo.interior_point(K_m)
             a = float(c[1])
-            a_s, a_t = san.balanced_points(system, s, t, a, c[:1])
+            a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, c[:1], 1)
             assert 0.5 * (a_s + a_t) == pytest.approx(a, abs=1e-12)
-            lam_s = pol.half_volumes(sh.body_at(system, s),
-                                     np.array([c[0], a_s]), axis=1).ratio
-            lam_t = pol.half_volumes(sh.body_at(system, t),
-                                     np.array([c[0], a_t]), axis=1).ratio
+            lam_s = pol.half_volumes(K_s, np.array([c[0], a_s]), axis=1).ratio
+            lam_t = pol.half_volumes(K_t, np.array([c[0], a_t]), axis=1).ratio
             assert lam_s == pytest.approx(lam_t, rel=2e-8)
-            rho = (san._log_ratio(sh.body_at(system, s), c[:1], a_s, 1)
-                   - san._log_ratio(sh.body_at(system, t), c[:1], a_t, 1))
+            rho = (san._log_ratio(K_s, c[:1], a_s, 1)
+                   - san._log_ratio(K_t, c[:1], a_t, 1))
             assert abs(rho) <= 1e-12
 
     def test_no_probe_repeats(self, rng, monkeypatch):
@@ -155,23 +160,20 @@ class TestBalancedPoints:
         monkeypatch.setattr(san, "_log_ratio", recording)
         for d in (2, 3):
             system = self._system(rng, d)
-            s, t = system.interval
-            c = geo.interior_point(sh.body_at(system, 0.5 * (s + t)))
+            K_s, K_m, K_t = self._bodies(system)
+            c = geo.interior_point(K_m)
             probes.clear()
-            san.balanced_points(system, s, t, float(c[-1]), c[:-1])
+            san.balanced_points(K_s, K_m, K_t, float(c[-1]), c[:-1], d - 1)
             assert probes and len(set(probes)) == len(probes)
 
     def test_against_dense_scan(self, rng):
         # the Brent root lands where a dense scan of rho crosses zero
         system = self._system(rng)
-        s, t = system.interval
-        K_s = sh.body_at(system, s)
-        K_t = sh.body_at(system, t)
-        K_m = sh.body_at(system, 0.5 * (s + t))
+        K_s, K_m, K_t = self._bodies(system)
         c = geo.interior_point(K_m)
         a = float(c[1])
         C = c[:1]
-        a_s, a_t = san.balanced_points(system, s, t, a, C)
+        a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, C, 1)
         alpha_s, beta_s = geo.chord(K_s, C, axis=1)
         alpha_t, beta_t = geo.chord(K_t, C, axis=1)
         lo = max(alpha_s, 2 * a - beta_t)
@@ -194,10 +196,7 @@ class TestBalancedPoints:
         # rho < 0 at the left end, > 0 at the right end
         for _ in range(5):
             system = self._system(rng)
-            s, t = system.interval
-            K_s = sh.body_at(system, s)
-            K_t = sh.body_at(system, t)
-            K_m = sh.body_at(system, 0.5 * (s + t))
+            K_s, K_m, K_t = self._bodies(system)
             c = geo.interior_point(K_m)
             a = float(c[1])
             C = c[:1]
@@ -214,14 +213,33 @@ class TestBalancedPoints:
 
     def test_chord_endpoint_request_errors(self, rng):
         system = self._system(rng)
-        s, t = system.interval
-        K_m = sh.body_at(system, 0.5 * (s + t))
+        K_s, K_m, K_t = self._bodies(system)
         c = geo.interior_point(K_m)
         _, beta_m = geo.chord(K_m, c[:1], axis=1)
         with pytest.raises(ValueError):
-            san.balanced_points(system, s, t, beta_m, c[:1])
+            san.balanced_points(K_s, K_m, K_t, beta_m, c[:1], 1)
 
-    def test_requires_s_before_t(self, rng):
+    def test_requires_s_before_t(self, rng, monkeypatch):
+        # the chain rejects s >= t before it builds any body
         system = self._system(rng)
-        with pytest.raises(ValueError):
-            san.balanced_points(system, 0.5, -0.5, 0.0, [0.0])
+
+        def no_body(*args):
+            raise AssertionError("body built before the s < t check")
+
+        monkeypatch.setattr(sh, "body_at", no_body)
+        for s, t in ((0.5, -0.5), (0.0, 0.0)):
+            with pytest.raises(ValueError):
+                ver.midpoint_bound_check(system, s, t)
+
+
+def test_santalo_imports_neither_shadow_nor_verify():
+    # santalo sits below shadow and verify: it works on bodies, not systems
+    tree = ast.parse(Path(san.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").rpartition(".")[2])
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not modules & {"shadow", "verify"}

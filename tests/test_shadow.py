@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,12 @@ from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
 from santalo_lab.errors import DegenerateMap, InsufficientGrid
 from santalo_lab.geometry import Hyperplane
+
+CLASSIC_BODIES = {
+    "cube": [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+    "octahedron": np.vstack([np.eye(3), -np.eye(3)]),
+    "prism": [[x, y, z] for x, y in ((0, 0), (2, 0), (0.5, 1.5)) for z in (-1, 1)],
+}
 
 
 class TestBodyAt:
@@ -181,6 +188,64 @@ class TestSteiner:
         H = Hyperplane([0.0, 1.0], 0.25)
         KH = sh.steiner_symmetral(K, H)
         assert set_equal(sh.reflect(KH, H), KH, tol=1e-9)
+
+    @staticmethod
+    def _check_chords(K, H, rng, ts=(-1.0, -0.5, 0.0, 0.5, 1.0)):
+        """Chords orthogonal to H at 20 interior base points keep their length."""
+        system = sh.steiner_system(K, H)
+        proj = geo.to_frame(K.vertices, H)[:, :-1]
+        bases = rng.dirichlet(np.full(K.n_vertices, 0.3), size=20) @ proj
+
+        def chords(P):
+            Pf = geo.VPolytope(geo.to_frame(P.vertices, H))
+            return np.array([np.diff(geo.chord(Pf, X))[0] for X in bases])
+
+        lengths = chords(K)
+        for t in ts:
+            assert np.allclose(chords(sh.body_at(system, t)), lengths,
+                               rtol=0, atol=1e-9)
+        return system
+
+    @pytest.mark.parametrize("name", sorted(CLASSIC_BODIES))
+    def test_classic_bodies_chords_preserved(self, name, rng):
+        # the triangulation adds diagonals on the cube's and the prism's
+        # square facets; the octahedron has four facets at every vertex
+        K, _ = geo.convex_hull(CLASSIC_BODIES[name])
+        H = Hyperplane(rng.normal(size=3), 0.1)
+        KH = sh.body_at(self._check_chords(K, H, rng), 0.0)
+        assert set_equal(sh.reflect(KH, H), KH, tol=1e-9)
+
+    def test_random_bodies_chords_preserved(self, rng):
+        for _ in range(10):
+            K = random_body(rng, 3, extra=6)
+            self._check_chords(K, Hyperplane(rng.normal(size=3), 0.1), rng,
+                               ts=(-0.5, 0.0, 0.5))
+
+    def test_segment_crossings_match_pairwise_loop(self, rng):
+        def reference(segs_a, segs_b, tol):
+            out = []
+            for (p1, p2), (q1, q2) in itertools.product(segs_a, segs_b):
+                r = p2 - p1
+                s = q2 - q1
+                denom = r[0] * s[1] - r[1] * s[0]
+                if abs(denom) <= tol:
+                    continue
+                w = q1 - p1
+                tt = (w[0] * s[1] - w[1] * s[0]) / denom
+                uu = (w[0] * r[1] - w[1] * r[0]) / denom
+                if -1e-12 <= tt <= 1 + 1e-12 and -1e-12 <= uu <= 1 + 1e-12:
+                    out.append(p1 + tt * r)
+            return np.reshape(out, (-1, 2))
+
+        for _ in range(30):
+            # endpoints drawn from a small pool: shared endpoints, repeated
+            # and parallel segments all occur
+            pool = rng.integers(-3, 4, size=(8, 2)).astype(float)
+            pool[4:] = rng.normal(size=(4, 2))
+            a = pool[rng.integers(0, 8, size=(rng.integers(0, 12), 2))]
+            b = pool[rng.integers(0, 8, size=(rng.integers(1, 12), 2))]
+            got = sh._segment_crossings_2d(a, b, 1e-14)
+            assert np.array_equal(got, reference(a, b, 1e-14))
 
 
 class TestBrunnMidpointCheck:

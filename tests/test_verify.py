@@ -149,8 +149,9 @@ class TestHalfVolumeInequality:
     def test_symmetric_translates_equality(self):
         sq = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
         system = sh.ShadowSystem(sq, np.ones(4), [0.0, 1.0], (-1.0, 1.0))
-        rep = ver.half_volume_inequality_check(system, -1.0, 1.0, -1.0, 1.0,
-                                               C=[0.0])
+        bodies = [sh.body_at(system, x) for x in (-1.0, 0.0, 1.0)]
+        rep = ver.half_volume_inequality_check(*bodies, [0.0, -1.0], [0.0, 1.0],
+                                               axis=system.axis)
         assert rep.passed
         b_s, b_m, b_t = rep.details["b_plus"]
         assert b_s == pytest.approx(b_m, rel=1e-9)
@@ -176,3 +177,19 @@ class TestMidpointChain:
             assert rep.passed
             assert rep.midpoint_slack >= -1e-9
             assert rep.santalo_slack >= rep.midpoint_slack - 1e-12
+
+    def test_builds_each_body_once(self, rng, monkeypatch):
+        calls = []
+        body_at = sh.body_at
+
+        def counting(system, t):
+            calls.append(t)
+            return body_at(system, t)
+
+        monkeypatch.setattr(sh, "body_at", counting)
+        for d in (2, 3):
+            system = sh.random_shadow_system(d, rng)
+            s, t = system.interval
+            calls.clear()
+            assert ver.midpoint_bound_check(system, s, t).passed
+            assert sorted(calls) == [s, 0.5 * (s + t), t]
