@@ -10,6 +10,7 @@ few-vertex lower bound into a falsifiable test battery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ class CaseLabel(Enum):
     SIMPLICIAL_IIc = "SIMPLICIAL_IIc"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Config:
     """Vertex configuration backing a classification decision."""
 
@@ -55,20 +56,22 @@ class _Config:
     xi: tuple[float, float] = (0.0, 0.0)
 
 
-def _hyperplane_of(points: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Unit normal and offset through d points; None if nearly dependent."""
-    if points.shape[0] != points.shape[1]:
-        raise ValueError("need exactly d points")
-    center = points.mean(axis=0)
-    _, s, vt = np.linalg.svd(points - center, full_matrices=True)
-    scale = max(1.0, float(np.max(np.abs(points))))
-    if s[-2] <= 1e-7 * scale:  # affinely dependent subset: ambiguous normal
-        return None
-    normal = vt[-1]
-    return normal, float(normal @ center)
-
-
+@functools.lru_cache(maxsize=1)
 def _configuration(K: VPolytope) -> _Config:
+    """Coplanarity configuration of K's vertices, from all d-subsets at once.
+
+    One stacked SVD of the centered d-subsets gives every candidate
+    hyperplane.  A subset whose second-smallest singular value is at most
+    1e-7 of its coordinate scale is affinely dependent: it counts no
+    vertices and voids the margin.  The plane with the most vertices within
+    TAU_GEOM (scaled) wins, the first in lexicographic subset order on a
+    tie.  A vertex at distance in (tau, 10 tau] of any independent plane,
+    or a skew apex-height gap in that band, voids the margin too.
+
+    Cached for the last body only: VPolytope hashes by identity and never
+    changes, so `classify` and `descent_move` on the body `random_polytope`
+    just returned reuse its margin check's pass.
+    """
     verts = K.vertices
     n, d = verts.shape
     if n < d + 1:
@@ -80,27 +83,21 @@ def _configuration(K: VPolytope) -> _Config:
     if n == d + 1:
         return _Config(CaseLabel.SIMPLEX, margin_ok=True)
 
-    best_count = 0
-    best_on: tuple[int, ...] = ()
-    best_plane: tuple[np.ndarray, float] | None = None
-    margin_ok = True
-    for idx in itertools.combinations(range(n), d):
-        plane = _hyperplane_of(verts[list(idx)])
-        if plane is None:
-            margin_ok = False
-            continue
-        normal, offset = plane
-        dist = np.abs(verts @ normal - offset)
-        on = dist <= tau_on
-        if np.any((dist > tau_on) & (dist <= 10 * tau_on)):
-            margin_ok = False
-        count = int(np.sum(on))
-        if count > best_count:
-            best_count = count
-            best_on = tuple(np.flatnonzero(on))
-            best_plane = plane
-    if best_plane is None:
+    points = verts[list(itertools.combinations(range(n), d))]  # (m, d, d)
+    centers = points.mean(axis=1)
+    _, s, vt = np.linalg.svd(points - centers[:, None, :], full_matrices=True)
+    independent = s[:, -2] > 1e-7 * np.maximum(1.0, np.max(np.abs(points), axis=(1, 2)))
+    normals = vt[:, -1]
+    dist = np.abs(normals @ verts.T - np.einsum("ij,ij->i", normals, centers)[:, None])
+    on = (dist <= tau_on) & independent[:, None]
+    counts = np.sum(on, axis=1)
+    best = int(np.argmax(counts))  # first subset with the most vertices
+    best_count = int(counts[best])
+    if best_count == 0:
         raise DegenerateInput("all defining subsets are affinely dependent")
+    margin_ok = bool(np.all(independent)) and not np.any(
+        (dist[independent] > tau_on) & (dist[independent] <= 10 * tau_on))
+    best_on = tuple(np.flatnonzero(on[best]))
 
     if n == d + 2:
         if best_count >= d + 1:
@@ -117,7 +114,8 @@ def _configuration(K: VPolytope) -> _Config:
     if best_count == d:
         return _Config(CaseLabel.SIMPLICIAL_IIc, margin_ok)
 
-    normal, offset = best_plane
+    normal = normals[best]
+    offset = float(normal @ centers[best])
     off = tuple(i for i in range(n) if i not in best_on)
     heights = verts[list(off)] @ normal - offset
     if heights[0] * heights[1] < 0:
@@ -144,7 +142,13 @@ def _configuration(K: VPolytope) -> _Config:
 
 
 def classify(K: VPolytope) -> CaseLabel:
-    """Vertex-configuration label for a polytope with at most d+3 vertices."""
+    """Vertex-configuration label for a polytope with at most d+3 vertices.
+
+    Reads `_configuration(K)`: one stacked SVD over all d-subsets, the first
+    subset with the most vertices on its plane winning a tie.  The config is
+    cached for the last body, so classifying a body that `random_polytope`
+    just returned costs no second pass.
+    """
     return _configuration(K).label
 
 
@@ -431,6 +435,7 @@ def random_polytope(d: int, k: int, rng, max_tries: int = 2000) -> VPolytope:
 
     Rejection-sampled until all k points are vertices and the classification
     margins are decisive (no near-coplanarity inside the ambiguous band).
+    The margin check leaves the body's config in `_configuration`'s cache.
     """
     for _ in range(max_tries):
         pts = _ball_points(rng, k, d)
@@ -473,12 +478,16 @@ class CampaignReport:
         }
 
 
+def _unit_ball_volume(d: int) -> float:
+    """omega_d; the Blaschke-Santalo bound on the volume product is omega_d**2."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
 def _vp_with_condition(K: VPolytope) -> tuple[float, float]:
     res = san.santalo_point(K)
-    pb = pol.polar(K, res.point)
+    pb = res.polar
     R = float(np.max(np.linalg.norm(pb.polar.vertices - pb.polar_centroid, axis=1)))
-    d = K.dim
-    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * R ** d
+    ball = _unit_ball_volume(K.dim) * R ** K.dim
     return geo.volume(K) * res.polar_volume, ball / res.polar_volume
 
 
@@ -489,8 +498,10 @@ def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
 
     Samples `trials` clean k-vertex polytopes, computes each volume product,
     and records any value below simplex_bound(d) - tol as a violation
-    certificate.  Samples whose polar is conditioned worse than 1e8 are
-    excluded from the minimum and counted separately.
+    certificate, and any value above the Blaschke-Santalo bound omega_d**2
+    + tol as an "above-santalo-bound" one.  Samples whose polar is
+    conditioned worse than 1e8 are excluded from the minimum and counted
+    separately.
     """
     if d > 4:
         raise ValueError("campaigns cover d in {2, 3, 4}")
@@ -513,6 +524,10 @@ def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
         if vp < bound - tol:
             report.violations.append({"trial": i, "vp": vp,
                                       "vertices": K.vertices.tolist()})
+        if vp > _unit_ball_volume(d) ** 2 + tol:
+            report.violations.append({"trial": i, "vp": vp,
+                                      "kind": "above-santalo-bound",
+                                      "vertices": K.vertices.tolist()})
         if progress is not None and (i + 1) % 100 == 0:
             progress(i + 1, report)
     return report
@@ -523,8 +538,9 @@ def polygon_minimality_campaign(trials: int, seed: int = 0, tol: float = 1e-6,
                         progress=None) -> CampaignReport:
     """2D minimality campaign: random polygons, 3..max_vertices vertices.
 
-    Checks the triangle bound 27/4 and that near-minimal samples (within
-    `near` of the bound) only occur for triangles.
+    Checks the triangle bound 27/4, that near-minimal samples (within
+    `near` of the bound) only occur for triangles, and the Blaschke-Santalo
+    bound pi**2.
     """
     rng = np.random.default_rng(seed)
     bound = simplex_bound(2)
@@ -546,6 +562,10 @@ def polygon_minimality_campaign(trials: int, seed: int = 0, tol: float = 1e-6,
         if vp <= bound + near and not is_simplex:
             report.violations.append({"trial": i, "vp": vp,
                                       "kind": "near-minimal-non-simplex",
+                                      "vertices": K.vertices.tolist()})
+        if vp > _unit_ball_volume(2) ** 2 + tol:
+            report.violations.append({"trial": i, "vp": vp,
+                                      "kind": "above-santalo-bound",
                                       "vertices": K.vertices.tolist()})
         key = f"n={K.n_vertices}"
         report.label_counts[key] = report.label_counts.get(key, 0) + 1

@@ -34,6 +34,7 @@ class SantaloResult:
     centroid_residual: float
     iterations: int
     converged: bool
+    polar: pol.PolarBody  # the polar about `point`, from the last iterate
 
 
 def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
@@ -80,7 +81,7 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
             # Line search exhausted: the centroid residual is the verdict.
             break
         z, pb = z + t * direction, pb_new
-    return SantaloResult(z, pb.polar_volume, res, iterations, res <= tol_sant)
+    return SantaloResult(z, pb.polar_volume, res, iterations, res <= tol_sant, pb)
 
 
 def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:
@@ -104,9 +105,11 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
     endpoint refinement (upstream tolerance breach).
     """
     C = geo.as_vector(C)
-    alpha_s, beta_s = geo.chord(K_s, C, axis=axis)
-    alpha_t, beta_t = geo.chord(K_t, C, axis=axis)
+    # The three bodies share their projection along the axis, so one
+    # interiority check (through K_m's chord) covers all of them.
     alpha_m, beta_m = geo.chord(K_m, C, axis=axis)
+    alpha_s, beta_s = geo._vertical_extent(K_s, C, axis)
+    alpha_t, beta_t = geo._vertical_extent(K_t, C, axis)
     span = max(beta_m - alpha_m, geo.TAU_GEOM)
     if not (alpha_m + geo.TAU_GEOM * span < a < beta_m - geo.TAU_GEOM * span):
         raise ValueError("a must be strictly inside the mid-body chord")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import santalo_lab.cli as cli
+from santalo_lab import mahler as mah
 from santalo_lab import serialize as ser
 from santalo_lab import shadow as sh
 
@@ -152,6 +153,16 @@ class TestSearchCommand:
                              "--trials", "60", "--seed", "9"])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_santalo_breach_exits_4(self, monkeypatch):
+        # a volume product above omega_2**2 = pi**2 breaks Blaschke-Santalo
+        monkeypatch.setattr(mah, "_vp_with_condition",
+                            lambda K: (np.pi ** 2 * 1.01, 1.0))
+        rc, out = run_cli(["search", "--d", "2", "--k", "4",
+                           "--trials", "3", "--seed", "3"])
+        assert rc == 4
+        final = json.loads(out.strip().splitlines()[-1])
+        assert [v["kind"] for v in final["violations"]] == ["above-santalo-bound"] * 3
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):

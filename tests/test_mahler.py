@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,123 @@ def simplex(d):
 
 QUAD_BASE = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]],
                      dtype=float)
+
+
+# Reference: the per-subset loop that `mahler._configuration` replaced.
+def _reference_hyperplane_of(points):
+    """Unit normal and offset through d points; None if nearly dependent."""
+    if points.shape[0] != points.shape[1]:
+        raise ValueError("need exactly d points")
+    center = points.mean(axis=0)
+    _, s, vt = np.linalg.svd(points - center, full_matrices=True)
+    scale = max(1.0, float(np.max(np.abs(points))))
+    if s[-2] <= 1e-7 * scale:  # affinely dependent subset: ambiguous normal
+        return None
+    normal = vt[-1]
+    return normal, float(normal @ center)
+
+
+def _reference_configuration(K):
+    verts = K.vertices
+    n, d = verts.shape
+    if n < d + 1:
+        raise DegenerateInput("fewer than d+1 vertices")
+    if n > d + 3:
+        raise TooManyVertices(f"{n} vertices exceeds d+3 = {d + 3}")
+    scale = K.scale()
+    tau_on = geo.TAU_GEOM * max(1.0, scale)
+    if n == d + 1:
+        return mah._Config(CaseLabel.SIMPLEX, margin_ok=True)
+
+    best_count = 0
+    best_on = ()
+    best_plane = None
+    margin_ok = True
+    for idx in itertools.combinations(range(n), d):
+        plane = _reference_hyperplane_of(verts[list(idx)])
+        if plane is None:
+            margin_ok = False
+            continue
+        normal, offset = plane
+        dist = np.abs(verts @ normal - offset)
+        on = dist <= tau_on
+        if np.any((dist > tau_on) & (dist <= 10 * tau_on)):
+            margin_ok = False
+        count = int(np.sum(on))
+        if count > best_count:
+            best_count = count
+            best_on = tuple(np.flatnonzero(on))
+            best_plane = plane
+    if best_plane is None:
+        raise DegenerateInput("all defining subsets are affinely dependent")
+
+    if n == d + 2:
+        if best_count >= d + 1:
+            return mah._Config(CaseLabel.PYRAMID_Ia, margin_ok,
+                               coplanar=best_on,
+                               off=tuple(i for i in range(n) if i not in best_on))
+        return mah._Config(CaseLabel.SIMPLICIAL_Ib, margin_ok)
+
+    if best_count >= d + 2:
+        return mah._Config(CaseLabel.PYRAMID_IIa, margin_ok,
+                           coplanar=best_on,
+                           off=tuple(i for i in range(n) if i not in best_on))
+    if best_count == d:
+        return mah._Config(CaseLabel.SIMPLICIAL_IIc, margin_ok)
+
+    normal, offset = best_plane
+    off = tuple(i for i in range(n) if i not in best_on)
+    heights = verts[list(off)] @ normal - offset
+    if heights[0] * heights[1] < 0:
+        if heights[0] > 0:
+            off = (off[1], off[0])
+            heights = heights[::-1]
+        label = CaseLabel.DOUBLE_PYR_IIb1
+    else:
+        if heights[0] < 0:
+            normal, offset, heights = -normal, -offset, -heights
+        if abs(heights[0] - heights[1]) <= tau_on:
+            label = CaseLabel.PARALLEL_IIb3
+        else:
+            if abs(heights[0] - heights[1]) <= 10 * tau_on:
+                margin_ok = False
+            if heights[0] > heights[1]:
+                off = (off[1], off[0])
+                heights = heights[::-1]
+            label = CaseLabel.SKEW_IIb2
+    return mah._Config(label, margin_ok, coplanar=best_on, off=off,
+                       hyperplane=geo.Hyperplane(normal, offset),
+                       xi=(float(heights[0]), float(heights[1])))
+
+
+def _config_bits(cfg):
+    """Every field of a _Config, floats as exact bit patterns."""
+    plane = cfg.hyperplane
+    return (cfg.label, cfg.margin_ok, tuple(map(int, cfg.coplanar)),
+            tuple(map(int, cfg.off)),
+            None if plane is None else (plane.normal.tobytes(), plane.offset.hex()),
+            tuple(x.hex() for x in cfg.xi))
+
+
+def _near_degenerate_points(rng, d, k, i):
+    """k ball points; every third set has one vertex pushed 1e-12..1e-6 off
+    the plane of a d-subset, alternating with a vertex 1e-12..1e-6 from
+    another one (an affinely dependent subset)."""
+    pts = mah._ball_points(rng, k, d)
+    if i % 3:
+        return pts
+    idx = rng.permutation(k)
+    gap = 10.0 ** rng.uniform(-12, -6)
+    if i % 6 == 0:
+        sub = pts[idx[:d]]
+        center = sub.mean(axis=0)
+        normal = np.linalg.svd(sub - center)[2][-1]
+        p = pts[idx[d]]
+        pts[idx[d]] = p - ((p - center) @ normal - gap) * normal
+    else:
+        u = rng.normal(size=d)
+        pts[idx[1]] = pts[idx[0]] + gap * u / np.linalg.norm(u)
+    return pts
 
 
 class TestSimplexBound:
@@ -73,6 +191,62 @@ class TestClassify:
         with pytest.raises(TooManyVertices):
             mah.classify(P)
 
+    def test_stacked_pass_matches_loop_reference(self):
+        # bitwise-equal configs on clean and near-degenerate bodies
+        rng = np.random.default_rng(314)
+        seen = []
+        for d, k in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7), (5, 7), (5, 8)):
+            for i in range(330):
+                try:
+                    K, _ = geo.convex_hull(_near_degenerate_points(rng, d, k, i))
+                except DegenerateInput:
+                    continue
+                if K.n_vertices != k:
+                    continue
+                try:
+                    ref = _reference_configuration(K)
+                except DegenerateInput as exc:
+                    with pytest.raises(DegenerateInput, match=str(exc)):
+                        mah._configuration(K)
+                    continue
+                got = mah._configuration(K)
+                assert _config_bits(got) == _config_bits(ref), (d, k, i)
+                seen.append((got.label, got.margin_ok, i % 6))
+        assert len(seen) >= 2000
+        # the margin band, the dependent-subset branch and every few-vertex
+        # label that random points reach are exercised
+        assert sum(not ok and j == 0 for _, ok, j in seen) >= 100
+        assert sum(not ok and j == 3 for _, ok, j in seen) >= 20
+        labels = {label for label, _, _ in seen}
+        assert labels >= {CaseLabel.SIMPLICIAL_Ib, CaseLabel.SIMPLICIAL_IIc,
+                          CaseLabel.PYRAMID_Ia, CaseLabel.DOUBLE_PYR_IIb1,
+                          CaseLabel.SKEW_IIb2}
+
+    def test_stacked_pass_matches_loop_on_hand_built_cases(self):
+        ang = 2 * math.pi * np.arange(5) / 5
+        penta = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(5)])
+        for points in ([QUAD_BASE, [0.2, 0.1, 1.5]],
+                       [penta, [0.1, 0.0, 1.0]],
+                       [QUAD_BASE, [0.2, 0.1, 1.3], [-0.1, 0.2, -1.1]],
+                       [QUAD_BASE, [2.5, 0.2, 0.8], [0.3, 0.1, 1.9]],
+                       [QUAD_BASE, [0.8, 0.4, 1.2], [-0.5, -0.3, 1.2]]):
+            K, _ = geo.convex_hull(np.vstack(points))
+            assert (_config_bits(mah._configuration(K))
+                    == _config_bits(_reference_configuration(K)))
+
+    def test_stacked_pass_raises_the_loop_errors(self):
+        rng = np.random.default_rng(5)
+        too_few = geo.VPolytope([[0.0, 0.0], [1.0, 0.0]])
+        all_dependent = geo.VPolytope(1e-9 * rng.normal(size=(4, 2)))
+        too_many = geo.VPolytope(rng.normal(size=(6, 2)))
+        for K, error in ((too_few, DegenerateInput), (all_dependent, DegenerateInput),
+                         (too_many, TooManyVertices)):
+            with pytest.raises(error) as ref:
+                _reference_configuration(K)
+            with pytest.raises(error) as got:
+                mah._configuration(K)
+            assert str(got.value) == str(ref.value)
+
     def test_fuzz_totality(self):
         # classification is total and single-valued on clean samples
         rng = np.random.default_rng(99)
@@ -85,6 +259,64 @@ class TestClassify:
                 assert isinstance(label, CaseLabel)
                 if k == d + 1:
                     assert label is CaseLabel.SIMPLEX
+
+
+class TestConfigurationCache:
+    @staticmethod
+    def _record_svd(monkeypatch):
+        """Copies of every stacked (m, d, d) array handed to np.linalg.svd."""
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return stacks
+
+    def test_one_pass_per_accepted_body(self, monkeypatch):
+        stacks = self._record_svd(monkeypatch)
+        accepted = []
+        random_polytope = mah.random_polytope
+
+        def recording(*args, **kwargs):
+            accepted.append(random_polytope(*args, **kwargs))
+            return accepted[-1]
+
+        monkeypatch.setattr(mah, "random_polytope", recording)
+        for d, k in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 7)):
+            for seed in range(3):
+                stacks.clear()
+                accepted.clear()
+                mah.few_vertex_campaign(d, k, 1, seed)
+                (K,) = accepted
+                points = K.vertices[list(itertools.combinations(range(k), d))]
+                own = points - points.mean(axis=1, keepdims=True)
+                # the margin check's pass is the body's only one: classify
+                # reads the cached config
+                assert sum(np.array_equal(a, own) for a in stacks) == 1
+                assert np.array_equal(stacks[-1], own)
+
+    def test_distinct_bodies_get_their_own_config(self, monkeypatch):
+        stacks = self._record_svd(monkeypatch)
+        pyramid, _ = geo.convex_hull(np.vstack([QUAD_BASE, [0.2, 0.1, 1.5]]))
+        double, _ = geo.convex_hull(np.vstack([QUAD_BASE,
+                                               [0.2, 0.1, 1.3], [-0.1, 0.2, -1.1]]))
+        twin = geo.VPolytope(pyramid.vertices.copy())  # equal points, new body
+        mah._configuration.cache_clear()
+        assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
+        assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
+        assert len(stacks) == 1
+        assert mah.classify(double) is CaseLabel.DOUBLE_PYR_IIb1
+        assert mah.descent_move(double).label is CaseLabel.DOUBLE_PYR_IIb1
+        assert len(stacks) == 2
+        # only the last body is kept, and bodies are keyed by identity
+        assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
+        assert mah.classify(twin) is CaseLabel.PYRAMID_Ia
+        assert len(stacks) == 4
+        assert mah._configuration(twin) is not mah._configuration(pyramid)
 
 
 class TestPyramidFactorization:
@@ -281,6 +513,26 @@ class TestCampaigns:
         rep = mah.polygon_minimality_campaign(150, seed=17)
         assert not rep.violations
         assert rep.min_vp >= 6.75 - 1e-6
+
+    @staticmethod
+    def _above_santalo(factor):
+        """Stand-in for _vp_with_condition: factor x the Blaschke-Santalo bound."""
+        def fake(K):
+            omega = math.pi ** (K.dim / 2) / math.gamma(K.dim / 2 + 1)
+            return omega ** 2 * factor, 1.0
+        return fake
+
+    @pytest.mark.parametrize("run", [
+        lambda: mah.few_vertex_campaign(3, 5, 4, seed=1),
+        lambda: mah.polygon_minimality_campaign(4, seed=1),
+    ], ids=["few-vertex", "polygon"])
+    def test_santalo_breach_is_a_violation(self, monkeypatch, run):
+        monkeypatch.setattr(mah, "_vp_with_condition", self._above_santalo(1.01))
+        rep = run()
+        assert [v["trial"] for v in rep.violations] == [0, 1, 2, 3]
+        assert {v["kind"] for v in rep.violations} == {"above-santalo-bound"}
+        monkeypatch.setattr(mah, "_vp_with_condition", self._above_santalo(1 + 1e-8))
+        assert not run().violations  # within the campaign tolerance
 
     def test_regular_polygon_products(self):
         # exact value n^2 sin^2(pi/n); tends to pi^2 for large n

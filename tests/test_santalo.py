@@ -1,5 +1,7 @@
 import ast
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import random_body
 from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
+from santalo_lab import serialize as ser
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
 from santalo_lab.errors import BracketFailure
@@ -28,6 +31,17 @@ class TestSantaloPoint:
             res = san.santalo_point(S)
             assert res.converged
             assert np.allclose(res.point, S.vertices.mean(axis=0), atol=1e-6)
+
+    def test_result_carries_the_final_polar(self, rng):
+        # the polar at the returned point, bitwise what a fresh call computes
+        for d in (2, 3, 4):
+            K = random_body(rng, d)
+            res = san.santalo_point(K)
+            fresh = pol.polar(K, res.point)
+            assert res.polar.polar_volume == res.polar_volume
+            assert np.array_equal(res.polar.center, res.point)
+            assert np.array_equal(res.polar.polar.vertices, fresh.polar.vertices)
+            assert np.array_equal(res.polar.polar_centroid, fresh.polar_centroid)
 
     def test_pyramid_collinearity_ratio(self, rng):
         from santalo_lab import mahler as mah
@@ -218,6 +232,56 @@ class TestBalancedPoints:
         _, beta_m = geo.chord(K_m, c[:1], axis=1)
         with pytest.raises(ValueError):
             san.balanced_points(K_s, K_m, K_t, beta_m, c[:1], 1)
+
+    @staticmethod
+    def _chain_inputs(n):
+        """The first n seed-1 inputs of the benchmark's chain workload."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("chain_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses resolve their module
+        try:
+            spec.loader.exec_module(module)
+            inputs = module.WORKLOADS["chain"].inputs(1)
+            return [ser.system_from_dict(next(inputs)) for _ in range(n)]
+        finally:
+            del sys.modules[spec.name]
+
+    def test_one_projection_hull_and_unchanged_points(self, monkeypatch):
+        # chord's interiority check runs on K_m only; the K_s and K_t chords
+        # come straight from the H-form, bitwise as before
+        class EveryChordChecked:
+            """geometry as seen by santalo, with every chord through `chord`."""
+
+            def __getattr__(self, name):
+                return getattr(geo, name)
+
+            @staticmethod
+            def _vertical_extent(P, X, axis):
+                return geo.chord(P, X, axis=axis)
+
+        chord_hulls = []
+        convex_hull = geo.convex_hull
+
+        def recording(points):
+            chord_hulls.append(sys._getframe(1).f_code.co_name == "chord")
+            return convex_hull(points)
+
+        for system in self._chain_inputs(30):
+            s, t = system.interval
+            K_s, K_m, K_t = (sh.body_at(system, x) for x in (s, 0.5 * (s + t), t))
+            z = san.santalo_point(K_m).point
+            args = (K_s, K_m, K_t, float(z[system.axis]),
+                    np.delete(z, system.axis), system.axis)
+            chord_hulls.clear()
+            monkeypatch.setattr(geo, "convex_hull", recording)
+            got = san.balanced_points(*args)
+            monkeypatch.setattr(geo, "convex_hull", convex_hull)
+            assert sum(chord_hulls) == 1
+            monkeypatch.setattr(san, "geo", EveryChordChecked())
+            ref = san.balanced_points(*args)
+            monkeypatch.setattr(san, "geo", geo)
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
 
     def test_requires_s_before_t(self, rng, monkeypatch):
         # the chain rejects s >= t before it builds any body
