@@ -10,7 +10,6 @@ from .errors import (
     GeometryError,
     GeometryInconsistent,
     InsufficientGrid,
-    LineMissesBody,
     NotInCone,
     OutsideProjection,
     SingularMap,
@@ -45,7 +44,6 @@ from .mahler import (
 from .polarity import (
     HalfVolumes,
     PolarBody,
-    half_volume_ratio_curve,
     half_volumes,
     polar,
     volume_product,

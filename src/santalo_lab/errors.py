@@ -33,10 +33,6 @@ class CenterNotInterior(GeometryError):
     """Polarity center does not have positive slack on every facet."""
 
 
-class LineMissesBody(GeometryError):
-    """The requested axis-parallel line does not meet the body's interior."""
-
-
 class BracketFailure(GeometryError):
     """Root bracketing failed: no sign change after endpoint refinement."""
 

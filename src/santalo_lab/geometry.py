@@ -22,6 +22,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (
     DegenerateInput,
     EmptySection,
+    GeometryInconsistent,
     OutsideProjection,
     SingularMap,
 )
@@ -174,8 +175,8 @@ class VPolytope:
         return float(max(1e-30, np.max(np.abs(self.vertices))))
 
 
-def _hull_of(points: np.ndarray):
-    """Raw hull: (vertex indices, facet HPolytope, simplices).
+def _hull_of(points: np.ndarray, facets: bool = True):
+    """Raw hull: (vertex indices, facet HPolytope or None, simplices).
 
     Simplices triangulate the boundary and index into `points` directly.
     """
@@ -196,8 +197,54 @@ def _hull_of(points: np.ndarray):
     except QhullError as exc:
         raise DegenerateInput(f"point set is degenerate: {exc}") from exc
     # Qhull equations are <n, x> + c <= 0 with outward unit normals.
-    h = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1])
-    return hull.vertices, h, hull.simplices
+    h = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1]) if facets else None
+    return hull.vertices, h, hull_simplices(hull)
+
+
+def hull_simplices(hull: ConvexHull, min_dim: int = 5) -> np.ndarray:
+    """Qhull's boundary triangulation, checked against Qhull's own volume.
+
+    From d = 5 on, Qhull merges coplanar facets exactly ('Qx'), and its
+    triangulation of a merged facet can overlap itself.  When the fan of the
+    simplices misses `hull.volume` by more than 1e-12 relative, each facet is
+    triangulated again: the cone from one of its vertices over the boundary
+    triangulation of its own (d-1)-dimensional hull, checked the same way.
+    """
+    pts = hull.points
+    d = pts.shape[1]
+    if d < min_dim or _fan_matches(hull, hull.simplices):
+        return hull.simplices
+    verts = hull.vertices
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+    facets = {frozenset(verts[np.abs(pts[verts] @ eq[:-1] + eq[-1]) <= tol])
+              for eq in hull.equations}
+    pieces = []
+    for facet in facets:
+        idx = np.array(sorted(facet))
+        _, _, vt = np.linalg.svd(pts[idx[1:]] - pts[idx[0]])
+        sub = ConvexHull((pts[idx] - pts[idx[0]]) @ vt[:d - 1].T)
+        ridges = idx[hull_simplices(sub, min_dim=3)]
+        ridges = ridges[np.all(ridges != idx[0], axis=1)]
+        pieces.append(np.column_stack([np.full(len(ridges), idx[0]), ridges]))
+    simplices = np.vstack(pieces)
+    if not _fan_matches(hull, simplices):
+        raise GeometryInconsistent("boundary triangulation misses the hull volume")
+    return simplices
+
+
+def _fan_matches(hull: ConvexHull, simplices: np.ndarray) -> bool:
+    pts = hull.points
+    apex = pts[hull.vertices].mean(axis=0)
+    fan = np.abs(np.linalg.det(pts[simplices] - apex)).sum() / math.factorial(pts.shape[1])
+    return abs(fan - hull.volume) <= 1e-12 * hull.volume
+
+
+def _pruned(pts: np.ndarray, facets: bool = True) -> VPolytope:
+    """VPolytope of the hull of `pts`; its facets stay lazy unless `facets`."""
+    vert_idx, h, simplices = _hull_of(pts, facets)
+    remap = -np.ones(pts.shape[0], dtype=int)
+    remap[vert_idx] = np.arange(len(vert_idx))
+    return VPolytope(pts[vert_idx], h, remap[simplices])
 
 
 def convex_hull(points) -> tuple[VPolytope, HPolytope]:
@@ -208,11 +255,8 @@ def convex_hull(points) -> tuple[VPolytope, HPolytope]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateInput("non-finite input point")
-    vert_idx, h, simplices = _hull_of(pts)
-    remap = -np.ones(pts.shape[0], dtype=int)
-    remap[vert_idx] = np.arange(len(vert_idx))
-    P = VPolytope(pts[vert_idx], h, remap[simplices])
-    return P, h
+    P = _pruned(pts)
+    return P, P.halfspaces
 
 
 def volume(P: VPolytope) -> float:
@@ -323,7 +367,7 @@ def section(P: VPolytope, axis: int, level: float) -> VPolytope:
         if hi1 - lo1 <= margin:
             raise EmptySection("slice has no 1-d extent")
         return VPolytope(np.array([[lo1], [hi1]]))
-    return convex_hull(cut)[0]
+    return _pruned(cut, facets=False)
 
 
 def level_cut(P: VPolytope, axis: int, level: float) -> np.ndarray:

@@ -187,11 +187,12 @@ def pyramid_factorization_check(F: VPolytope, apex) -> PyramidReport:
     if abs(apex[-1]) <= geo.TAU_GEOM * max(1.0, F.scale()):
         raise DegenerateInput("apex lies in the base hyperplane")
     K, _ = geo.convex_hull(np.vstack([embed_at_height(F), apex]))
-    pi_d = pol.volume_product(K)
-    pi_base = pol.volume_product(F)
+    res_K, res_F = san.santalo_point(K), san.santalo_point(F)
+    pi_d = geo.volume(K) * res_K.polar_volume
+    pi_base = geo.volume(F) * res_F.polar_volume
     predicted = (d + 1) ** (d + 1) / d ** (d + 2) * pi_base
-    z0 = np.append(san.santalo_point(F).point, 0.0)
-    sk = san.santalo_point(K).point
+    z0 = np.append(res_F.point, 0.0)
+    sk = res_K.point
     seg = apex - z0
     seg_len = float(np.linalg.norm(seg))
     u = seg / seg_len

@@ -7,10 +7,14 @@ so for a polytope its vertices are n_F / (b_F - <n_F, z>), one per facet
 images of each other, so one boundary triangulation, found by a single Qhull
 run per body and cached on it, serves every center: after that first call a
 polar is closed-form.  Its H-form is built only when something reads it.
+The half-volumes split by a coordinate hyperplane through the center are
+closed-form too: sums over the same fan of cones from the center.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import geometry as geo
-from .errors import CenterNotInterior, DegenerateInput, LineMissesBody
+from .errors import CenterNotInterior, DegenerateInput
 from .geometry import VPolytope
 
 # Below this absolute half-volume, a ratio is reported as a tagged divergence.
@@ -87,7 +91,7 @@ def _polar_fan(K: VPolytope) -> np.ndarray:
             hull = ConvexHull(h.normals / h.slack(z0)[:, None])
         except QhullError as exc:  # cannot happen for valid K, defensive
             raise DegenerateInput(f"polar hull failed: {exc}") from exc
-        K._polar_fan = hull.simplices
+        K._polar_fan = geo.hull_simplices(hull)
     return K._polar_fan
 
 
@@ -113,65 +117,76 @@ def volume_product(K: VPolytope, tol_sant: float | None = None) -> float:
     return geo.volume(K) * res.polar_volume
 
 
+@functools.cache
+def _cut_terms(d: int, p: int) -> np.ndarray:
+    """Factor-index table for `_share_above`, one row per simplex.
+
+    A (d-1)-simplex has p vertices v_0..v_{p-1} above a cut and q = d - p at
+    or below it; edge v_i v_j crosses the cut at x_ij = s_ij v_i + w_ij v_j.
+    The part above is the cone from v_0 over the part above of the facet
+    opposite v_0 (recursively) and over the cut face conv{x_ij}, which gets
+    the staircase triangulation of Delta_{p-1} x Delta_{q-1}: one simplex
+    per monotone lattice path (De Loera, Rambau and Santos, Triangulations,
+    6.2).  Each simplex's share of the whole is a product of one weight per
+    path step; a row indexes them in the layout (w_ij, s_ij, 1), row-major.
+    """
+    q = d - p
+    terms = []
+    for k in range(p):
+        steps = d - 2 - k
+        for ups in itertools.combinations(range(steps), p - 1 - k):
+            i, j = k, 0
+            row = [i * q + j]
+            for step in range(steps):
+                if step in ups:
+                    i += 1
+                    row.append(p * q + i * q + j)
+                else:
+                    j += 1
+                    row.append(i * q + j)
+            terms.append(row + [2 * p * q] * k)
+    return np.array(terms)
+
+
+def _share_above(heights: np.ndarray) -> np.ndarray:
+    """Share of each (d-1)-simplex where the affine height is positive.
+
+    `heights` is (m, d): row r holds simplex r's vertex heights.  Every term
+    is a product of crossing weights in [0, 1], so nothing cancels.
+    """
+    d = heights.shape[1]
+    above = heights > 0
+    n_above = above.sum(axis=1)
+    share = (n_above == d).astype(float)
+    h = np.take_along_axis(heights, np.argsort(~above, axis=1, kind="stable"), axis=1)
+    for p in range(1, d):
+        rows = n_above == p
+        if rows.any():
+            hp, hq = h[rows, :p, None], h[rows, None, p:]
+            gap = hp - hq
+            factors = np.column_stack([(hp / gap).reshape(-1, p * (d - p)),
+                                       (-hq / gap).reshape(-1, p * (d - p)),
+                                       np.ones(int(rows.sum()))])
+            share[rows] = factors[:, _cut_terms(d, p)].prod(axis=2).sum(axis=1)
+    return share
+
+
 def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
     """B_+ and B_-: polar volume above/below {x_axis = 0} through the center.
 
-    Each half is the hull of that side's polar vertices and the polar's cut
-    at height 0 (`geometry.level_cut`), so it is exact, never quadrature.
+    The center is the polar's origin and lies on the cut, so each half is
+    the union of the cones from it over the parts of the cached boundary
+    fan's simplices T on that side: B_+ = sum_T |det Y_T| / d! * share_+(T).
+    Exact in closed form, with no hull and no quadrature.
     """
-    pb = polar(K, z)
-    axis = range(K.dim)[axis]
-    verts = pb.polar.vertices
-    heights = verts[:, axis]
+    z = _check_interior(K, z)
+    h = K.halfspaces
+    y = h.normals / h.slack(z)[:, None]
+    heights = y[:, range(K.dim)[axis]]
     if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")
-    cut = geo.level_cut(pb.polar, axis, 0.0)
-    b_plus = geo.volume(geo.convex_hull(np.vstack([verts[heights > 0], cut]))[0])
-    b_minus = geo.volume(geo.convex_hull(np.vstack([verts[heights < 0], cut]))[0])
-    return HalfVolumes(b_plus=b_plus, b_minus=b_minus)
-
-
-@dataclass
-class RatioValue:
-    """One sample of the half-volume ratio curve; may be a tagged divergence."""
-
-    value: float
-    diverged: bool = False
-
-
-class HalfVolumeRatioCurve:
-    """v -> B_+((C,v)) / B_-((C,v)) along an axis-parallel line through K.
-
-    Defined on the open chord (bottom, top); the ratio tends to 0 at the
-    bottom endpoint and to +infinity at the top.  Querying at or beyond an
-    endpoint yields a tagged divergence, not a number.
-    """
-
-    def __init__(self, K: VPolytope, C, axis: int = -1):
-        d = K.dim
-        self.axis = range(d)[axis]
-        self.K = K
-        self.C = geo.as_vector(C)
-        try:
-            self.bottom, self.top = geo.chord(K, self.C, axis=self.axis)
-        except geo.OutsideProjection as exc:
-            raise LineMissesBody(str(exc)) from exc
-        if self.top - self.bottom <= geo.TAU_GEOM * K.scale():
-            raise LineMissesBody("line meets the body in a degenerate chord")
-
-    def at(self, v: float) -> RatioValue:
-        eps = geo.TAU_GEOM * max(1.0, abs(self.bottom), abs(self.top))
-        if v <= self.bottom + eps:
-            return RatioValue(0.0, diverged=True)
-        if v >= self.top - eps:
-            return RatioValue(math.inf, diverged=True)
-        hv = half_volumes(self.K, geo.embed_point(self.C, v, self.axis),
-                          axis=self.axis)
-        return RatioValue(hv.ratio, diverged=hv.diverged)
-
-    def __call__(self, v: float) -> float:
-        return self.at(v).value
-
-
-def half_volume_ratio_curve(K: VPolytope, C, axis: int = -1) -> HalfVolumeRatioCurve:
-    return HalfVolumeRatioCurve(K, C, axis=axis)
+    fan = _polar_fan(K)
+    cones = np.abs(np.linalg.det(y[fan])) / math.factorial(K.dim)
+    tops = heights[fan]
+    return HalfVolumes(b_plus=float(cones @ _share_above(tops)),
+                       b_minus=float(cones @ _share_above(-tops)))

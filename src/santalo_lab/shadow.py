@@ -9,7 +9,7 @@ convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,14 +33,16 @@ class ShadowSystem:
     """Base point set with per-point speeds along a common unit direction.
 
     Bodies must be full-dimensional at both interval endpoints and at the
-    midpoint (checked at construction); other parameters may still produce
-    degenerate hulls, which sweep records flag per row.
+    midpoint (checked at construction, and kept for `body_at`); other
+    parameters may still produce degenerate hulls, which sweep records flag
+    per row.
     """
 
     base_points: np.ndarray
     speeds: np.ndarray
     direction: np.ndarray
     interval: tuple[float, float]
+    _bodies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.base_points = np.atleast_2d(np.asarray(self.base_points, dtype=float))
@@ -57,7 +59,7 @@ class ShadowSystem:
             raise ValueError("empty parameter interval")
         self.interval = (lo, hi)
         for t in (lo, 0.5 * (lo + hi), hi):
-            body_at(self, t)  # raises DegenerateAt on flat hulls
+            self._bodies[t] = body_at(self, t)  # raises DegenerateAt on flat hulls
 
     @property
     def dim(self) -> int:
@@ -74,6 +76,9 @@ class ShadowSystem:
 
 def body_at(system: ShadowSystem, t: float) -> VPolytope:
     """conv{x_i + speed_i * t * direction}; t must lie in the interval."""
+    t = float(t)
+    if t in system._bodies:
+        return system._bodies[t]
     lo, hi = system.interval
     span = max(hi - lo, 1.0)
     if not lo - 1e-12 * span <= t <= hi + 1e-12 * span:

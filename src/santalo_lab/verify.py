@@ -12,8 +12,8 @@ A slice profile of a d-polytope is a polynomial of degree d-1 between
 consecutive vertex heights (Curry and Schoenberg), so d exact section
 volumes per piece fix it: profiles are exact piecewise polynomials, their
 values and integrals carry only rounding error.  Polar profiles cover only
-the half x >= 0 that the checks read.  Half-volumes are exact polytope
-clips.
+the half x >= 0 that the checks read.  Half-volumes are exact sums of cones
+from the polarity center over the polar's cached boundary fan.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
 def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
                                  z_s, z_t, axis: int,
                                  tol: float = 1e-9) -> CheckReport:
-    """Exact-clip check of the harmonic half-volume inequality.
+    """Exact check of the harmonic half-volume inequality.
 
     K_s, K_m and K_t are a shadow system's bodies at s, (s+t)/2 and t along
     the coordinate axis `axis`.  Verifies 1/B_+(mid) <= (1/B_+(s) + 1/B_+(t))/2

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
 from conftest import random_body, set_equal, vertices_match
 from santalo_lab import geometry as geo
+from santalo_lab import mahler
+from santalo_lab import polarity as pol
 from santalo_lab.errors import (
     DegenerateInput,
     EmptySection,
@@ -282,6 +285,24 @@ class TestSection:
                 ref = hform_section(P, axis, level)
                 assert vertices_match(sec, ref.vertices, tol=1e-12 * P.scale())
                 assert geo.volume(sec) == pytest.approx(geo.volume(ref), rel=1e-12)
+
+    def test_facets_stay_lazy(self, rng):
+        # volumes read only the triangulation; the H-form is built on demand
+        P = random_body(rng, 3)
+        sec = geo.section(P, 2, P.vertices[:, 2].mean())
+        assert sec._halfspaces is None
+        assert sec.halfspaces.n_facets >= 3
+
+    def test_6d_sections_with_merged_facets(self):
+        # A polar's 5-d sections have facets holding many coplanar points,
+        # which Qhull merges; its triangulation of them once overlapped.
+        K = mahler.random_polytope(6, 9, np.random.default_rng(0))
+        P = pol.polar(K, 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]).polar
+        for axis in range(6):
+            for level in np.array([0.1, 0.3, 0.5]) * P.vertices[:, axis].max():
+                sec = geo.section(P, axis, level)
+                assert geo.volume(sec) == pytest.approx(
+                    ConvexHull(sec.vertices).volume, rel=1e-12)
 
     def test_polygon_section_is_an_interval(self, rng):
         P = random_body(rng, 2)

@@ -331,6 +331,24 @@ class TestPyramidFactorization:
         rep = mah.pyramid_factorization_check(Sq, [0.5, 0.3, 0.9])
         assert rep.pi_d == pytest.approx(256 / 243 * 8.0, rel=1e-8)
 
+    def test_one_solve_per_body(self, rng, monkeypatch):
+        F, _ = geo.convex_hull(rng.normal(size=(5, 2)))
+        apex = np.append(rng.normal(size=2), 1.2)
+        K, _ = geo.convex_hull(np.vstack([mah.embed_at_height(F), apex]))
+        solves = []
+        solve = mah.san.santalo_point
+
+        def counting(P, *args, **kwargs):
+            solves.append(P)
+            return solve(P, *args, **kwargs)
+
+        monkeypatch.setattr(mah.san, "santalo_point", counting)
+        rep = mah.pyramid_factorization_check(F, apex)
+        assert len(solves) == 2
+        monkeypatch.undo()
+        assert rep.pi_d == pol.volume_product(K)
+        assert rep.pi_base == pol.volume_product(F)
+
     def test_random_3d_ratio_is_four(self, rng):
         for _ in range(10):
             F, _ = geo.convex_hull(rng.normal(size=(5, 2)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import rational_oracle as oracle
 from conftest import random_body, set_equal, vertices_match
@@ -11,7 +11,7 @@ from santalo_lab import mahler
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
-from santalo_lab.errors import CenterNotInterior, LineMissesBody
+from santalo_lab.errors import CenterNotInterior
 
 
 def simplex(d):
@@ -150,7 +150,7 @@ class TestPolarFan:
         pol.polar(K, z)  # caches the fan
         qhull_calls.clear()
         pol.half_volumes(K, z, axis=2)
-        assert len(qhull_calls) == 2
+        assert len(qhull_calls) == 0
 
 
 @pytest.fixture
@@ -228,6 +228,29 @@ class TestHalfVolumes:
             assert hv.b_minus == pytest.approx(float(minus), rel=1e-9)
             assert hv.ratio == pytest.approx(float(plus / minus), rel=1e-9)
 
+    @pytest.mark.parametrize("d, k", [(5, 7), (5, 8), (6, 9), (5, 12), (6, 14)])
+    def test_matches_halfspace_intersection_in_5d_6d(self, d, k):
+        # Hulls of the halves once overcounted here: Qhull triangulates the
+        # merged cut facet with overlaps from d = 5 on.
+        K = mahler.random_polytope(d, k, np.random.default_rng(0))
+        z = 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]
+        pv = pol.polar(K, z).polar_volume
+        for axis in range(d):
+            hv = pol.half_volumes(K, z, axis=axis)
+            e = np.eye(d)[axis]
+            assert hv.b_plus == pytest.approx(qhull_clip_volume(K, z, -e), rel=1e-12)
+            assert hv.b_minus == pytest.approx(qhull_clip_volume(K, z, e), rel=1e-12)
+            assert hv.b_plus + hv.b_minus == pytest.approx(pv, rel=1e-12)
+
+
+def qhull_clip_volume(K, z, clip_normal):
+    """Reference half from scipy alone: the halfspace intersection of the
+    polar's H-form and <clip_normal, y> <= 0, measured by Qhull's own volume."""
+    rows = np.column_stack([np.vstack([K.vertices - z, clip_normal]),
+                            np.append(-np.ones(K.n_vertices), 0.0)])
+    inside = -0.5 * clip_normal / np.max(np.linalg.norm(K.vertices - z, axis=1))
+    return ConvexHull(HalfspaceIntersection(rows, inside).intersections).volume
+
 
 def hform_clip_volume(K, z, clip_normal):
     """Reference half: vertex enumeration of the polar's H-form cut by
@@ -235,41 +258,6 @@ def hform_clip_volume(K, z, clip_normal):
     normals = np.vstack([K.vertices - z, clip_normal])
     offsets = np.append(np.ones(K.n_vertices), 0.0)
     return geo.volume(geo.vertex_enumeration(geo.HPolytope(normals, offsets)))
-
-
-class TestRatioCurve:
-    def test_symmetric_chord_midpoint_ratio_one(self):
-        Sq, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        curve = pol.half_volume_ratio_curve(Sq, [0.3], axis=1)
-        assert curve(0.0) == pytest.approx(1.0, rel=1e-9)
-
-    def test_monotone_increasing_along_chord(self, rng):
-        # empirical property used only as a bracketing aid (spec: documented
-        # status; correctness never relies on it)
-        for _ in range(50):
-            K = random_body(rng, 2)
-            c = geo.interior_point(K)
-            curve = pol.half_volume_ratio_curve(K, c[:1], axis=1)
-            vs = np.linspace(curve.bottom, curve.top, 12)[1:-1]
-            lams = [curve(v) for v in vs]
-            assert all(b > a for a, b in zip(lams, lams[1:]))
-
-    def test_limits_and_divergence_flags(self, rng):
-        K = random_body(rng, 2)
-        c = geo.interior_point(K)
-        curve = pol.half_volume_ratio_curve(K, c[:1], axis=1)
-        bottom = curve.at(curve.bottom)
-        top = curve.at(curve.top)
-        assert bottom.diverged and bottom.value == 0.0
-        assert top.diverged and top.value == math.inf
-        eps = 1e-5 * (curve.top - curve.bottom)
-        assert curve(curve.bottom + eps) < 1e-2
-        assert curve(curve.top - eps) > 1e2
-
-    def test_line_misses_body(self):
-        T = simplex(2)
-        with pytest.raises(LineMissesBody):
-            pol.half_volume_ratio_curve(T, [5.0], axis=1)
 
 
 class TestSliceInclusion:

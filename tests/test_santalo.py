@@ -131,6 +131,31 @@ class TestSantaloPoint:
         assert np.linalg.norm(r1.point - r2.point) < 1e-6
 
 
+class TestLogRatio:
+    def test_symmetric_chord_midpoint_ratio_one(self):
+        Sq, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        assert san._log_ratio(Sq, [0.3], 0.0, 1) == pytest.approx(0.0, abs=1e-9)
+
+    def test_monotone_increasing_along_chord(self, rng):
+        # empirical property; balanced_points brackets a sign change and
+        # never relies on it
+        for _ in range(50):
+            K = random_body(rng, 2)
+            c = geo.interior_point(K)
+            bottom, top = geo.chord(K, c[:1], axis=1)
+            vs = np.linspace(bottom, top, 12)[1:-1]
+            rhos = [san._log_ratio(K, c[:1], v, 1) for v in vs]
+            assert all(b > a for a, b in zip(rhos, rhos[1:]))
+
+    def test_limits_at_chord_ends(self, rng):
+        K = random_body(rng, 2)
+        c = geo.interior_point(K)
+        bottom, top = geo.chord(K, c[:1], axis=1)
+        eps = 1e-5 * (top - bottom)
+        assert san._log_ratio(K, c[:1], bottom + eps, 1) < math.log(1e-2)
+        assert san._log_ratio(K, c[:1], top - eps, 1) > math.log(1e2)
+
+
 class TestBalancedPoints:
     def _system(self, rng, d=2):
         return sh.random_shadow_system(d, rng)

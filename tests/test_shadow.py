@@ -41,6 +41,24 @@ class TestBodyAt:
         expected = [0.5 * (1.0 + t) for t in ts]
         assert np.allclose(vols, expected, rtol=1e-12)
 
+    def test_construction_bodies_are_kept(self, rng, monkeypatch):
+        system = sh.random_shadow_system(3, rng)
+        lo, hi = system.interval
+        hulls = []
+        convex_hull = geo.convex_hull
+        monkeypatch.setattr(geo, "convex_hull",
+                            lambda pts: hulls.append(pts) or convex_hull(pts))
+        for t in (lo, 0.5 * (lo + hi), hi):
+            K = sh.body_at(system, np.float64(t))
+            assert K is sh.body_at(system, t)
+            moved = system.base_points + np.outer(system.speeds * t, system.direction)
+            fresh, _ = convex_hull(moved)
+            assert np.array_equal(K.vertices, fresh.vertices)
+            assert np.array_equal(K.facet_simplices, fresh.facet_simplices)
+        assert hulls == []
+        sh.body_at(system, 0.3 * lo + 0.7 * hi)
+        assert len(hulls) == 1
+
     def test_outside_interval_rejected(self, rng):
         system = sh.random_shadow_system(2, rng)
         with pytest.raises(ValueError):

@@ -18,7 +18,9 @@ def route_bodies():
     simplex4 = np.vstack([np.zeros(4), np.eye(4)])
     rng = np.random.default_rng(7)
     return ([geo.convex_hull(pts)[0] for pts in (cube, octahedron, simplex4)]
-            + [mah.random_polytope(d, k, rng) for d, k in ((2, 5), (3, 6), (4, 7))])
+            + [mah.random_polytope(d, k, rng) for d, k in ((2, 5), (3, 6), (4, 7))]
+            + [mah.random_polytope(d, k, np.random.default_rng(0))
+               for d, k in ((5, 7), (5, 8), (6, 9))])
 
 
 class TestSliceProfile:
@@ -50,7 +52,8 @@ class TestSliceProfile:
 
     @pytest.mark.parametrize("K", route_bodies(),
                              ids=["cube", "octahedron", "4-simplex",
-                                  "random-2-5", "random-3-6", "random-4-7"])
+                                  "random-2-5", "random-3-6", "random-4-7",
+                                  "random-5-7", "random-5-8", "random-6-9"])
     def test_polar_profile_integral_is_half_volume(self, K):
         # two routes to B_+: integrated sections and the exact polar clip
         z = 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]
