@@ -5,12 +5,16 @@ direction ("Vector") is a 1-d float array of length d.  All operations are
 pure functions; nothing mutates its arguments.  Double precision throughout;
 the exact-rational 2D cross-check oracle lives in the test tree.
 
+Cuts by a coordinate hyperplane share one primitive, the staircase table
+`_staircase`, which `section` and `polarity.half_volumes` both read.
+
 Supported dimensions: 1 <= d <= 6 (hull enumeration is delegated to Qhull,
 which is reliable at desk scale in this range).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,8 +68,8 @@ def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
 
 def embed_point(C, v: float, axis: int) -> np.ndarray:
-    """Point with coordinate `v` on `axis` and the coordinates C elsewhere."""
-    return np.insert(np.asarray(C, dtype=float), axis, v)
+    """C, a point or an array of points, with coordinate `v` inserted at `axis`."""
+    return np.insert(np.asarray(C, dtype=float), axis, v, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,8 @@ class VPolytope:
         return float(max(1e-30, np.max(np.abs(self.vertices))))
 
 
-def _hull_of(points: np.ndarray, facets: bool = True):
-    """Raw hull: (vertex indices, facet HPolytope or None, simplices).
+def _hull_of(points: np.ndarray):
+    """Raw hull: (vertex indices, facet HPolytope, simplices).
 
     Simplices triangulate the boundary and index into `points` directly.
     """
@@ -197,7 +201,7 @@ def _hull_of(points: np.ndarray, facets: bool = True):
     except QhullError as exc:
         raise DegenerateInput(f"point set is degenerate: {exc}") from exc
     # Qhull equations are <n, x> + c <= 0 with outward unit normals.
-    h = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1]) if facets else None
+    h = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1])
     return hull.vertices, h, hull_simplices(hull)
 
 
@@ -239,14 +243,6 @@ def _fan_matches(hull: ConvexHull, simplices: np.ndarray) -> bool:
     return abs(fan - hull.volume) <= 1e-12 * hull.volume
 
 
-def _pruned(pts: np.ndarray, facets: bool = True) -> VPolytope:
-    """VPolytope of the hull of `pts`; its facets stay lazy unless `facets`."""
-    vert_idx, h, simplices = _hull_of(pts, facets)
-    remap = -np.ones(pts.shape[0], dtype=int)
-    remap[vert_idx] = np.arange(len(vert_idx))
-    return VPolytope(pts[vert_idx], h, remap[simplices])
-
-
 def convex_hull(points) -> tuple[VPolytope, HPolytope]:
     """Convex hull of a point set: pruned vertices and irredundant facets.
 
@@ -255,8 +251,10 @@ def convex_hull(points) -> tuple[VPolytope, HPolytope]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateInput("non-finite input point")
-    P = _pruned(pts)
-    return P, P.halfspaces
+    vert_idx, h, simplices = _hull_of(pts)
+    remap = -np.ones(pts.shape[0], dtype=int)
+    remap[vert_idx] = np.arange(len(vert_idx))
+    return VPolytope(pts[vert_idx], h, remap[simplices]), h
 
 
 def volume(P: VPolytope) -> float:
@@ -347,50 +345,60 @@ def vertex_enumeration(h: HPolytope) -> VPolytope:
     return VPolytope(_dedupe_rows(verts, TAU_GEOM * max(1.0, np.max(np.abs(verts)))))
 
 
-def section(P: VPolytope, axis: int, level: float) -> VPolytope:
-    """(d-1)-polytope slice {X : (X with coordinate `axis` = level) in P}.
+@functools.cache
+def _staircase(p: int, q: int) -> np.ndarray:
+    """Staircase triangulation of Delta_{p-1} x Delta_{q-1}, as flat indices.
 
-    The returned polytope lives in the remaining coordinates, original order.
+    One row per monotone lattice path from cell (0, 0) to (p-1, q-1) of the
+    p x q grid, listing its p + q - 1 cells i*q + j (a step along i adds q,
+    along j adds 1); paths are ordered by the positions of their p - 1 steps
+    along i, lexicographically (De Loera, Rambau and Santos, Triangulations,
+    6.2).
+    """
+    paths = [np.cumsum([0] + [q if k in ups else 1 for k in range(p + q - 2)])
+             for ups in itertools.combinations(range(p + q - 2), p - 1)]
+    return np.array(paths)
+
+
+def section(P: VPolytope, axis: int, level: float) -> float:
+    """(d-1)-volume of the slice {X : (X with coordinate `axis` = level) in P}.
+
+    Each boundary simplex with p vertices at or above the level and q below
+    meets it in the hull of its p*q edge crossings x_ij, a projective image
+    of Delta_{p-1} x Delta_{q-1} that `_staircase` triangulates.  These
+    pieces triangulate the slice's boundary, so its volume is the fan from
+    c, the mean of the crossings, in the remaining coordinates:
+    sum |det(sigma - c)| / (d-1)!.  A vertex within tolerance of the level
+    counts as on it: it is its own crossing.  No hull is run.
     Raises EmptySection unless `level` is strictly inside the open coordinate
     range of `axis` over P.
     """
     d = P.dim
     axis = range(d)[axis]
-    coords = P.vertices[:, axis]
-    lo, hi = float(coords.min()), float(coords.max())
+    heights = P.vertices[:, axis]
+    lo, hi = float(heights.min()), float(heights.max())
     margin = TAU_GEOM * max(1.0, abs(lo), abs(hi))
     if not (lo + margin < level < hi - margin):
         raise EmptySection(f"level {level} outside open range ({lo}, {hi})")
-    cut = np.delete(level_cut(P, axis, level), axis, axis=1)
-    if d == 2:
-        lo1, hi1 = float(cut.min()), float(cut.max())
-        if hi1 - lo1 <= margin:
-            raise EmptySection("slice has no 1-d extent")
-        return VPolytope(np.array([[lo1], [hi1]]))
-    return _pruned(cut, facets=False)
-
-
-def level_cut(P: VPolytope, axis: int, level: float) -> np.ndarray:
-    """Points where P's boundary triangulation meets {x_axis = level}.
-
-    These are the vertices on the level and the crossings of triangulation
-    edges with it, with coordinate `axis` set to `level`.  Every edge of P is
-    an edge of the triangulation and every diagonal lies in P, so their hull
-    is exactly the section P ∩ {x_axis = level}.
-    """
-    verts = P.vertices
-    rel = verts[:, axis] - level
+    rel = heights - level
     tol = TAU_GEOM * max(1.0, abs(level), float(np.abs(rel).max()))
-    side = (rel > tol).astype(int) - (rel < -tol)
-    a, b = P.facet_simplices[:, _EDGES[P.dim]].reshape(-1, 2).T
-    crossing = side[a] * side[b] < 0
-    a, b = a[crossing], b[crossing]
-    # Symmetric in (a, b): an edge shared by two simplices gives bitwise-equal
-    # points, which the hull merges.
-    ra, rb = rel[a, None], rel[b, None]
-    pts = np.vstack([verts[side == 0], (ra * verts[b] - rb * verts[a]) / (ra - rb)])
-    pts[:, axis] = level
-    return pts
+    rel[np.abs(rel) <= tol] = 0.0
+    rest = P.vertices[:, [i for i in range(d) if i != axis]]
+    tri = P.facet_simplices
+    above = rel[tri] >= 0
+    n_above = above.sum(axis=1)
+    # Each simplex's vertices reordered: those at or above the level first.
+    tri = tri[np.arange(len(tri))[:, None], np.argsort(~above, axis=1, kind="stable")]
+    crossings, pieces = [], []
+    for p in range(1, d):
+        ip, iq = tri[n_above == p, :p, None], tri[n_above == p, None, p:]
+        w = (rel[ip] / (rel[ip] - rel[iq]))[..., None]
+        x = (rest[ip] + w * (rest[iq] - rest[ip])).reshape(-1, p * (d - p), d - 1)
+        crossings.append(x.reshape(-1, d - 1))
+        pieces.append(x[:, _staircase(p, d - p)].reshape(-1, d - 1, d - 1))
+    c = np.concatenate(crossings).mean(axis=0)
+    dets = np.linalg.det(np.concatenate(pieces) - c)
+    return float(np.abs(dets).sum()) / math.factorial(d - 1)
 
 
 def chord(P: VPolytope, X, axis: int = -1) -> tuple[float, float]:

@@ -166,12 +166,6 @@ class PyramidReport:
     collinearity_residual: float
 
 
-def embed_at_height(F: VPolytope, height: float = 0.0) -> np.ndarray:
-    """Vertices of a (d-1)-polytope placed in the hyperplane x_d = height."""
-    n = F.n_vertices
-    return np.column_stack([F.vertices, np.full(n, height)])
-
-
 def pyramid_factorization_check(F: VPolytope, apex) -> PyramidReport:
     """Compare the pyramid's volume product with its base-times-factor form.
 
@@ -186,12 +180,12 @@ def pyramid_factorization_check(F: VPolytope, apex) -> PyramidReport:
         raise ValueError("apex dimension mismatch")
     if abs(apex[-1]) <= geo.TAU_GEOM * max(1.0, F.scale()):
         raise DegenerateInput("apex lies in the base hyperplane")
-    K, _ = geo.convex_hull(np.vstack([embed_at_height(F), apex]))
+    K, _ = geo.convex_hull(np.vstack([geo.embed_point(F.vertices, 0.0, F.dim), apex]))
     res_K, res_F = san.santalo_point(K), san.santalo_point(F)
     pi_d = geo.volume(K) * res_K.polar_volume
     pi_base = geo.volume(F) * res_F.polar_volume
     predicted = (d + 1) ** (d + 1) / d ** (d + 2) * pi_base
-    z0 = np.append(res_F.point, 0.0)
+    z0 = geo.embed_point(res_F.point, 0.0, F.dim)
     sk = res_K.point
     seg = apex - z0
     seg_len = float(np.linalg.norm(seg))

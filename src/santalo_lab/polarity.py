@@ -8,13 +8,13 @@ images of each other, so one boundary triangulation, found by a single Qhull
 run per body and cached on it, serves every center: after that first call a
 polar is closed-form.  Its H-form is built only when something reads it.
 The half-volumes split by a coordinate hyperplane through the center are
-closed-form too: sums over the same fan of cones from the center.
+closed-form too: sums over the same fan of cones from the center, each cut
+by the staircase triangulation of `geometry._staircase`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -125,27 +125,19 @@ def _cut_terms(d: int, p: int) -> np.ndarray:
     or below it; edge v_i v_j crosses the cut at x_ij = s_ij v_i + w_ij v_j.
     The part above is the cone from v_0 over the part above of the facet
     opposite v_0 (recursively) and over the cut face conv{x_ij}, which gets
-    the staircase triangulation of Delta_{p-1} x Delta_{q-1}: one simplex
-    per monotone lattice path (De Loera, Rambau and Santos, Triangulations,
-    6.2).  Each simplex's share of the whole is a product of one weight per
-    path step; a row indexes them in the layout (w_ij, s_ij, 1), row-major.
+    the staircase triangulation `geometry._staircase`.  Each simplex's share
+    of the whole is a product of one weight per path cell: w at the first
+    cell and after a step along j, s after a step along i.  A row indexes
+    them in the layout (w_ij, s_ij, 1), row-major.
     """
     q = d - p
-    terms = []
+    blocks = []
     for k in range(p):
-        steps = d - 2 - k
-        for ups in itertools.combinations(range(steps), p - 1 - k):
-            i, j = k, 0
-            row = [i * q + j]
-            for step in range(steps):
-                if step in ups:
-                    i += 1
-                    row.append(p * q + i * q + j)
-                else:
-                    j += 1
-                    row.append(i * q + j)
-            terms.append(row + [2 * p * q] * k)
-    return np.array(terms)
+        paths = geo._staircase(p - k, q) + k * q  # rows k..p-1 of the grid
+        # A step along i moves q cells; along j, one (q == 1 has no j steps).
+        paths[:, 1:] += p * q * (np.diff(paths, axis=1) == q)
+        blocks.append(np.column_stack([paths, np.full((len(paths), k), 2 * p * q)]))
+    return np.vstack(blocks)
 
 
 def _share_above(heights: np.ndarray) -> np.ndarray:

@@ -11,13 +11,16 @@ chain behind the midpoint convexity of 1/|K_t^*|:
 A slice profile of a d-polytope is a polynomial of degree d-1 between
 consecutive vertex heights (Curry and Schoenberg), so d exact section
 volumes per piece fix it: profiles are exact piecewise polynomials, their
-values and integrals carry only rounding error.  Polar profiles cover only
-the half x >= 0 that the checks read.  Half-volumes are exact sums of cones
-from the polarity center over the polar's cached boundary fan.
+values and integrals carry only rounding error.  Section volumes and the
+extreme faces' volumes are sums over the body's boundary triangulation, so
+once a polar's fan is cached its profile runs no hull.  Polar profiles
+cover only the half x >= 0 that the checks read.  Half-volumes are exact
+sums of cones from the polarity center over the polar's cached boundary fan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,20 +91,14 @@ class SliceProfile:
 
 
 def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
-    """(d-1)-volume of the face at the extreme height (0 for a point/edge)."""
+    """(d-1)-volume of P's boundary simplices in the extreme plane (0 if none)."""
     heights = P.vertices[:, axis]
     level = heights.max() if top else heights.min()
     on = np.abs(heights - level) <= 1e-9 * max(1.0, P.scale())
-    pts = P.vertices[on][:, [i for i in range(P.dim) if i != axis]]
-    if len(pts) < P.dim:
-        return 0.0
-    if P.dim == 2:
-        return float(pts.max() - pts.min())
-    try:
-        face, _ = geo.convex_hull(pts)
-    except geo.DegenerateInput:
-        return 0.0
-    return geo.volume(face)
+    flat = P.facet_simplices[np.all(on[P.facet_simplices], axis=1)]
+    pts = np.delete(P.vertices, axis, axis=1)[flat]
+    edges = pts[:, 1:] - pts[:, :1]
+    return float(np.abs(np.linalg.det(edges)).sum()) / math.factorial(P.dim - 1)
 
 
 def _sample(P: VPolytope, axis: int, start: float | None = None) -> SliceProfile:
@@ -117,7 +114,7 @@ def _sample(P: VPolytope, axis: int, start: float | None = None) -> SliceProfile
 
     def evaluate(x: float) -> float:
         try:
-            return geo.volume(geo.section(P, axis, x))
+            return geo.section(P, axis, x)
         except EmptySection:
             return _extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
 
@@ -133,14 +130,14 @@ def slice_profile(P: VPolytope, axis: int = -1) -> SliceProfile:
     return _sample(P, range(P.dim)[axis])
 
 
-def polar_slice_profile(K: VPolytope, center, axis: int = -1) -> SliceProfile:
-    """Slice profile of the polar body K^{*center} along `axis`, on x >= 0.
+def polar_slice_profile(pb: pol.PolarBody, axis: int = -1) -> SliceProfile:
+    """Slice profile of the polar body `pb.polar` along `axis`, on x >= 0.
 
     The profile of `slice_profile` restricted to the half x >= 0 that the
     harmonic checks read, with a knot at 0; the support is (0, top).  The
     polar always straddles 0: the facet normals of K positively span R^d.
     """
-    P = pol.polar(K, center).polar
+    P = pb.polar
     return _sample(P, range(P.dim)[axis], 0.0)
 
 
@@ -270,19 +267,19 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
 
     G_s = geo.embed_point(C, a_s, axis)
     G_t = geo.embed_point(C, a_t, axis)
-    prof_g = polar_slice_profile(K_s, G_s, axis=axis)
-    prof_h = polar_slice_profile(K_t, G_t, axis=axis)
-    prof_f = polar_slice_profile(K_m, res_m.point, axis=axis)
+    pb_s = pol.polar(K_s, G_s)
+    pb_t = pol.polar(K_t, G_t)
+    prof_g = polar_slice_profile(pb_s, axis=axis)
+    prof_h = polar_slice_profile(pb_t, axis=axis)
+    prof_f = polar_slice_profile(res_m.polar, axis=axis)
     hyp = harmonic_hypothesis_check(prof_f, prof_g, prof_h, n_samples)
     conc = harmonic_conclusion_check(prof_f, prof_g, prof_h)
     half = half_volume_inequality_check(K_s, K_m, K_t, G_s, G_t, axis)
 
-    pv_s_G = pol.polar(K_s, G_s).polar_volume
-    pv_t_G = pol.polar(K_t, G_t).polar_volume
     res_s = san.santalo_point(K_s)
     res_t = san.santalo_point(K_t)
-    mid_slack = (0.5 * (1 / pv_s_G + 1 / pv_t_G) - 1 / res_m.polar_volume) \
-        * res_m.polar_volume
+    mid_slack = (0.5 * (1 / pb_s.polar_volume + 1 / pb_t.polar_volume)
+                 - 1 / res_m.polar_volume) * res_m.polar_volume
     sant_slack = (0.5 * (1 / res_s.polar_volume + 1 / res_t.polar_volume)
                   - 1 / res_m.polar_volume) * res_m.polar_volume
     passed = (hyp.passed and conc.passed and half.passed

@@ -27,6 +27,16 @@ def vertices_match(P, expected, tol=1e-9):
     return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
 
 
+def hform_section(P, axis, level):
+    """Reference section: vertex enumeration of P's sliced H-form."""
+    h = P.halfspaces
+    keep = [i for i in range(P.dim) if i != axis]
+    A = h.normals[:, keep]
+    b = h.offsets - h.normals[:, axis] * level
+    sliced = np.linalg.norm(A, axis=1) > geo.TAU_GEOM
+    return geo.vertex_enumeration(geo.HPolytope(A[sliced], b[sliced]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

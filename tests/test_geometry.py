@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
-from conftest import random_body, set_equal, vertices_match
+from conftest import hform_section, random_body, set_equal, vertices_match
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
@@ -58,6 +58,22 @@ class TestConvexHull:
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateInput):
             geo.convex_hull([[0, 0], [1, 0]])
+
+    @pytest.mark.parametrize("level", [0.3, 0.5])
+    def test_merged_facets_in_5d(self, level):
+        # The fan edges' crossings with a level of a 6-d polar: a 5-d point
+        # set whose facets hold many coplanar points.  Qhull merges them and
+        # its triangulation overlaps, so the hull rebuilds it facet by facet.
+        K = mahler.random_polytope(6, 9, np.random.default_rng(0))
+        P = pol.polar(K, 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]).polar
+        rel = P.vertices[:, 3] - level * P.vertices[:, 3].max()
+        a, b = P.facet_simplices[:, geo._EDGES[6]].reshape(-1, 2).T
+        a, b = a[rel[a] * rel[b] < 0], b[rel[a] * rel[b] < 0]
+        w = (rel[a] / (rel[a] - rel[b]))[:, None]
+        cut = np.delete(P.vertices[a] + w * (P.vertices[b] - P.vertices[a]), 3, axis=1)
+        hull = ConvexHull(cut)
+        assert not geo._fan_matches(hull, hull.simplices)
+        assert geo.volume(geo.convex_hull(cut)[0]) == pytest.approx(hull.volume, rel=1e-12)
 
     def test_roundtrip_h_to_v(self, rng):
         for d in (2, 3, 4):
@@ -231,16 +247,9 @@ class TestDedupeRows:
 def test_embed_point():
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 1), [1.0, 7.0, 2.0])
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 2), [1.0, 2.0, 7.0])
-
-
-def hform_section(P, axis, level):
-    """Reference section: vertex enumeration of P's sliced H-form."""
-    h = P.halfspaces
-    keep = [i for i in range(P.dim) if i != axis]
-    A = h.normals[:, keep]
-    b = h.offsets - h.normals[:, axis] * level
-    sliced = np.linalg.norm(A, axis=1) > geo.TAU_GEOM
-    return geo.vertex_enumeration(geo.HPolytope(A[sliced], b[sliced]))
+    # a vertex array: every row gets the coordinate
+    assert np.array_equal(geo.embed_point([[1.0, 2.0], [3.0, 4.0]], 0.0, 2),
+                          [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
 
 
 def section_bodies(rng):
@@ -255,16 +264,13 @@ class TestSection:
     def test_cube_midslice(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)
                                 for y in (-1, 1.0) for z in (-1, 1.0)])
-        sec = geo.section(C, 2, 0.0)
-        assert sec.dim == 2
-        assert geo.volume(sec) == pytest.approx(4.0, rel=1e-10)
+        assert geo.section(C, 2, 0.0) == pytest.approx(4.0, rel=1e-10)
 
     def test_simplex_cone_scaling(self):
         S, _ = geo.convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
         # cross-sections of a cone scale as (1 - level)^(d-1) times the base
-        assert geo.volume(geo.section(S, 2, 0.5)) == pytest.approx(1 / 8, rel=1e-10)
-        assert geo.volume(geo.section(S, 2, 0.25)) == pytest.approx(
-            0.5 * 0.75 ** 2, rel=1e-10)
+        assert geo.section(S, 2, 0.5) == pytest.approx(1 / 8, rel=1e-10)
+        assert geo.section(S, 2, 0.25) == pytest.approx(0.5 * 0.75 ** 2, rel=1e-10)
 
     def test_level_outside_errors(self):
         S, _ = geo.convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -281,17 +287,9 @@ class TestSection:
             lo, hi = heights.min(), heights.max()
             inner = heights[(heights > lo + 1e-6) & (heights < hi - 1e-6)]
             for level in np.concatenate([rng.uniform(lo, hi, size=4), inner]):
-                sec = geo.section(P, axis, level)
                 ref = hform_section(P, axis, level)
-                assert vertices_match(sec, ref.vertices, tol=1e-12 * P.scale())
-                assert geo.volume(sec) == pytest.approx(geo.volume(ref), rel=1e-12)
-
-    def test_facets_stay_lazy(self, rng):
-        # volumes read only the triangulation; the H-form is built on demand
-        P = random_body(rng, 3)
-        sec = geo.section(P, 2, P.vertices[:, 2].mean())
-        assert sec._halfspaces is None
-        assert sec.halfspaces.n_facets >= 3
+                assert geo.section(P, axis, level) == pytest.approx(
+                    geo.volume(ref), rel=1e-12)
 
     def test_6d_sections_with_merged_facets(self):
         # A polar's 5-d sections have facets holding many coplanar points,
@@ -300,16 +298,15 @@ class TestSection:
         P = pol.polar(K, 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]).polar
         for axis in range(6):
             for level in np.array([0.1, 0.3, 0.5]) * P.vertices[:, axis].max():
-                sec = geo.section(P, axis, level)
-                assert geo.volume(sec) == pytest.approx(
-                    ConvexHull(sec.vertices).volume, rel=1e-12)
+                ref = hform_section(P, axis, level)
+                assert geo.section(P, axis, level) == pytest.approx(
+                    ConvexHull(ref.vertices).volume, rel=1e-12)
 
     def test_polygon_section_is_an_interval(self, rng):
         P = random_body(rng, 2)
         level = P.vertices[:, 1].mean()
-        sec = geo.section(P, 1, level)
         lo, hi = hform_section(P, 1, level).vertices[:, 0]
-        assert sec.vertices[:, 0] == pytest.approx([lo, hi], rel=1e-12)
+        assert geo.section(P, 1, level) == pytest.approx(abs(hi - lo), rel=1e-12)
 
     def test_profile_brunn_minkowski_concavity(self, rng):
         # (1/(d-1))-th power of the slice volume is concave on the support
@@ -320,7 +317,7 @@ class TestSection:
             lo = P.vertices[:, axis].min()
             hi = P.vertices[:, axis].max()
             levels = np.arange(lo + 0.01, hi - 0.005, 0.01 * (hi - lo))
-            vals = np.array([geo.volume(geo.section(P, axis, lv)) ** (1 / (d - 1))
+            vals = np.array([geo.section(P, axis, lv) ** (1 / (d - 1))
                              for lv in levels])
             mid = 0.5 * (vals[:-2] + vals[2:])
             assert np.all(vals[1:-1] >= mid - 1e-7 * vals.max())

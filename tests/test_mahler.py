@@ -334,7 +334,7 @@ class TestPyramidFactorization:
     def test_one_solve_per_body(self, rng, monkeypatch):
         F, _ = geo.convex_hull(rng.normal(size=(5, 2)))
         apex = np.append(rng.normal(size=2), 1.2)
-        K, _ = geo.convex_hull(np.vstack([mah.embed_at_height(F), apex]))
+        K, _ = geo.convex_hull(np.vstack([geo.embed_point(F.vertices, 0.0, 2), apex]))
         solves = []
         solve = mah.san.santalo_point
 

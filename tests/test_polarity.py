@@ -5,12 +5,13 @@ import pytest
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import rational_oracle as oracle
-from conftest import random_body, set_equal, vertices_match
+from conftest import hform_section, random_body, set_equal, vertices_match
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
+from santalo_lab import verify as ver
 from santalo_lab.errors import CenterNotInterior
 
 
@@ -146,11 +147,20 @@ class TestPolarFan:
         z = K.vertices.mean(axis=0)
         qhull_calls.clear()
         geo.section(K, 2, z[2])
-        assert len(qhull_calls) == 1
+        assert len(qhull_calls) == 0
         pol.polar(K, z)  # caches the fan
         qhull_calls.clear()
         pol.half_volumes(K, z, axis=2)
         assert len(qhull_calls) == 0
+
+    def test_slice_profiles_run_no_qhull(self, qhull_calls):
+        # the octahedron's polar is the cube, whose top face is a square
+        K, _ = geo.convex_hull(np.vstack([np.eye(3), -np.eye(3)]))
+        pb = pol.polar(K, np.zeros(3))  # caches the fan
+        qhull_calls.clear()
+        prof = ver.polar_slice_profile(pb, axis=2)
+        assert len(qhull_calls) == 0
+        assert prof.ys[-1] == pytest.approx(4.0, rel=1e-12)
 
 
 @pytest.fixture
@@ -283,10 +293,10 @@ class TestSliceInclusion:
             tops = [P.vertices[:, -1].max() for P in (P_s, P_t)]
             for y in np.linspace(0.1, 0.9, 3) * tops[0]:
                 for z in np.linspace(0.1, 0.9, 3) * tops[1]:
-                    S_y = geo.section(P_s, 1, y)
-                    T_z = geo.section(P_t, 1, z)
+                    S_y = hform_section(P_s, 1, y)
+                    T_z = hform_section(P_t, 1, z)
                     m = 2 * z * y / (z + y)
-                    M_slice = geo.section(P_m, 1, m)
+                    M_slice = hform_section(P_m, 1, m)
                     for u in S_y.vertices:
                         for w in T_z.vertices:
                             pt = (z * u + y * w) / (z + y)

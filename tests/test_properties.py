@@ -1,15 +1,16 @@
 """Property tests: affine equivariance of the Santalo point and of polar
-volumes, and the bipolar identity, on random few-vertex bodies.
+volumes, the bipolar identity, and section volumes, on random few-vertex
+bodies.
 
-Hypothesis draws the body seed, an affine map and a center; `derandomize`
-keeps every run on the same examples.
+Hypothesis draws the body seed, an affine map and a center, or an axis and
+a level; `derandomize` keeps every run on the same examples.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_equal
+from conftest import hform_section, set_equal
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
@@ -82,3 +83,29 @@ def test_bipolar_round_trip(case):
     K, z = case
     back = pol.bipolar(pol.polar(K, z))
     assert set_equal(K, back, tol=1e-9 * K.scale())
+
+
+@st.composite
+def sliced_bodies(draw):
+    """A random_polytope body in d = 2..4 or its polar, an axis, and a level
+    inside its height range: drawn, or an inner vertex height."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.integers(d + 1, d + 4))
+    P = mah.random_polytope(d, k, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        P = pol.polar(P, P.vertices.mean(axis=0)).polar
+    axis = draw(st.integers(0, d - 1))
+    heights = P.vertices[:, axis]
+    lo, hi = heights.min(), heights.max()
+    inner = heights[(heights > lo + 1e-6 * (hi - lo)) & (heights < hi - 1e-6 * (hi - lo))]
+    if len(inner) and draw(st.booleans()):
+        return P, axis, float(inner[draw(st.integers(0, len(inner) - 1))])
+    return P, axis, float(lo + draw(st.floats(0.01, 0.99)) * (hi - lo))
+
+
+@PROPERTY
+@given(sliced_bodies())
+def test_section_matches_hform_volume(case):
+    P, axis, level = case
+    ref = geo.volume(hform_section(P, axis, level))
+    assert abs(geo.section(P, axis, level) - ref) <= 1e-12 * ref

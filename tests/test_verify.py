@@ -20,7 +20,9 @@ def route_bodies():
     return ([geo.convex_hull(pts)[0] for pts in (cube, octahedron, simplex4)]
             + [mah.random_polytope(d, k, rng) for d, k in ((2, 5), (3, 6), (4, 7))]
             + [mah.random_polytope(d, k, np.random.default_rng(0))
-               for d, k in ((5, 7), (5, 8), (6, 9))])
+               for d, k in ((5, 7), (5, 8), (6, 9))]
+            + [mah.random_polytope(d, k, np.random.default_rng(10))
+               for d, k in ((6, 9), (6, 10))])
 
 
 class TestSliceProfile:
@@ -40,7 +42,7 @@ class TestSliceProfile:
             prof = ver.slice_profile(P, axis=1)
             lo, hi = prof.support
             xs = rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 20)
-            exact = [geo.volume(geo.section(P, 1, x)) for x in xs]
+            exact = [geo.section(P, 1, x) for x in xs]
             assert np.allclose(prof(xs), exact, rtol=1e-12, atol=0.0)
 
     def test_integral_is_body_volume(self, rng):
@@ -53,12 +55,13 @@ class TestSliceProfile:
     @pytest.mark.parametrize("K", route_bodies(),
                              ids=["cube", "octahedron", "4-simplex",
                                   "random-2-5", "random-3-6", "random-4-7",
-                                  "random-5-7", "random-5-8", "random-6-9"])
+                                  "random-5-7", "random-5-8", "random-6-9",
+                                  "random-6-9-s10", "random-6-10-s10"])
     def test_polar_profile_integral_is_half_volume(self, K):
         # two routes to B_+: integrated sections and the exact polar clip
         z = 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]
         for axis in range(K.dim):
-            prof = ver.polar_slice_profile(K, z, axis=axis)
+            prof = ver.polar_slice_profile(pol.polar(K, z), axis=axis)
             b_plus = pol.half_volumes(K, z, axis=axis).b_plus
             assert prof.integral() == pytest.approx(b_plus, rel=1e-12)
 
@@ -81,16 +84,16 @@ class TestSliceProfile:
     def test_polar_profile_samples_are_section_volumes(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
         z = geo.interior_point(K)
-        prof = ver.polar_slice_profile(K, z, axis=2)
-        P = pol.polar(K, z).polar
-        exact = [geo.volume(geo.section(P, 2, x)) for x in prof.xs[:-1]]
+        pb = pol.polar(K, z)
+        prof = ver.polar_slice_profile(pb, axis=2)
+        exact = [geo.section(pb.polar, 2, x) for x in prof.xs[:-1]]
         assert np.array_equal(prof.ys[:-1], exact)
         # the last node is the polar's top, a single vertex here
         assert prof.ys[-1] == 0.0
 
     def test_polar_profile_includes_zero(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(6, 2)))
-        prof = ver.polar_slice_profile(K, geo.interior_point(K), axis=1)
+        prof = ver.polar_slice_profile(pol.polar(K, geo.interior_point(K)), axis=1)
         assert 0.0 in prof.xs
         assert prof.xs[0] == 0.0 and prof.support[1] > 0
 
