@@ -68,12 +68,13 @@ class HalfVolumes:
             self.ratio = self.b_plus / self.b_minus
 
 
-def _check_interior(K: VPolytope, z) -> np.ndarray:
+def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
+    """z and K's facet slacks at z; raises unless z is strictly interior."""
     z = geo.as_vector(z)
     slack = K.halfspaces.slack(z)
     if np.min(slack) <= geo.TAU_GEOM * K.scale():
         raise CenterNotInterior("polarity center too close to the boundary")
-    return z
+    return z, slack
 
 
 def _polar_fan(K: VPolytope) -> np.ndarray:
@@ -97,9 +98,8 @@ def _polar_fan(K: VPolytope) -> np.ndarray:
 
 def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
-    z = _check_interior(K, z)
-    h = K.halfspaces
-    body = VPolytope(h.normals / h.slack(z)[:, None], simplices=_polar_fan(K))
+    z, slack = _check_interior(K, z)
+    body = VPolytope(K.halfspaces.normals / slack[:, None], simplices=_polar_fan(K))
     return PolarBody(K, z, body, *geo.moments(body))
 
 
@@ -171,9 +171,8 @@ def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
     fan's simplices T on that side: B_+ = sum_T |det Y_T| / d! * share_+(T).
     Exact in closed form, with no hull and no quadrature.
     """
-    z = _check_interior(K, z)
-    h = K.halfspaces
-    y = h.normals / h.slack(z)[:, None]
+    _, slack = _check_interior(K, z)
+    y = K.halfspaces.normals / slack[:, None]
     heights = y[:, range(K.dim)[axis]]
     if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")

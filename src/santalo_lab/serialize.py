@@ -65,15 +65,16 @@ def system_from_dict(data: dict) -> ShadowSystem:
 
 
 def sweep_to_csv(records: list[SweepRecord], dim: int) -> str:
-    """CSV with header t,volume,polar_volume,santalo_1..santalo_d,converged."""
+    """CSV with header t,volume,polar_volume,santalo_1..santalo_d,converged,
+    iterations,residual (the Santalo solve's Newton steps and residual)."""
     header = ["t", "volume", "polar_volume"]
     header += [f"santalo_{i + 1}" for i in range(dim)]
-    header.append("converged")
+    header += ["converged", "iterations", "residual"]
     lines = [",".join(header)]
     for r in records:
         row = [fmt17(r.t), fmt17(r.volume), fmt17(r.polar_volume)]
         row += [fmt17(x) for x in r.santalo]
-        row.append("true" if r.converged else "false")
+        row += ["true" if r.converged else "false", str(r.iterations), fmt17(r.residual)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

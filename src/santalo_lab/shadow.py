@@ -4,6 +4,12 @@ A shadow system moves a finite base point set along a common direction,
 each point at its own speed:  K_t = conv{x_i + speed_i * t * direction}.
 Sweeping t and measuring |K_t|, |K_t^*| and the Santalo point turns the
 convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
+
+Every orientation determinant det[1, x_i + speed_i * t * direction] is
+affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its facets
+between finitely many parameters.  A sweep carries each row's boundary
+triangulation and polar fan to the next row while a certificate holds and
+runs Qhull only where it fails.
 """
 
 from __future__ import annotations
@@ -59,11 +65,15 @@ class ShadowSystem:
             raise ValueError("empty parameter interval")
         self.interval = (lo, hi)
         for t in (lo, 0.5 * (lo + hi), hi):
-            self._bodies[t] = body_at(self, t)  # raises DegenerateAt on flat hulls
+            self._bodies[t] = _body(self, t)  # raises DegenerateAt on flat hulls
 
     @property
     def dim(self) -> int:
         return self.base_points.shape[1]
+
+    def points_at(self, t: float) -> np.ndarray:
+        """The moved points x_i + speed_i * t * direction, in base-point order."""
+        return self.base_points + np.outer(self.speeds * t, self.direction)
 
     @property
     def axis(self) -> int:
@@ -76,19 +86,78 @@ class ShadowSystem:
 
 def body_at(system: ShadowSystem, t: float) -> VPolytope:
     """conv{x_i + speed_i * t * direction}; t must lie in the interval."""
+    return _body(system, t)[0]
+
+
+def _body(system: ShadowSystem, t: float, tri=None):
+    """(K_t, the base-point index of each vertex, fit): built on the simplices
+    `tri` (base-point indices) when `_carried` certifies them, else the
+    cached or Qhull body with `fit` None."""
     t = float(t)
-    if t in system._bodies:
+    if tri is None and t in system._bodies:
         return system._bodies[t]
     lo, hi = system.interval
     span = max(hi - lo, 1.0)
     if not lo - 1e-12 * span <= t <= hi + 1e-12 * span:
         raise ValueError(f"t={t} outside interval [{lo}, {hi}]")
-    pts = system.base_points + np.outer(system.speeds * t, system.direction)
+    pts = system.points_at(t)
+    carried = None if tri is None else _carried(pts, tri)
+    if carried is not None or t in system._bodies:
+        return carried or system._bodies[t]
     try:
         P, _ = geo.convex_hull(pts)
     except DegenerateInput as exc:
         raise DegenerateAt(t, f"degenerate hull at t={t}: {exc}") from exc
-    return P
+    # The vertices are bitwise copies of rows of `pts`.
+    return P, np.argmax((P.vertices[:, None] == pts).all(axis=2), axis=1), None
+
+
+def _carried(pts: np.ndarray, tri: np.ndarray):
+    """(hull of `pts` on the boundary simplices `tri`, vertex indices, fit), or None.
+
+    A_j solves <A_j, p - c> = 1 on the corners p of simplex j, c the vertex
+    mean: it is that facet's polar vertex about c.  Certified when every
+    point off a simplex has slack > TAU_GEOM * scale for it, since a closed
+    pseudomanifold of strictly supporting simplices is the whole boundary;
+    coplanar or non-simplicial hulls never pass.  fit = (order, A), facet
+    row r of K lying on simplex order[r].
+    """
+    verts = np.unique(tri)
+    c = pts[verts].mean(axis=0)
+    try:
+        A = np.linalg.solve(pts[tri] - c, np.ones((*tri.shape, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    norm = np.linalg.norm(A, axis=1)
+    slack = (1.0 - (pts - c) @ A.T) / norm
+    slack[tri, np.arange(len(tri))[:, None]] = np.inf
+    if not np.min(slack) > geo.TAU_GEOM * max(1e-30, float(np.max(np.abs(pts)))):
+        return None
+    rows = np.column_stack([A, 1.0 + A @ c]) / norm[:, None]  # unit normal, offset
+    order = np.lexsort(rows.T[::-1])  # the row order of HPolytope
+    h = geo.HPolytope(rows[:, :-1], rows[:, -1])
+    if h.n_facets != len(tri) or np.max(np.abs(h.normals - rows[order, :-1])) > 1e-12:
+        return None
+    return VPolytope(pts[verts], h, np.searchsorted(verts, tri)), verts, (order, A)
+
+
+def _fan(K: VPolytope, fit, fan=None):
+    """Give K a polar fan; return it over K's simplices, with its det signs.
+
+    `fan`, the previous row's over the same simplices, is kept if its cone
+    dets at K's vertex mean keep their signs up to 1e-12 of their absolute
+    sum, the tolerance of `geometry.hull_simplices` (zero-volume simplices
+    may flip, so signs are not compared one by one); else Qhull builds one.
+    """
+    order, A = fit
+    if fan is not None:
+        dets = np.linalg.det(A[fan[0]])
+        total = np.abs(dets).sum()
+        if total - abs(fan[1] @ dets) <= 1e-12 * total:
+            K._polar_fan = np.argsort(order)[fan[0]]
+            return fan
+    simplices = order[pol._polar_fan(K)]
+    return simplices, np.sign(np.linalg.det(A[simplices]))
 
 
 @dataclass
@@ -98,6 +167,8 @@ class SweepRecord:
     polar_volume: float
     santalo: np.ndarray
     converged: bool
+    iterations: int = 0  # Newton steps of the Santalo solve
+    residual: float = math.nan  # its normalized polar-centroid residual
     note: str = ""
 
 
@@ -106,26 +177,49 @@ def sweep(system: ShadowSystem, grid, warm_start: bool = True) -> list[SweepReco
 
     Per-row failures are recorded (converged=False, NaNs), never raised, so
     one bad parameter cannot abort a campaign.  With `warm_start` each solve
-    is seeded from the previous Santalo point (results must agree with the
-    cold-start run within solver tolerance; tested).
+    starts on the secant through the Santalo points of the two previous
+    rows, scaled by the ratio of the grid steps, when both converged, else
+    at the last converged point (results must agree with the cold-start run
+    within solver tolerance; tested).
+
+    Each row keeps the previous row's boundary simplices when `_carried`
+    certifies them, then its polar fan when `_fan` does; what fails, and
+    every row after a failed one, is built by Qhull as `body_at` does.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted")
     rows: list[SweepRecord] = []
-    prev = None
+    pair: list = []  # (t, S(K_t)) of the last rows while they converge
+    prev = None  # the last converged Santalo point
+    tri = fan = None  # the last good row's simplices and `_fan`
     d = system.dim
     for t in grid:
+        start = prev if warm_start else None
+        if warm_start and len(pair) == 2 and pair[1][0] > pair[0][0]:
+            (t0, z0), (t1, z1) = pair
+            start = z1 + (t - t1) / (t1 - t0) * (z1 - z0)
         try:
-            K = body_at(system, t)
-            res = san.santalo_point(K, start=prev if warm_start else None)
-            if warm_start and res.converged:
+            K, idx, fit = _body(system, t, tri)
+            if fit is None:  # a fresh body: rebuilt on its own simplices if they pass
+                own = _carried(system.points_at(t), idx[K.facet_simplices])
+                K, idx, fit = own or (K, idx, None)
+                fan = None
+            fan = None if fit is None else _fan(K, fit, fan)
+            res = san.santalo_point(K, start=start)
+            tri = idx[K.facet_simplices]
+            if res.converged:
+                pair = pair[-1:] + [(t, res.point)]
                 prev = res.point
-            rows.append(SweepRecord(t, geo.volume(K), res.polar_volume,
-                                    res.point, res.converged))
+            else:
+                pair = []
+            rows.append(SweepRecord(t, geo.volume(K), res.polar_volume, res.point,
+                                    res.converged, res.iterations, res.centroid_residual))
         except (DegenerateInput, pol.CenterNotInterior) as exc:
-            rows.append(SweepRecord(t, math.nan, math.nan,
-                                    np.full(d, math.nan), False, str(exc)))
+            pair = []
+            tri = fan = None
+            rows.append(SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
+                                    False, note=str(exc)))
     return rows
 
 
@@ -383,7 +477,7 @@ def fit_affine_family(system: ShadowSystem, n_grid: int = 9,
         return AffineFamilyFit(False, verdict="sweeps not affine; family "
                                               "characterization not applicable")
     # vertex positions at the middle parameter carry the speed field
-    pts_mid = system.base_points + np.outer(system.speeds * mid, system.direction)
+    pts_mid = system.points_at(mid)
     X = pts_mid[:, :-1]
     x = pts_mid[:, -1]
     design = np.column_stack([x, X, np.ones(len(x))])

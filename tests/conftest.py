@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from santalo_lab import geometry as geo
+from santalo_lab import polarity as pol
 
 
 def random_body(rng, d, extra=4):
@@ -40,3 +42,17 @@ def hform_section(P, axis, level):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def qhull_calls(monkeypatch):
+    """Arguments of every Qhull run, in polarity and in geometry."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ConvexHull(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "ConvexHull", counting)
+    monkeypatch.setattr(geo, "ConvexHull", counting)
+    return calls

@@ -112,8 +112,11 @@ class TestShadowCommand:
         assert rep["volume_convexity"]["is_midpoint_convex"]
         assert rep["polar_convexity"]["is_midpoint_convex"]
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == "t,volume,polar_volume,santalo_1,santalo_2,converged"
+        assert lines[0] == ("t,volume,polar_volume,santalo_1,santalo_2,converged,"
+                            "iterations,residual")
         assert len(lines) == 10
+        iterations, residual = lines[1].split(",")[-2:]
+        assert int(iterations) >= 0 and float(residual) <= 1e-8
 
     def test_rerun_byte_identical(self, system_file, tmp_path):
         path = tmp_path / "sweep.csv"

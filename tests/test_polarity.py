@@ -122,24 +122,28 @@ class TestPolarFan:
         assert pol.polar(K, z).polar_volume == pytest.approx(
             pol.polar(T, z).polar_volume, rel=1e-12)
 
-    def test_one_qhull_per_body(self, monkeypatch, rng):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return ConvexHull(*args, **kwargs)
-
+    def test_one_qhull_per_body(self, qhull_calls, rng):
+        # both modules count: a lazy re-hull of the polar in geometry too
         K, fresh = random_body(rng, 3), random_body(rng, 3)
-        # Both modules: a lazy re-hull of the polar in geometry counts too.
-        monkeypatch.setattr(pol, "ConvexHull", counting)
-        monkeypatch.setattr(geo, "ConvexHull", counting)
+        qhull_calls.clear()
         z = K.vertices.mean(axis=0)
         pol.polar(K, z)
-        assert len(calls) == 1
+        assert len(qhull_calls) == 1
         pol.polar(K, 0.8 * z + 0.2 * K.vertices[0])
-        assert len(calls) == 1
-        calls.clear()
+        assert len(qhull_calls) == 1
+        qhull_calls.clear()
         san.santalo_point(fresh)
+        assert len(qhull_calls) == 1
+
+    def test_one_slack_per_polar(self, monkeypatch, rng):
+        K = random_body(rng, 3)
+        z = K.vertices.mean(axis=0)
+        pol.polar(K, z)  # caches the facets and the fan
+        calls = []
+        slack = geo.HPolytope.slack
+        monkeypatch.setattr(geo.HPolytope, "slack",
+                            lambda h, x: calls.append(x) or slack(h, x))
+        pol.polar(K, 0.9 * z + 0.1 * K.vertices[0])
         assert len(calls) == 1
 
     def test_cuts_hull_only_their_result(self, qhull_calls, rng):
@@ -161,20 +165,6 @@ class TestPolarFan:
         prof = ver.polar_slice_profile(pb, axis=2)
         assert len(qhull_calls) == 0
         assert prof.ys[-1] == pytest.approx(4.0, rel=1e-12)
-
-
-@pytest.fixture
-def qhull_calls(monkeypatch):
-    """Arguments of every Qhull run, in polarity and in geometry."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return ConvexHull(*args, **kwargs)
-
-    monkeypatch.setattr(pol, "ConvexHull", counting)
-    monkeypatch.setattr(geo, "ConvexHull", counting)
-    return calls
 
 
 class TestVolumeProduct:

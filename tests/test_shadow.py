@@ -7,6 +7,7 @@ import pytest
 from conftest import random_body, set_equal
 from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
+from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab.errors import DegenerateMap, InsufficientGrid
 from santalo_lab.geometry import Hyperplane
@@ -75,13 +76,14 @@ class TestSweepAndVerdicts:
         assert all(r.volume > 0 and r.polar_volume > 0 for r in rows)
 
     def test_warm_start_matches_cold(self, rng):
-        system = sh.random_shadow_system(2, rng)
-        grid = np.linspace(*system.interval, 9)
-        warm = sh.sweep(system, grid, warm_start=True)
-        cold = sh.sweep(system, grid, warm_start=False)
-        for a, b in zip(warm, cold):
-            assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-8)
-            assert np.allclose(a.santalo, b.santalo, atol=1e-6)
+        for d, n_rows in ((2, 9), (3, 33), (4, 33)):
+            system = sh.random_shadow_system(d, rng)
+            grid = np.linspace(*system.interval, n_rows)
+            warm = sh.sweep(system, grid, warm_start=True)
+            cold = sh.sweep(system, grid, warm_start=False)
+            for a, b in zip(warm, cold):
+                assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-8)
+                assert np.allclose(a.santalo, b.santalo, atol=1e-6)
 
     def test_constant_system_zero_violation(self, rng):
         P = random_body(rng, 2)
@@ -130,6 +132,164 @@ class TestSweepAndVerdicts:
         assert rows[0].converged and rows[1].converged
         assert not rows[2].converged
         assert math.isnan(rows[2].volume)
+        assert rows[2].iterations == 0 and math.isnan(rows[2].residual)
+        assert all(r.residual <= san.TOL_SANT for r in rows[:2])
+
+
+def _system_with(d, k, rng):
+    """Random system with exactly k base points, all of them vertices."""
+    while True:
+        system = sh.random_shadow_system(d, rng, n_points=k - 2)
+        if len(system.base_points) == k:
+            return system
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """(body, start, result) of every Santalo solve, in call order."""
+    calls = []
+    solve = san.santalo_point
+
+    def recording(K, start=None, **kwargs):
+        res = solve(K, start=start, **kwargs)
+        calls.append((K, start, res))
+        return res
+
+    monkeypatch.setattr(san, "santalo_point", recording)
+    return calls
+
+
+@pytest.fixture
+def carries(monkeypatch):
+    """What each `_carried` call returned: None unless it certified."""
+    calls = []
+    carried = sh._carried
+
+    def recording(pts, tri):
+        calls.append(carried(pts, tri))
+        return calls[-1]
+
+    monkeypatch.setattr(sh, "_carried", recording)
+    return calls
+
+
+class TestCarriedCells:
+    @pytest.mark.parametrize("d,k", [(2, 5), (3, 6), (4, 7)])
+    def test_rows_match_fresh_hulls(self, d, k, rng, solved, qhull_calls):
+        n_carried = 0
+        for _ in range(10):
+            system = _system_with(d, k, rng)
+            grid = np.linspace(*system.interval, 33)
+            qhull_calls.clear()
+            solved.clear()
+            rows = sh.sweep(system, grid)
+            assert all(r.converged for r in rows)
+            n_carried += len(grid) - len(qhull_calls)
+            for t, r, (K, _, _) in zip(grid, rows, solved):
+                fresh, _ = geo.convex_hull(system.points_at(t))
+                assert set_equal(K, fresh, tol=1e-12)
+                assert r.volume == pytest.approx(geo.volume(fresh), rel=1e-12)
+                # the H-form keeps its row order: lexicographic, as from Qhull
+                assert np.abs(K.halfspaces.normals - fresh.halfspaces.normals).max() <= 1e-12
+                z = fresh.vertices.mean(axis=0)
+                assert pol.polar(K, z).polar_volume == pytest.approx(
+                    pol.polar(fresh, z).polar_volume, rel=1e-12)
+        assert n_carried > 5 * len(grid)  # most rows ran no Qhull at all
+
+    def test_fan_certificate_lets_only_flat_simplices_flip(self, rng, qhull_calls):
+        # Qhull's triangulated 4D fans hold zero-volume simplices whose det
+        # sign is rounding noise: flipping those keeps the fan, flipping the
+        # largest one makes Qhull build a new fan
+        while True:
+            system = _system_with(4, 7, rng)
+            lo, hi = system.interval
+            K, idx, _ = sh._body(system, lo)
+            first = sh._carried(system.points_at(lo), idx[K.facet_simplices])
+            second = first and sh._carried(system.points_at(lo + (hi - lo) / 32),
+                                           first[1][first[0].facet_simplices])
+            if second is None:
+                continue
+            simplices, _ = sh._fan(first[0], first[2])
+            K2, _, fit = second
+            dets = np.linalg.det(fit[1][simplices])
+            flat = (np.abs(dets) <= 1e-14 * np.abs(dets).sum()) & (dets != 0)
+            if flat.any():
+                break
+        signs = np.sign(dets)
+        signs[flat] *= -1
+        kept = (simplices, signs)
+        qhull_calls.clear()
+        assert sh._fan(K2, fit, kept) is kept
+        assert K2._polar_fan is not None and qhull_calls == []
+        signs = np.sign(dets)
+        signs[np.argmax(np.abs(dets))] *= -1
+        K2._polar_fan = None
+        sh._fan(K2, fit, (simplices, signs))
+        assert len(qhull_calls) == 1
+        z = K2.vertices.mean(axis=0)
+        fresh, _ = geo.convex_hull(K2.vertices)
+        assert pol.polar(K2, z).polar_volume == pytest.approx(
+            pol.polar(fresh, z).polar_volume, rel=1e-12)
+
+    def test_affine_family_runs_one_qhull(self, rng, qhull_calls):
+        K = random_body(rng, 3)
+        fam = sh.affine_family(K, v=0.3, V=[0.1, -0.2], u=0.05, interval=(-1.0, 1.0))
+        qhull_calls.clear()
+        rows = sh.sweep(fam, np.linspace(-1.0, 1.0, 17))
+        assert len(qhull_calls) == 1  # the first row's polar fan
+        assert all(r.converged for r in rows)
+
+    def test_facet_flip_falls_back(self, carries, solved):
+        # the fifth point crosses the square's top edge at t = 0.1
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        system = sh.ShadowSystem(np.vstack([square, [0.5, 0.9]]), [0, 0, 0, 0, 1.0],
+                                 [0.0, 1.0], (-0.5, 0.5))
+        grid = np.linspace(-0.5, 0.5, 17)
+        rows = sh.sweep(system, grid)
+        # the first row and every row that fails to carry the last simplices
+        # try the fresh body's own simplices too
+        fell_back = []
+        it = iter(carries[1:])
+        for t in grid[1:]:
+            if next(it) is None:
+                fell_back.append(t)
+                next(it)
+        assert fell_back == [0.125]
+        for t, r, (K, _, _) in zip(grid, rows, solved):
+            fresh, _ = geo.convex_hull(system.points_at(t))
+            assert K.n_vertices == (5 if t > 0.1 else 4)
+            assert set_equal(K, fresh, tol=1e-12)
+            cold = san.santalo_point(fresh)
+            assert r.volume == pytest.approx(geo.volume(fresh), rel=1e-14)
+            assert r.polar_volume == pytest.approx(cold.polar_volume, rel=1e-8)
+            assert np.allclose(r.santalo, cold.point, atol=1e-6)
+
+    def test_steiner_sweep_always_falls_back(self, rng, carries):
+        K = random_body(rng, 3)
+        system = sh.steiner_system(K, Hyperplane([0.2, -0.3, 1.0], 0.1))
+        grid = np.linspace(-1.0, 1.0, 9)
+        rows = sh.sweep(system, grid)
+        assert carries and all(c is None for c in carries)
+        for t, r in zip(grid, rows):
+            assert r.volume == geo.volume(sh.body_at(system, t))  # bitwise
+
+    def test_secant_start_on_uneven_grid(self, rng, solved):
+        system = sh.random_shadow_system(3, rng)
+        lo, hi = system.interval
+        grid = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 15)]))
+        rows = sh.sweep(system, grid)
+        assert all(r.converged for r in rows)
+        starts = [start for _, start, _ in solved]
+        assert starts[0] is None
+        assert np.array_equal(starts[1], rows[0].santalo)
+        for i in range(2, len(grid)):
+            step = (grid[i] - grid[i - 1]) / (grid[i - 1] - grid[i - 2])
+            secant = rows[i - 1].santalo + step * (rows[i - 1].santalo - rows[i - 2].santalo)
+            assert np.array_equal(starts[i], secant)
+        cold = sh.sweep(system, grid, warm_start=False)
+        for a, b in zip(rows, cold):
+            assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-8)
+            assert np.allclose(a.santalo, b.santalo, atol=1e-6)
 
 
 class TestAffineFamily:
