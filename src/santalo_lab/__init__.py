@@ -31,10 +31,8 @@ from .geometry import (
 from .mahler import (
     CaseLabel,
     DescentMove,
-    PiecewiseLinear,
     classify,
     descent_move,
-    extreme_ray_decompose,
     pyramid_factorization_check,
     simplex_bound,
     verify_descent_monotonicity,
@@ -64,6 +62,7 @@ from .shadow import (
 )
 from .verify import (
     SliceProfile,
+    extreme_ray_decompose,
     half_volume_inequality_check,
     harmonic_conclusion_check,
     harmonic_hypothesis_check,

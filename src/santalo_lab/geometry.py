@@ -259,7 +259,7 @@ def convex_hull(points) -> tuple[VPolytope, HPolytope]:
 
 def volume(P: VPolytope) -> float:
     """d-volume by fanning the facet triangulation from the vertex mean."""
-    return moments(P)[0]
+    return float(_cones(P)[2].sum()) / math.factorial(P.dim)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
@@ -274,18 +274,8 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
     int_P x x^T dx / |P|; every moment is exact for a polytope.
     """
     d = P.dim
-    if d == 1:
-        lo, hi = float(P.vertices.min()), float(P.vertices.max())
-        return (hi - lo, np.array([(lo + hi) / 2.0]),
-                np.array([[(lo * lo + lo * hi + hi * hi) / 3.0]]))
-    verts = P.vertices
-    apex = verts.mean(axis=0)
-    # Fan simplex = one boundary simplex (d vertices) plus the apex.
-    fan = verts[P.facet_simplices]  # (m, d, d)
-    dets = np.abs(np.linalg.det(fan - apex))
+    fan, apex, dets = _cones(P)
     total = float(dets.sum())
-    if total <= 0.0:
-        raise DegenerateInput("polytope has zero volume")
     w = dets / total
     sums = fan.sum(axis=1) + apex  # vertex sum s of each fan simplex
     cen = w @ sums / (d + 1)
@@ -295,6 +285,17 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
     second = ((flat.T * np.repeat(w, d)) @ flat + np.outer(apex, apex)
               + (sums.T * w) @ sums) / ((d + 1) * (d + 2))
     return total / math.factorial(d), cen, second
+
+
+def _cones(P: VPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fan, apex, dets): the boundary simplices' vertices (m, d, d), the
+    vertex mean, and |det| of each simplex's cone from it (d! x its volume)."""
+    apex = P.vertices.mean(axis=0)
+    fan = P.vertices[P.facet_simplices]
+    dets = np.abs(np.linalg.det(fan - apex))
+    if dets.sum() <= 0.0:
+        raise DegenerateInput("polytope has zero volume")
+    return fan, apex, dets
 
 
 def interior_point(P: VPolytope | HPolytope) -> np.ndarray:

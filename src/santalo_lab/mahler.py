@@ -19,10 +19,9 @@ from enum import Enum
 import numpy as np
 
 from . import geometry as geo
-from . import polarity as pol
 from . import santalo as san
 from . import shadow as sh
-from .errors import DegenerateInput, GeometryInconsistent, NotInCone, TooManyVertices
+from .errors import DegenerateAt, DegenerateInput, GeometryInconsistent, TooManyVertices
 from .geometry import Hyperplane, VPolytope
 
 
@@ -224,18 +223,15 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     x0 = verts[0]
     rest = verts[1:]
     scale = K.scale()
-    _, h_rest = geo.convex_hull(rest)
-
-    def vol_with(y):
-        P, _ = geo.convex_hull(np.vstack([rest, y]))
-        return geo.volume(P)
-
-    step = 1e-5 * max(1.0, scale)
-    grad = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        grad[i] = (vol_with(x0 + e) - vol_with(x0 - e)) / (2 * step)
+    R, h_rest = geo.convex_hull(rest)
+    # Near x0 (outside R) |conv(R u {y})| is |R| plus the cones from y over the
+    # simplices of R's boundary that y sees.  Its gradient sums area x outward
+    # unit normal / d over them: cone volume from c x polar vertex A about c.
+    c = R.vertices.mean(axis=0)
+    corners = R.vertices[R.facet_simplices] - c
+    A = np.linalg.solve(corners, np.ones((*corners.shape[:2], 1)))[..., 0]
+    seen = A @ (x0 - c) > 1.0
+    grad = np.abs(np.linalg.det(corners[seen])) @ A[seen] / math.factorial(d)
     gn = np.linalg.norm(grad)
     if gn <= 1e-12:
         raise GeometryInconsistent("volume gradient vanished at the vertex")
@@ -386,15 +382,18 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
 
     For volume-affine moves additionally checks the concave/convex quotient
     structure: |K_t| affine (within 1e-9 relative) and 1/|K_t^*| midpoint
-    convex, which together forbid an interior strict minimum.
+    convex, which together forbid an interior strict minimum.  Measured by
+    one warm-started `shadow.sweep`; a row it records as failed raises
+    DegenerateAt.
     """
     t1, t2 = move.t_range
     ts = np.linspace(t1, t2, n_grid)
-    pis = np.empty(n_grid)
-    vols = np.empty(n_grid)
-    for i, t in enumerate(ts):
-        K = sh.body_at(move.system, t)
-        pis[i], vols[i] = pol.volume_product(K), geo.volume(K)
+    rows = sh.sweep(move.system, ts)
+    for r in rows:
+        if r.note:
+            raise DegenerateAt(r.t, r.note)
+    vols = np.array([r.volume for r in rows])
+    pis = vols * np.array([r.polar_volume for r in rows])
     scale = float(np.max(pis))
     endpoint_min = min(pis[0], pis[-1])
     worst_drop = float(endpoint_min - np.min(pis[1:-1]))
@@ -407,9 +406,7 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
         secant = vols[0] + (vols[-1] - vols[0]) * (ts - ts[0]) / (ts[-1] - ts[0])
         volume_ok = bool(np.max(np.abs(vols - secant)) <= 1e-9 * np.max(vols))
 
-    inv = 1.0 / pis * vols  # = 1/|K_t^*| up to the constant-volume factor
-    inverse_convex = sh._midpoint_verdict(ts, inv, np.ones(n_grid, dtype=bool),
-                                          tol_rel).is_midpoint_convex
+    inverse_convex = sh.check_polar_convexity(rows, tol_rel).is_midpoint_convex
     return MonotonicityReport(ts, pis, vols, endpoint_minimal,
                               volume_ok, inverse_convex, worst_drop)
 
@@ -592,94 +589,3 @@ def regular_polygon(n: int, radius: float = 1.0) -> VPolytope:
     P, _ = geo.convex_hull(np.column_stack([radius * np.cos(ang),
                                             radius * np.sin(ang)]))
     return P
-
-
-# ---------------------------------------------------------------------------
-# Extreme-ray decomposition of the concave cone
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PiecewiseLinear:
-    """Piecewise-linear function by breakpoints; evaluation interpolates."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.asarray(self.ys, dtype=float)
-        if self.xs.ndim != 1 or self.xs.shape != self.ys.shape or self.xs.size < 2:
-            raise ValueError("need matching 1-d breakpoint arrays")
-        if np.any(np.diff(self.xs) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
-
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.ys) / np.diff(self.xs)
-
-    def left_derivative(self, x: float) -> float:
-        """Slope of the segment immediately left of x."""
-        s = self.slopes()
-        i = int(np.searchsorted(self.xs, x - 1e-15 * max(1.0, abs(x))))
-        i = min(max(i - 1, 0), len(s) - 1)
-        return float(s[i])
-
-    def with_breakpoint(self, x: float) -> "PiecewiseLinear":
-        if np.any(np.abs(self.xs - x) <= 1e-15 * max(1.0, abs(x))):
-            return self
-        xs = np.sort(np.append(self.xs, x))
-        return PiecewiseLinear(xs, self(xs))
-
-
-def in_cone(f: PiecewiseLinear, tol: float = 1e-9) -> bool:
-    """Concave, continuous, vanishing at both interval endpoints."""
-    scale = max(1.0, float(np.max(np.abs(f.ys))))
-    if abs(f.ys[0]) > tol * scale or abs(f.ys[-1]) > tol * scale:
-        return False
-    s = f.slopes()
-    span = f.xs[-1] - f.xs[0]
-    return bool(np.all(np.diff(s) <= tol * scale / span * 10))
-
-
-def tent(a: float, alpha: float = 0.0, beta: float = 1.0,
-         height_scale: float = 1.0) -> PiecewiseLinear:
-    """Extreme ray of the cone: min((1-a)x, a(1-x)) on a rescaled interval."""
-    if not 0 < a < 1:
-        raise ValueError("breakpoint must be interior")
-    xs = np.array([alpha, alpha + a * (beta - alpha), beta])
-    ys = np.array([0.0, height_scale * a * (1 - a), 0.0])
-    return PiecewiseLinear(xs, ys)
-
-
-def extreme_ray_decompose(f: PiecewiseLinear, a: float) -> tuple[PiecewiseLinear, PiecewiseLinear]:
-    """Split f = g + h inside the cone, g affine past the chosen breakpoint.
-
-    Works on the interval rescaled to [0, 1]:
-        g(x) = f(x) - x (f(a) + (1-a) f'_L(a))   on [0, a],
-        g(x) = (1 - x)(f(a) - a f'_L(a))          on [a, 1],
-    and h = f - g.  For f already spanning an extreme ray the pieces are
-    proportional to f (the decomposition degenerates).
-    """
-    if not in_cone(f):
-        raise NotInCone("f is not a concave endpoint-vanishing function")
-    alpha, beta = f.support
-    if not alpha < a < beta:
-        raise NotInCone("breakpoint must be interior to the support")
-    span = beta - alpha
-    fa = f.with_breakpoint(a)
-    u = (fa.xs - alpha) / span  # rescaled breakpoints, includes a
-    ua = (a - alpha) / span
-    fL = fa.left_derivative(a) * span  # derivative in rescaled coordinates
-    val_a = float(f(a))
-    g_ys = np.where(u <= ua + 1e-15,
-                    fa.ys - u * (val_a + (1 - ua) * fL),
-                    (1 - u) * (val_a - ua * fL))
-    g = PiecewiseLinear(fa.xs, g_ys)
-    h = PiecewiseLinear(fa.xs, fa.ys - g_ys)
-    return g, h

@@ -44,6 +44,7 @@ class PolarBody:
     polar_volume: float
     polar_centroid: np.ndarray
     polar_second_moment: np.ndarray
+    slack: np.ndarray  # base's facet slacks at the center
 
 
 @dataclass
@@ -85,6 +86,8 @@ def _polar_fan(K: VPolytope) -> np.ndarray:
     triangulation along, so one Qhull of the y_F at the vertex mean z0 serves
     every center; it is cached on K.
     """
+    if K._polar_fan is None and K.dim == 1:  # each facet is its own simplex
+        K._polar_fan = np.array([[0], [1]])
     if K._polar_fan is None:
         h = K.halfspaces
         z0 = K.vertices.mean(axis=0)
@@ -100,7 +103,7 @@ def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z, slack = _check_interior(K, z)
     body = VPolytope(K.halfspaces.normals / slack[:, None], simplices=_polar_fan(K))
-    return PolarBody(K, z, body, *geo.moments(body))
+    return PolarBody(K, z, body, *geo.moments(body), slack)
 
 
 def bipolar(pb: PolarBody) -> VPolytope:

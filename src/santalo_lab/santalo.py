@@ -54,19 +54,19 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
     iterations = 0
     while True:
         f, c, M = pb.polar_volume, pb.polar_centroid, pb.polar_second_moment
-        # Polar-centroid norm normalized by the polar diameter (scale-free).
-        res = float(np.linalg.norm(c)) / geo.diameter(pb.polar)
+        res = _residual(pb)
         if res <= tol_sant or iterations == max_iterations:
             break
         iterations += 1
         # Newton step -H^{-1} grad with grad = (d+1) f c, H = (d+1)(d+2) f M.
         direction = -np.linalg.solve(M, c) / (K.dim + 2)
         slope = (K.dim + 1) * f * float(c @ direction)
+        # Armijo cannot see a decrease this small through f's rounding noise.
+        flat = -slope <= 1e-12 * f
         # Cap the step so the iterate keeps facet slack >= 0.1 x current min.
-        slack = h.slack(z)
         along = h.normals @ direction
         with np.errstate(divide="ignore"):
-            caps = (slack - 0.1 * np.min(slack)) / along
+            caps = (pb.slack - 0.1 * np.min(pb.slack)) / along
         t = min(1.0, float(np.min(caps[along > 0], initial=math.inf)))
         for _ in range(60):
             try:
@@ -74,7 +74,8 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
             except pol.CenterNotInterior:
                 t *= 0.5
                 continue
-            if pb_new.polar_volume <= f + 1e-4 * t * slope:  # Armijo
+            if (pb_new.polar_volume <= f + 1e-4 * t * slope  # Armijo
+                    or flat and _residual(pb_new) < res):
                 break
             t *= 0.5
         else:
@@ -82,6 +83,11 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
             break
         z, pb = z + t * direction, pb_new
     return SantaloResult(z, pb.polar_volume, res, iterations, res <= tol_sant, pb)
+
+
+def _residual(pb: pol.PolarBody) -> float:
+    """Polar-centroid norm normalized by the polar diameter (scale-free)."""
+    return float(np.linalg.norm(pb.polar_centroid)) / geo.diameter(pb.polar)
 
 
 def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:

@@ -29,7 +29,7 @@ from . import geometry as geo
 from . import polarity as pol
 from . import santalo as san
 from . import shadow as sh
-from .errors import EmptySection
+from .errors import EmptySection, NotInCone
 from .geometry import VPolytope
 
 N_PROFILE_SAMPLES = 257
@@ -61,6 +61,8 @@ class SliceProfile:
         self.ys = np.asarray(self.ys, dtype=float)
         if np.any(self.ys < 0):
             raise ValueError("profile values must be non-negative")
+        if np.any(np.diff(self.xs) <= 0):
+            raise ValueError("nodes must be strictly increasing")
         n = self.degree
         if len(self.xs) < 2 or (len(self.xs) - 1) % n:
             raise ValueError("need a whole number of pieces of `degree` + 1 nodes")
@@ -304,3 +306,51 @@ def equality_family(template, B: float, C: float,
     h = SliceProfile(C * xs, ys, (0.0, C))
     f = SliceProfile(M * xs, ys, (0.0, M))
     return f, g, h
+
+
+# ---------------------------------------------------------------------------
+# Extreme-ray decomposition of the concave cone
+# ---------------------------------------------------------------------------
+
+def in_cone(f: SliceProfile, tol: float = 1e-9) -> bool:
+    """Degree-1 f is concave and vanishes at both ends of its nodes."""
+    scale = max(1.0, float(np.max(f.ys)))
+    if f.ys[0] > tol * scale or f.ys[-1] > tol * scale:
+        return False
+    slopes = np.diff(f.ys) / np.diff(f.xs)
+    return bool(np.all(np.diff(slopes) <= 10 * tol * scale / (f.xs[-1] - f.xs[0])))
+
+
+def tent(a: float, alpha: float = 0.0, beta: float = 1.0,
+         height_scale: float = 1.0) -> SliceProfile:
+    """Extreme ray min((1-a)x, a(1-x)), 0 < a < 1, on [alpha, beta] rescaled."""
+    xs = np.array([alpha, alpha + a * (beta - alpha), beta])
+    ys = np.array([0.0, height_scale * a * (1 - a), 0.0])
+    return SliceProfile(xs, ys, (alpha, beta))
+
+
+def extreme_ray_decompose(f: SliceProfile, a: float) -> tuple[SliceProfile, SliceProfile]:
+    """Split degree-1 f = g + h inside the cone, g affine past the breakpoint a.
+
+    Works on the interval rescaled to [0, 1]:
+        g(x) = f(x) - x (f(a) + (1-a) f'_L(a))   on [0, a],
+        g(x) = (1 - x)(f(a) - a f'_L(a))          on [a, 1],
+    and h = f - g, both on f's nodes with a added.  For f already spanning
+    an extreme ray the pieces are proportional to f (the decomposition
+    degenerates).
+    """
+    if not in_cone(f):
+        raise NotInCone("f is not a concave endpoint-vanishing function")
+    alpha, beta = f.xs[0], f.xs[-1]
+    if not alpha < a < beta:
+        raise NotInCone("breakpoint must be interior to the support")
+    xs = np.union1d(f.xs, a)
+    ys = f(xs)
+    i = int(np.searchsorted(xs, a))  # xs[i] == a
+    slope = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])  # f'_L(a)
+    u = (xs - alpha) / (beta - alpha)
+    g_ys = np.where(xs <= a, ys - u * (ys[i] + (beta - a) * slope),
+                    (1 - u) * (ys[i] - (a - alpha) * slope))
+    # 0 <= g <= f on the cone; on an extreme ray one piece is 0 up to rounding.
+    g_ys = np.clip(g_ys, 0.0, ys)
+    return SliceProfile(xs, g_ys, f.support), SliceProfile(xs, ys - g_ys, f.support)

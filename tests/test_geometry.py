@@ -135,6 +135,12 @@ class TestVolume:
         Q = geo.translate(P, [3.0, -1.0, 2.5])
         assert geo.volume(Q) == pytest.approx(geo.volume(P), rel=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bitwise_equal_to_moments(self, d, rng):
+        for _ in range(5):
+            P = random_body(rng, d, extra=d + 2)
+            assert geo.volume(P) == geo.moments(P)[0]
+
     def test_vertex_order_irrelevant(self, rng):
         P = random_body(rng, 3)
         perm = rng.permutation(P.n_vertices)

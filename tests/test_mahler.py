@@ -9,7 +9,7 @@ from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
-from santalo_lab.errors import DegenerateInput, NotInCone, TooManyVertices
+from santalo_lab.errors import DegenerateAt, DegenerateInput, TooManyVertices
 from santalo_lab.mahler import CaseLabel
 
 
@@ -331,6 +331,15 @@ class TestPyramidFactorization:
         rep = mah.pyramid_factorization_check(Sq, [0.5, 0.3, 0.9])
         assert rep.pi_d == pytest.approx(256 / 243 * 8.0, rel=1e-8)
 
+    def test_segment_base_reproduces_triangle(self):
+        # d = 2: the base is a segment, whose polar fan is its two facets
+        F, _ = geo.convex_hull([[0.0], [1.0]])
+        rep = mah.pyramid_factorization_check(F, [0.3, 1.0])
+        assert rep.pi_d == pytest.approx(27 / 4, rel=1e-9)
+        assert rep.pi_base == pytest.approx(4.0, rel=1e-12)
+        assert rep.factorization_error < 1e-12
+        assert rep.santalo_ratio == pytest.approx(3.0, rel=1e-6)
+
     def test_one_solve_per_body(self, rng, monkeypatch):
         F, _ = geo.convex_hull(rng.normal(size=(5, 2)))
         apex = np.append(rng.normal(size=2), 1.2)
@@ -427,6 +436,29 @@ class TestDescentMoves:
                     for t in np.linspace(*mv.t_range, 7)]
             assert (max(vols) - min(vols)) / max(vols) < 1e-9
 
+    def test_slide_direction_keeps_finite_difference_volume(self, rng):
+        # reference: central differences of |conv(rest u {y})| at y = x0
+        def fd_gradient(rest, x0, scale):
+            step = 1e-5 * max(1.0, scale)
+            grad = np.zeros(len(x0))
+            for i, e in enumerate(step * np.eye(len(x0))):
+                up, _ = geo.convex_hull(np.vstack([rest, x0 + e]))
+                down, _ = geo.convex_hull(np.vstack([rest, x0 - e]))
+                grad[i] = (geo.volume(up) - geo.volume(down)) / (2 * step)
+            return grad
+
+        for d, k in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7)):
+            seen = 0
+            while seen < 8:
+                K = mah.random_polytope(d, k, rng)
+                if mah.classify(K) not in (CaseLabel.SIMPLICIAL_Ib,
+                                           CaseLabel.SIMPLICIAL_IIc):
+                    continue
+                seen += 1
+                v = mah.descent_move(K).system.direction
+                g = fd_gradient(K.vertices[1:], K.vertices[0], K.scale())
+                assert abs(v @ g) <= 1e-9 * np.linalg.norm(g)
+
 
 class TestDescentMonotonicity:
     def test_affine_family_constant(self, rng):
@@ -438,6 +470,15 @@ class TestDescentMonotonicity:
         assert rep.endpoint_minimal
         pis = rep.volume_products
         assert (pis.max() - pis.min()) / pis.max() < 1e-7
+
+    def test_failed_sweep_row_raises(self):
+        # the apex crosses the base line at t = 0, an interior grid point
+        system = sh.ShadowSystem([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]],
+                                 [0.0, 0.0, 1.0], [0.0, 1.0], (-1.0, 0.5))
+        mv = mah.DescentMove(system, (-1.0, 0.5), "flat at 0", CaseLabel.SIMPLICIAL_Ib)
+        with pytest.raises(DegenerateAt) as err:
+            mah.verify_descent_monotonicity(mv, n_grid=7)
+        assert err.value.t == 0.0
 
     def test_double_pyramid_endpoint_minimality(self, rng):
         P, _ = geo.convex_hull(np.vstack([QUAD_BASE,
@@ -456,6 +497,17 @@ class TestDescentMonotonicity:
         assert rep.endpoint_minimal
         assert rep.volume_behavior_ok
         assert rep.inverse_polar_convex
+
+    def test_warm_sweep_converges_where_armijo_stalls(self):
+        # Near the optimum of this elongated body the predicted decrease is
+        # below the rounding noise of |K^*|, so Armijo alone rejects the
+        # full Newton step; the row at t = 833.17 used to run to the cap.
+        P, _ = geo.convex_hull(np.vstack([QUAD_BASE,
+                                          [0.8, 0.4, 1.2], [-0.5, -0.3, 1.2]]))
+        mv = mah.descent_move(P)
+        rows = sh.sweep(mv.system, np.linspace(*mv.t_range, 25))
+        assert all(r.converged for r in rows)
+        assert max(r.iterations for r in rows) < 20
 
     @staticmethod
     def _random_double_pyramid(rng):
@@ -572,53 +624,3 @@ class TestCampaigns:
             Q = geo.apply_affine(K, A, rng.normal(size=d))
             assert pol.volume_product(Q) == pytest.approx(
                 pol.volume_product(K), rel=1e-6)
-
-
-class TestExtremeRayDecomposition:
-    def test_tent_decomposes_proportionally(self):
-        f = mah.tent(0.35)
-        g, h = mah.extreme_ray_decompose(f, 0.35)
-        base = f.with_breakpoint(0.35)
-        ratio = g.ys[1] / base.ys[1]
-        assert np.allclose(g.ys, ratio * base.ys, atol=1e-12)
-        assert np.allclose(h.ys, (1 - ratio) * base.ys, atol=1e-12)
-
-    def test_two_piece_degenerates_at_any_point(self):
-        f = mah.tent(0.6, height_scale=2.0)
-        g, h = mah.extreme_ray_decompose(f, 0.3)
-        base = f.with_breakpoint(0.3)
-        nz = base.ys[1:-1] != 0
-        ratios_g = g.ys[1:-1][nz] / base.ys[1:-1][nz]
-        assert np.allclose(ratios_g, ratios_g[0], atol=1e-12)
-
-    def test_three_piece_splits_into_cone_members(self):
-        f = mah.PiecewiseLinear([0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 0.6, 0.0])
-        g, h = mah.extreme_ray_decompose(f, 0.5)
-        assert mah.in_cone(g)
-        assert mah.in_cone(h)
-        fb = f.with_breakpoint(0.5)
-        assert np.allclose(g.ys + h.ys, fb.ys, atol=1e-15)
-        # neither piece proportional to f
-        for part in (g, h):
-            vals = part(np.array([0.3, 0.7]))
-            ref = fb(np.array([0.3, 0.7]))
-            r = vals / ref
-            assert abs(r[0] - r[1]) > 1e-6
-
-    def test_general_interval_supported(self):
-        f = mah.PiecewiseLinear([-2.0, -0.5, 1.0], [0.0, 1.2, 0.0])
-        g, h = mah.extreme_ray_decompose(f, 0.0)
-        assert mah.in_cone(g) and mah.in_cone(h)
-        xs = np.linspace(-2, 1, 13)
-        assert np.allclose(g(xs) + h(xs), f(xs), atol=1e-12)
-
-    def test_not_in_cone_rejected(self):
-        convex = mah.PiecewiseLinear([0.0, 0.5, 1.0], [0.0, -0.3, 0.0])
-        with pytest.raises(NotInCone):
-            mah.extreme_ray_decompose(convex, 0.5)
-        nonzero_end = mah.PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.4, 0.3])
-        with pytest.raises(NotInCone):
-            mah.extreme_ray_decompose(nonzero_end, 0.5)
-        f = mah.tent(0.5)
-        with pytest.raises(NotInCone):
-            mah.extreme_ray_decompose(f, 1.0)

@@ -145,6 +145,16 @@ class TestPolarFan:
                             lambda h, x: calls.append(x) or slack(h, x))
         pol.polar(K, 0.9 * z + 0.1 * K.vertices[0])
         assert len(calls) == 1
+        # a whole solve: its step cap reads the slacks its polars kept
+        polars = []
+        polar = pol.polar
+        monkeypatch.setattr(pol, "polar", lambda *a: polars.append(a) or polar(*a))
+        K = random_body(rng, 3)
+        pol._polar_fan(K)
+        calls.clear()
+        res = san.santalo_point(K)
+        assert res.iterations >= 2
+        assert len(calls) == len(polars)
 
     def test_cuts_hull_only_their_result(self, qhull_calls, rng):
         K = random_body(rng, 3)

@@ -24,6 +24,14 @@ class TestSantaloPoint:
         assert res.converged
         assert np.allclose(res.point, [0, 0], atol=1e-8)
 
+    def test_segment(self):
+        # |K^{*z}| = 1/z + 1/(L - z) is smallest at the midpoint
+        K, _ = geo.convex_hull([[0.0], [3.7]])
+        res = san.santalo_point(K)
+        assert res.converged
+        assert res.point[0] == pytest.approx(1.85, rel=1e-12)
+        assert res.polar_volume == pytest.approx(4 / 3.7, rel=1e-12)
+
     def test_simplex_vertex_centroid(self, rng):
         # the simplex's affine symmetry group fixes only the centroid
         for d in (2, 3):

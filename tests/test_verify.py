@@ -6,10 +6,17 @@ from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
+from santalo_lab.errors import NotInCone
 
 
 def tent_template(x):
     return min(3.0 * x, 1.2 * (1.0 - x))
+
+
+def with_breakpoint(f, a):
+    """Degree-1 profile f with a node added at a."""
+    xs = np.union1d(f.xs, a)
+    return ver.SliceProfile(xs, f(xs), f.support)
 
 
 def route_bodies():
@@ -26,6 +33,12 @@ def route_bodies():
 
 
 class TestSliceProfile:
+    @pytest.mark.parametrize("xs", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0]],
+                             ids=["repeated", "decreasing"])
+    def test_nodes_must_increase(self, xs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ver.SliceProfile(xs, [0.0, 0.4, 0.5, 0.0], (0.0, 1.0))
+
     def test_cube_profile_is_constant(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)
                                 for y in (-1, 1.0) for z in (-1, 1.0)])
@@ -199,3 +212,71 @@ class TestMidpointChain:
             calls.clear()
             assert ver.midpoint_bound_check(system, s, t).passed
             assert sorted(calls) == [s, 0.5 * (s + t), t]
+
+
+class TestExtremeRayDecomposition:
+    def test_tent_decomposes_proportionally(self):
+        f = ver.tent(0.35)
+        g, h = ver.extreme_ray_decompose(f, 0.35)
+        base = with_breakpoint(f, 0.35)
+        ratio = g.ys[1] / base.ys[1]
+        assert np.allclose(g.ys, ratio * base.ys, atol=1e-12)
+        assert np.allclose(h.ys, (1 - ratio) * base.ys, atol=1e-12)
+
+    def test_two_piece_degenerates_at_any_point(self):
+        f = ver.tent(0.6, height_scale=2.0)
+        g, h = ver.extreme_ray_decompose(f, 0.3)
+        base = with_breakpoint(f, 0.3)
+        nz = base.ys[1:-1] != 0
+        ratios_g = g.ys[1:-1][nz] / base.ys[1:-1][nz]
+        assert np.allclose(ratios_g, ratios_g[0], atol=1e-12)
+
+    def test_three_piece_splits_into_cone_members(self):
+        f = ver.SliceProfile([0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 0.6, 0.0], (0.0, 1.0))
+        g, h = ver.extreme_ray_decompose(f, 0.5)
+        assert ver.in_cone(g)
+        assert ver.in_cone(h)
+        fb = with_breakpoint(f, 0.5)
+        assert np.allclose(g.ys + h.ys, fb.ys, atol=1e-15)
+        # neither piece proportional to f
+        for part in (g, h):
+            vals = part(np.array([0.3, 0.7]))
+            ref = fb(np.array([0.3, 0.7]))
+            r = vals / ref
+            assert abs(r[0] - r[1]) > 1e-6
+
+    def test_general_interval_supported(self):
+        f = ver.SliceProfile([-2.0, -0.5, 1.0], [0.0, 1.2, 0.0], (-2.0, 1.0))
+        g, h = ver.extreme_ray_decompose(f, 0.0)
+        assert ver.in_cone(g) and ver.in_cone(h)
+        xs = np.linspace(-2, 1, 13)
+        assert np.allclose(g(xs) + h(xs), f(xs), atol=1e-12)
+
+    def test_extreme_ray_splits_into_itself_and_zero(self, rng):
+        # one piece is 0 and the other f, up to rounding that must not
+        # leave a negative value behind
+        for _ in range(200):
+            alpha, beta = np.sort(rng.normal(size=2))
+            f = ver.tent(rng.uniform(0.05, 0.95), alpha, beta, rng.uniform(0.1, 3.0))
+            g, h = ver.extreme_ray_decompose(f, rng.uniform(alpha, beta))
+            assert ver.in_cone(g) and ver.in_cone(h)
+            assert np.allclose(g.ys + h.ys, f(g.xs), rtol=0, atol=1e-15)
+            assert min(np.max(g.ys), np.max(h.ys)) <= 1e-12 * np.max(f.ys)
+
+    def test_not_in_cone_rejected(self):
+        # a negative-valued "convex" profile is refused when it is built
+        with pytest.raises(ValueError):
+            ver.SliceProfile([0.0, 0.5, 1.0], [0.0, -0.3, 0.0], (0.0, 1.0))
+        not_concave = ver.SliceProfile([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.1, 0.0],
+                                       (0.0, 1.0))
+        with pytest.raises(NotInCone):
+            ver.extreme_ray_decompose(not_concave, 0.5)
+        nonzero_end = ver.SliceProfile([0.0, 0.5, 1.0], [0.0, 0.4, 0.3], (0.0, 1.0))
+        with pytest.raises(NotInCone):
+            ver.extreme_ray_decompose(nonzero_end, 0.5)
+        f = ver.tent(0.5)
+        with pytest.raises(NotInCone):
+            ver.extreme_ray_decompose(f, 1.0)
+        for a in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                ver.tent(a)
