@@ -46,7 +46,7 @@ from .polarity import (
     polar,
     volume_product,
 )
-from .santalo import SantaloResult, balanced_points, santalo_point
+from .santalo import SantaloResult, balanced_points, santalo_point, santalo_points
 from .shadow import (
     ConvexityVerdict,
     ShadowSystem,

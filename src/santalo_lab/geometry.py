@@ -129,16 +129,16 @@ class VPolytope:
 
     Use `convex_hull` to build one from raw points; the direct constructor
     trusts its input (internal fast path for affine images, polars, ...).
-    Facets, a facet triangulation and the polar fan (see
-    `polarity._polar_fan`) are computed lazily and cached; `vertices` never
-    changes.
+    Facets, a facet triangulation, the coordinate scale and the polar fan
+    with its determinants (see `polarity._polar_fan`) are computed lazily
+    and cached; `vertices` never changes.
     """
 
     def __init__(self, vertices, halfspaces: HPolytope | None = None, simplices=None):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self._halfspaces = halfspaces
         self._simplices = simplices
-        self._polar_fan = None
+        self._polar_fan = self._fan_dets = self._scale = None
         if not np.all(np.isfinite(self.vertices)):
             raise DegenerateInput("non-finite vertex coordinates")
 
@@ -176,7 +176,9 @@ class VPolytope:
 
     def scale(self) -> float:
         """Coordinate scale of the vertex cloud (for relative tolerances)."""
-        return float(max(1e-30, np.max(np.abs(self.vertices))))
+        if self._scale is None:
+            self._scale = float(max(1e-30, np.max(np.abs(self.vertices))))
+        return self._scale
 
 
 def _hull_of(points: np.ndarray):
@@ -259,7 +261,7 @@ def convex_hull(points) -> tuple[VPolytope, HPolytope]:
 
 def volume(P: VPolytope) -> float:
     """d-volume by fanning the facet triangulation from the vertex mean."""
-    return float(_cones(P)[2].sum()) / math.factorial(P.dim)
+    return float(_cones(P)[1].sum()) / math.factorial(P.dim)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
@@ -273,29 +275,48 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
     The second moment is the normalized inertia about the origin,
     int_P x x^T dx / |P|; every moment is exact for a polytope.
     """
-    d = P.dim
-    fan, apex, dets = _cones(P)
-    total = float(dets.sum())
-    w = dets / total
-    sums = fan.sum(axis=1) + apex  # vertex sum s of each fan simplex
-    cen = w @ sums / (d + 1)
-    # int_S x x^T = |S| (sum_i v_i v_i^T + s s^T) / ((d+1)(d+2)); the weights
-    # sum to one, so the apex contributes apex apex^T once.
-    flat = fan.reshape(-1, d)
-    second = ((flat.T * np.repeat(w, d)) @ flat + np.outer(apex, apex)
-              + (sums.T * w) @ sums) / ((d + 1) * (d + 2))
-    return total / math.factorial(d), cen, second
+    apex, dets = _cones(P)
+    vol, cen, second = _fan_moments((P.vertices - apex)[None], dets[None],
+                                    _incidence(P.facet_simplices[None], P.n_vertices))
+    c, shift = cen[0], np.outer(apex, cen[0])
+    return (float(vol[0]) / math.factorial(P.dim), apex + c,
+            second[0] + shift + shift.T + np.outer(apex, apex))
 
 
-def _cones(P: VPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fan, apex, dets): the boundary simplices' vertices (m, d, d), the
-    vertex mean, and |det| of each simplex's cone from it (d! x its volume)."""
+def _cones(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """(apex, dets): the vertex mean and |det| of the cone from it over each
+    boundary simplex (d! x its volume)."""
     apex = P.vertices.mean(axis=0)
-    fan = P.vertices[P.facet_simplices]
-    dets = np.abs(np.linalg.det(fan - apex))
+    dets = np.abs(np.linalg.det(P.vertices[P.facet_simplices] - apex))
     if dets.sum() <= 0.0:
         raise DegenerateInput("polytope has zero volume")
-    return fan, apex, dets
+    return apex, dets
+
+
+def _incidence(fan, n: int) -> np.ndarray:
+    """(R, f, n): how often each of n points is a corner of each fan simplex."""
+    return (fan[..., None] == np.arange(n)).sum(axis=2, dtype=float)
+
+
+def _fan_moments(y, cones, incidence):
+    """(volume, centroid, second moment about the origin) of stacked fans.
+
+    Row r is a union of the simplices conv(0, y_T) over fan simplices T on
+    its points y, with `cones` their volumes and `incidence` from
+    `_incidence`.  With w_T a simplex's share of the volume, sigma_T its
+    vertex sum and u_F the shares at point F, the centroid is
+    sum_T w_T sigma_T / (d+1) = sum_F u_F y_F / (d+1), and the second
+    moment (sum_F u_F y_F y_F^T + sum_T w_T sigma_T sigma_T^T) / ((d+1)(d+2)).
+    """
+    d = y.shape[-1]
+    volume = cones.sum(axis=1)
+    w = (cones / volume[:, None])[..., None]
+    u = incidence.transpose(0, 2, 1) @ w
+    sums = incidence @ y
+    centroid = (y * u).sum(axis=1) / (d + 1)
+    second = ((y * u).transpose(0, 2, 1) @ y
+              + (sums * w).transpose(0, 2, 1) @ sums) / ((d + 1) * (d + 2))
+    return volume, centroid, second
 
 
 def interior_point(P: VPolytope | HPolytope) -> np.ndarray:

@@ -383,8 +383,7 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
     For volume-affine moves additionally checks the concave/convex quotient
     structure: |K_t| affine (within 1e-9 relative) and 1/|K_t^*| midpoint
     convex, which together forbid an interior strict minimum.  Measured by
-    one warm-started `shadow.sweep`; a row it records as failed raises
-    DegenerateAt.
+    one `shadow.sweep`; a row it records as failed raises DegenerateAt.
     """
     t1, t2 = move.t_range
     ts = np.linspace(t1, t2, n_grid)

@@ -5,8 +5,11 @@ The polar of K about an interior point z is
 so for a polytope its vertices are n_F / (b_F - <n_F, z>), one per facet
 <n_F, x> <= b_F of K.  As z moves inside K these polars are projective
 images of each other, so one boundary triangulation, found by a single Qhull
-run per body and cached on it, serves every center: after that first call a
-polar is closed-form.  Its H-form is built only when something reads it.
+run per body and cached on it, serves every center.  With it are cached the
+facet-normal determinants D_T = |det N_T| / d! of its simplices T, and after
+that first call a polar is closed-form: the cone from the center over T has
+volume D_T / prod_{F in T} slack_F(z).  Its H-form is built only when
+something reads it.
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
 by the staircase triangulation of `geometry._staircase`.
@@ -33,9 +36,9 @@ TAU_VOL = 1e-12
 class PolarBody:
     """Polar polytope of `base` about `center`, in the polar's own frame.
 
-    The polarity center is the origin of the polar's coordinates.  The
-    polar's moments come from one `geometry.moments` pass: its centroid, and
-    its second moment about the origin, int y y^T dy / |K^{*z}|.
+    The polarity center is the origin of the polar's coordinates.  Its
+    volume, centroid and second moment about the origin, int y y^T dy /
+    |K^{*z}|, are sums over the cached fan (`_cones`, `geo._fan_moments`).
     """
 
     base: VPolytope
@@ -44,7 +47,6 @@ class PolarBody:
     polar_volume: float
     polar_centroid: np.ndarray
     polar_second_moment: np.ndarray
-    slack: np.ndarray  # base's facet slacks at the center
 
 
 @dataclass
@@ -69,41 +71,64 @@ class HalfVolumes:
             self.ratio = self.b_plus / self.b_minus
 
 
+def _slack(normals, offsets, z) -> np.ndarray:
+    """Facet slacks b - <n, z>, one row per center over any leading axes."""
+    return offsets - (normals @ z[..., None])[..., 0]
+
+
 def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
     """z and K's facet slacks at z; raises unless z is strictly interior."""
     z = geo.as_vector(z)
-    slack = K.halfspaces.slack(z)
+    slack = _slack(K.halfspaces.normals, K.halfspaces.offsets, z)
     if np.min(slack) <= geo.TAU_GEOM * K.scale():
         raise CenterNotInterior("polarity center too close to the boundary")
     return z, slack
 
 
-def _polar_fan(K: VPolytope) -> np.ndarray:
-    """(m, d) facet indices of K triangulating the boundary of every polar.
+def _polar_fan(K: VPolytope, z=None, slack=None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d) facet indices of K triangulating the boundary of every polar,
+    and D_T = |det N_T| / d! for each of these simplices T.
 
     Polar vertex F is y_F = n_F / slack_F(z).  The projective map
     y -> y / (1 + <y, z0 - z>) takes K^{*z0} onto K^{*z} and carries a boundary
     triangulation along, so one Qhull of the y_F at the vertex mean z0 serves
-    every center; it is cached on K.
+    every center; it is cached on K.  A caller that has K's facet slacks at
+    a center z passes both, and when z is z0 they are not computed again.
     """
     if K._polar_fan is None and K.dim == 1:  # each facet is its own simplex
         K._polar_fan = np.array([[0], [1]])
+    h = K.halfspaces
     if K._polar_fan is None:
-        h = K.halfspaces
         z0 = K.vertices.mean(axis=0)
+        if slack is None or not np.array_equal(z, z0):
+            slack = _slack(h.normals, h.offsets, z0)
         try:
-            hull = ConvexHull(h.normals / h.slack(z0)[:, None])
+            hull = ConvexHull(h.normals / slack[:, None])
         except QhullError as exc:  # cannot happen for valid K, defensive
             raise DegenerateInput(f"polar hull failed: {exc}") from exc
         K._polar_fan = geo.hull_simplices(hull)
-    return K._polar_fan
+    if K._fan_dets is None:
+        K._fan_dets = np.abs(np.linalg.det(h.normals[K._polar_fan])) / math.factorial(K.dim)
+    return K._polar_fan, K._fan_dets
+
+
+def _cones(slack, fan, dets) -> np.ndarray:
+    """(R, f) volumes D_T / prod slack_F of the cones from R stacked centers
+    over their fans, from slacks (R, m), D_T (R, f) and fans (R, f, d) that
+    index `slack.ravel()`: facet F of row r is r * m + F, so one body's
+    cached fan indexes its own row as it is."""
+    return dets / slack.ravel()[fan].prod(axis=-1)
 
 
 def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z, slack = _check_interior(K, z)
-    body = VPolytope(K.halfspaces.normals / slack[:, None], simplices=_polar_fan(K))
-    return PolarBody(K, z, body, *geo.moments(body), slack)
+    fan, dets = _polar_fan(K, z, slack)
+    y = K.halfspaces.normals / slack[:, None]
+    volume, centroid, second = geo._fan_moments(
+        y[None], _cones(slack[None], fan[None], dets[None]), geo._incidence(fan[None], len(y)))
+    return PolarBody(K, z, VPolytope(y, simplices=fan), float(volume[0]),
+                     centroid[0], second[0])
 
 
 def bipolar(pb: PolarBody) -> VPolytope:
@@ -171,16 +196,17 @@ def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
 
     The center is the polar's origin and lies on the cut, so each half is
     the union of the cones from it over the parts of the cached boundary
-    fan's simplices T on that side: B_+ = sum_T |det Y_T| / d! * share_+(T).
+    fan's simplices T on that side: B_+ = sum_T |det Y_T| / d! * share_+(T),
+    where |det Y_T| / d! = D_T / prod_{F in T} slack_F (`_cones`).
     Exact in closed form, with no hull and no quadrature.
     """
-    _, slack = _check_interior(K, z)
+    z, slack = _check_interior(K, z)
     y = K.halfspaces.normals / slack[:, None]
     heights = y[:, range(K.dim)[axis]]
     if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")
-    fan = _polar_fan(K)
-    cones = np.abs(np.linalg.det(y[fan])) / math.factorial(K.dim)
+    fan, dets = _polar_fan(K, z, slack)
+    cones = _cones(slack[None], fan[None], dets[None])[0]
     tops = heights[fan]
     return HalfVolumes(b_plus=float(cones @ _share_above(tops)),
                        b_minus=float(cones @ _share_above(-tops)))

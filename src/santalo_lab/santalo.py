@@ -7,6 +7,8 @@ The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
 damped Newton from the vertex mean, with Armijo backtracking and a step cap
 that keeps the iterate well inside the body, where the objective is finite.
 Newton steps are affine-invariant, so no preconditioning is needed.
+`santalo_points` runs it on a stack of bodies at once, each row on its own
+steps, so a sweep's rows share every numpy call.
 """
 
 from __future__ import annotations
@@ -42,52 +44,114 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
                   start=None) -> SantaloResult:
     """Minimize z -> |K^{*z}| over the interior of K by damped Newton.
 
-    Starts at `start` when it is strictly interior (warm starts in sweeps),
-    else at the vertex mean.  Returns the last iterate with a non-converged
-    flag when the iteration cap is reached or the line search stalls.
+    Starts at `start` when it is strictly interior, else at the vertex mean;
+    a stack of one for `santalo_points`.
     """
-    h = K.halfspaces
-    z = None if start is None else geo.as_vector(start)
-    if z is None or np.min(h.slack(z)) <= geo.TAU_GEOM * K.scale():
-        z = K.vertices.mean(axis=0)
-    pb = pol.polar(K, z)
-    iterations = 0
+    return santalo_points([K], None if start is None else [start],
+                          tol_sant, max_iterations)[0]
+
+
+def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
+                   max_iterations: int = MAX_ITERATIONS) -> list[SantaloResult]:
+    """Santalo points of bodies of one dimension, in one stacked Newton pass.
+
+    Row r starts at starts[r] if given and strictly interior, else at the
+    vertex mean (CenterNotInterior if that is not), and steps on its own
+    until its residual is at most `tol_sant`, or non-converged at the
+    iteration cap or a stalled line search.  Trials evaluate only the polar
+    volume.  Rows are padded by repeating facet 0 and by zero-volume fan
+    simplices, which keep each row's slacks, step cap and moments.
+    """
+    d = bodies[0].dim
+    hs = [K.halfspaces for K in bodies]
+    N = _padded([h.normals for h in hs], repeat_first=True)
+    b = _padded([h.offsets for h in hs], repeat_first=True)
+    tau = geo.TAU_GEOM * np.array([K.scale() for K in bodies])
+    mean = np.array([K.vertices.mean(axis=0) for K in bodies])
+    z = mean.copy() if starts is None else np.array(
+        [c if x is None else geo.as_vector(x) for c, x in zip(mean, starts)])
+    s = pol._slack(N, b, z)
+    if starts is not None:  # a start too close to the boundary: the mean
+        redo = (s.min(axis=1) <= tau) & (z != mean).any(axis=1)
+        z[redo] = mean[redo]
+        s[redo] = pol._slack(N[redo], b[redo], z[redo])
+    if np.any(s.min(axis=1) <= tau):
+        raise pol.CenterNotInterior("polarity center too close to the boundary")
+    fans = [pol._polar_fan(K, z[r], s[r, :h.n_facets])
+            for r, (K, h) in enumerate(zip(bodies, hs))]
+    fan = _padded([F for F, _ in fans], repeat_first=False)
+    dets = _padded([D for _, D in fans], repeat_first=False)
+    incidence = geo._incidence(fan, N.shape[1])
+    at = lambda fan: fan + N.shape[1] * np.arange(len(fan))[:, None, None]  # for `_cones`
+
+    def measure(slack):
+        """Polar vertices, moments and residuals about the working rows' centers."""
+        y = N / slack[..., None]
+        vol, cen, second = geo._fan_moments(y, pol._cones(slack, corners, dets), incidence)
+        sq = (y * y).sum(axis=-1)  # the diameter from the Gram matrix
+        gaps = sq[:, :, None] + sq[:, None] - 2 * y @ y.transpose(0, 2, 1)
+        return y, vol, cen, second, np.sqrt((cen * cen).sum(axis=1) / gaps.max(axis=(1, 2)))
+
+    corners = at(fan)
+    y, vol, cen, second, res = measure(s)
+    body = np.arange(len(bodies))  # the body of each working row
+    iterations = np.zeros(len(bodies), dtype=int)
+    stalled = np.zeros(len(bodies), dtype=bool)
+    results = [None] * len(bodies)
     while True:
-        f, c, M = pb.polar_volume, pb.polar_centroid, pb.polar_second_moment
-        res = _residual(pb)
-        if res <= tol_sant or iterations == max_iterations:
-            break
+        done = (res <= tol_sant) | (iterations == max_iterations) | stalled
+        if done.any():
+            for r in np.flatnonzero(done):
+                K, h, (F, _) = bodies[body[r]], hs[body[r]], fans[body[r]]
+                pb = pol.PolarBody(K, z[r], VPolytope(y[r, :h.n_facets], simplices=F),
+                                   float(vol[r]), cen[r], second[r])
+                results[body[r]] = SantaloResult(z[r], pb.polar_volume, float(res[r]),
+                                                 int(iterations[r]), bool(res[r] <= tol_sant), pb)
+            if done.all():
+                return results
+            # only the rows that go on stay in the stack
+            N, b, tau, fan, dets, incidence, body, iterations, z, s, y, vol, cen, second, res = (
+                a[~done] for a in (N, b, tau, fan, dets, incidence, body, iterations,
+                                   z, s, y, vol, cen, second, res))
+            corners = at(fan)
         iterations += 1
         # Newton step -H^{-1} grad with grad = (d+1) f c, H = (d+1)(d+2) f M.
-        direction = -np.linalg.solve(M, c) / (K.dim + 2)
-        slope = (K.dim + 1) * f * float(c @ direction)
+        step = np.linalg.solve(second, cen[..., None])[..., 0] / -(d + 2)
+        slope = (d + 1) * vol * (cen * step).sum(axis=1)
         # Armijo cannot see a decrease this small through f's rounding noise.
-        flat = -slope <= 1e-12 * f
+        tiny = slope >= -1e-12 * vol
         # Cap the step so the iterate keeps facet slack >= 0.1 x current min.
-        along = h.normals @ direction
-        with np.errstate(divide="ignore"):
-            caps = (pb.slack - 0.1 * np.min(pb.slack)) / along
-        t = min(1.0, float(np.min(caps[along > 0], initial=math.inf)))
+        room = s - 0.1 * s.min(axis=1, keepdims=True)
+        t = 1.0 / np.maximum(1.0, ((N @ step[..., None])[..., 0] / room).max(axis=1))
+        searching, armijo = np.ones(len(z), dtype=bool), 1e-4 * slope
         for _ in range(60):
-            try:
-                pb_new = pol.polar(K, z + t * direction)
-            except pol.CenterNotInterior:
-                t *= 0.5
-                continue
-            if (pb_new.polar_volume <= f + 1e-4 * t * slope  # Armijo
-                    or flat and _residual(pb_new) < res):
+            z_try = z + t[:, None] * step
+            s_try = pol._slack(N, b, z_try)
+            inside = searching & (s_try.min(axis=1) > tau)  # else halve
+            s_try = np.where(inside[:, None], s_try, s)
+            trial = pol._cones(s_try, corners, dets).sum(axis=1)
+            ok = inside & (trial <= vol + t * armijo)  # Armijo
+            if tiny.any() and (late := inside & ~ok & tiny).any():
+                ok |= late & (measure(s_try)[-1] < res)  # it lowers the residual
+            z[ok], s[ok] = z_try[ok], s_try[ok]
+            searching &= ~ok
+            if not searching.any():
                 break
-            t *= 0.5
-        else:
-            # Line search exhausted: the centroid residual is the verdict.
-            break
-        z, pb = z + t * direction, pb_new
-    return SantaloResult(z, pb.polar_volume, res, iterations, res <= tol_sant, pb)
+            t[searching] *= 0.5
+        stalled = searching  # line search exhausted: the residual is the verdict
+        y, vol, cen, second, res = measure(s)  # stalled rows: as they were
 
 
-def _residual(pb: pol.PolarBody) -> float:
-    """Polar-centroid norm normalized by the polar diameter (scale-free)."""
-    return float(np.linalg.norm(pb.polar_centroid)) / geo.diameter(pb.polar)
+def _padded(arrays, repeat_first: bool) -> np.ndarray:
+    """One stack of arrays, each padded to the longest with its row 0 or 0s."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    sizes = np.array([len(a) for a in arrays])
+    start = np.cumsum(sizes) - sizes
+    flat = np.concatenate(arrays + [np.zeros_like(arrays[0][:1])])
+    cols = np.arange(sizes.max())
+    fill = start[:, None] if repeat_first else len(flat) - 1
+    return flat[np.where(cols < sizes[:, None], start[:, None] + cols, fill)]
 
 
 def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:

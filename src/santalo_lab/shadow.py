@@ -156,7 +156,7 @@ def _fan(K: VPolytope, fit, fan=None):
         if total - abs(fan[1] @ dets) <= 1e-12 * total:
             K._polar_fan = np.argsort(order)[fan[0]]
             return fan
-    simplices = order[pol._polar_fan(K)]
+    simplices = order[pol._polar_fan(K)[0]]
     return simplices, np.sign(np.linalg.det(A[simplices]))
 
 
@@ -172,33 +172,28 @@ class SweepRecord:
     note: str = ""
 
 
-def sweep(system: ShadowSystem, grid, warm_start: bool = True) -> list[SweepRecord]:
+def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     """Measure |K_t|, |K_t^*| and S(K_t) on a sorted grid of parameters.
 
     Per-row failures are recorded (converged=False, NaNs), never raised, so
-    one bad parameter cannot abort a campaign.  With `warm_start` each solve
-    starts on the secant through the Santalo points of the two previous
-    rows, scaled by the ratio of the grid steps, when both converged, else
-    at the last converged point (results must agree with the cold-start run
-    within solver tolerance; tested).
-
-    Each row keeps the previous row's boundary simplices when `_carried`
+    one bad parameter cannot abort a campaign.  Every row's body is built
+    first: it keeps the previous row's boundary simplices when `_carried`
     certifies them, then its polar fan when `_fan` does; what fails, and
-    every row after a failed one, is built by Qhull as `body_at` does.
+    every row after a failed body, is built by Qhull as `body_at` does.
+    Then one `santalo.santalo_points` call solves every row from its vertex
+    mean; when it raises, the rows are solved one by one, so that only the
+    rows at fault are recorded as failed.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted")
-    rows: list[SweepRecord] = []
-    pair: list = []  # (t, S(K_t)) of the last rows while they converge
-    prev = None  # the last converged Santalo point
-    tri = fan = None  # the last good row's simplices and `_fan`
     d = system.dim
-    for t in grid:
-        start = prev if warm_start else None
-        if warm_start and len(pair) == 2 and pair[1][0] > pair[0][0]:
-            (t0, z0), (t1, z1) = pair
-            start = z1 + (t - t1) / (t1 - t0) * (z1 - z0)
+    failed = lambda t, exc: SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
+                                        False, note=str(exc))
+    rows: list = []
+    bodies = {}  # row -> K_t
+    tri = fan = None  # the last good row's simplices and `_fan`
+    for i, t in enumerate(grid):
         try:
             K, idx, fit = _body(system, t, tri)
             if fit is None:  # a fresh body: rebuilt on its own simplices if they pass
@@ -206,21 +201,30 @@ def sweep(system: ShadowSystem, grid, warm_start: bool = True) -> list[SweepReco
                 K, idx, fit = own or (K, idx, None)
                 fan = None
             fan = None if fit is None else _fan(K, fit, fan)
-            res = san.santalo_point(K, start=start)
             tri = idx[K.facet_simplices]
-            if res.converged:
-                pair = pair[-1:] + [(t, res.point)]
-                prev = res.point
-            else:
-                pair = []
-            rows.append(SweepRecord(t, geo.volume(K), res.polar_volume, res.point,
-                                    res.converged, res.iterations, res.centroid_residual))
-        except (DegenerateInput, pol.CenterNotInterior) as exc:
-            pair = []
+            bodies[i] = K
+            rows.append(None)
+        except DegenerateInput as exc:
             tri = fan = None
-            rows.append(SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
-                                    False, note=str(exc)))
+            rows.append(failed(t, exc))
+    try:
+        solved = san.santalo_points(list(bodies.values())) if bodies else []
+    except (DegenerateInput, pol.CenterNotInterior):
+        solved = [_solve_alone(K) for K in bodies.values()]
+    for (i, K), res in zip(bodies.items(), solved):
+        t = grid[i]
+        rows[i] = (failed(t, res) if isinstance(res, Exception) else
+                   SweepRecord(t, geo.volume(K), res.polar_volume, res.point,
+                               res.converged, res.iterations, res.centroid_residual))
     return rows
+
+
+def _solve_alone(K: VPolytope):
+    """K's Santalo solve, or the error it raises."""
+    try:
+        return san.santalo_point(K)
+    except (DegenerateInput, pol.CenterNotInterior) as exc:
+        return exc
 
 
 @dataclass

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection
 
 import rational_oracle as oracle
 from conftest import hform_section, random_body, set_equal, vertices_match
@@ -86,10 +86,23 @@ class TestPolar:
 
 
 def qhull_polar_moments(K, z):
-    """Moments of K^{*z} from two fresh Qhull runs (dual hull, then hull)."""
+    """Moments of K^{*z} from two fresh Qhull runs: the dual hull, then a
+    Delaunay tiling of its vertices, which no merged facet can overlap.
+
+    In 1D, where Qhull does not run, the polar interval's closed form.
+    """
+    d = K.dim
+    if d == 1:
+        lo, hi = 1 / (K.vertices.min() - z[0]), 1 / (K.vertices.max() - z[0])
+        return hi - lo, np.array([(lo + hi) / 2]), np.array([[(lo * lo + lo * hi + hi * hi) / 3]])
     dual = ConvexHull(K.vertices - z)
-    P, _ = geo.convex_hull(dual.equations[:, :-1] / -dual.equations[:, -1:])
-    return geo.moments(P)
+    pts = geo._dedupe_rows(dual.equations[:, :-1] / -dual.equations[:, -1:], 1e-12)
+    tiles = pts[Delaunay(pts).simplices]
+    vols = np.abs(np.linalg.det(tiles[:, 1:] - tiles[:, :1])) / math.factorial(d)
+    sums = tiles.sum(axis=1)
+    second = (np.einsum("t,tki,tkj->ij", vols, tiles, tiles)
+              + np.einsum("t,ti,tj->ij", vols, sums, sums)) / ((d + 1) * (d + 2))
+    return vols.sum(), vols @ sums / (d + 1) / vols.sum(), second / vols.sum()
 
 
 def fan_bodies():
@@ -97,16 +110,23 @@ def fan_bodies():
     cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
     octahedron = np.vstack([np.eye(3), -np.eye(3)])  # polar has square facets
     hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
+    cross5 = np.vstack([np.eye(5), -np.eye(5)])  # polar: the 5-cube, merged facets
+    segment, random6 = [[-0.4], [1.3]], np.random.default_rng(6).normal(size=(16, 6))
     bodies = [geo.convex_hull(pts)[0] for pts in (cube, octahedron, hexagon)]
-    return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))]
+    return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))] + [
+        geo.convex_hull(pts)[0] for pts in (segment, cross5, random6)]
 
 
 class TestPolarFan:
     @pytest.mark.parametrize("K", fan_bodies(),
-                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6"])
+                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
+                                  "segment", "5-cross", "random-6-16"])
     def test_cached_fan_matches_fresh_qhull(self, K):
+        # the closed form D_T / prod slack over the fan cached at the
+        # vertex mean, at centers off it and then close to a vertex
         mean = K.vertices.mean(axis=0)
-        for lam in (0.35, 0.9):  # off-center, the second one near a vertex
+        # the 6D body's Delaunay reference takes a second or two per center
+        for lam in (0.99,) if K.dim == 6 else (0.35, 0.9, 0.99):
             z = mean + lam * (K.vertices[0] - mean)
             pb = pol.polar(K, z)
             vol, cen, second = qhull_polar_moments(K, z)
@@ -136,25 +156,23 @@ class TestPolarFan:
         assert len(qhull_calls) == 1
 
     def test_one_slack_per_polar(self, monkeypatch, rng):
+        # every center's facet slacks are computed once, on fresh bodies too:
+        # the fan's Qhull at the vertex mean reuses the caller's slacks there
+        centers = []
+        slack = pol._slack
+        monkeypatch.setattr(pol, "_slack", lambda n, b, z: centers.extend(
+            np.array(z, ndmin=2)) or slack(n, b, z))
         K = random_body(rng, 3)
         z = K.vertices.mean(axis=0)
-        pol.polar(K, z)  # caches the facets and the fan
-        calls = []
-        slack = geo.HPolytope.slack
-        monkeypatch.setattr(geo.HPolytope, "slack",
-                            lambda h, x: calls.append(x) or slack(h, x))
+        pol.polar(K, z)
         pol.polar(K, 0.9 * z + 0.1 * K.vertices[0])
-        assert len(calls) == 1
-        # a whole solve: its step cap reads the slacks its polars kept
-        polars = []
-        polar = pol.polar
-        monkeypatch.setattr(pol, "polar", lambda *a: polars.append(a) or polar(*a))
-        K = random_body(rng, 3)
-        pol._polar_fan(K)
-        calls.clear()
-        res = san.santalo_point(K)
-        assert res.iterations >= 2
-        assert len(calls) == len(polars)
+        assert len(centers) == 2
+        centers.clear()
+        # a stacked solve: trials and accepted points share their slacks
+        results = san.santalo_points([random_body(rng, 3) for _ in range(3)])
+        assert min(r.iterations for r in results) >= 2
+        assert len(centers) >= len(results) + sum(r.iterations for r in results)
+        assert len(np.unique(centers, axis=0)) == len(centers)
 
     def test_cuts_hull_only_their_result(self, qhull_calls, rng):
         K = random_body(rng, 3)
@@ -209,7 +227,7 @@ class TestHalfVolumes:
             pv = pol.polar(K, z).polar_volume
             assert hv.b_plus + hv.b_minus == pytest.approx(pv, rel=1e-12)
 
-    @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:],
+    @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:5],
                              ids=["cube", "octahedron", "4-simplex", "random-3-6"])
     def test_matches_hform_clips(self, K):
         mean = K.vertices.mean(axis=0)

@@ -138,6 +138,20 @@ class TestSantaloPoint:
         r2 = san.santalo_point(K, start=geo.centroid(K))
         assert np.linalg.norm(r1.point - r2.point) < 1e-6
 
+    def test_stack_with_mixed_starts(self, rng):
+        # an interior start, none, and one outside (which falls back to the
+        # vertex mean), on bodies with different facet counts
+        bodies = [random_body(rng, 3, extra) for extra in (1, 4, 8)]
+        starts = [geo.centroid(bodies[0]), None, bodies[2].vertices[0] * 3]
+        stacked = san.santalo_points(bodies, starts)
+        assert len({K.halfspaces.n_facets for K in bodies}) == 3
+        for K, res in zip(bodies, stacked):
+            alone = san.santalo_point(K)
+            assert res.converged
+            assert np.linalg.norm(res.point - alone.point) < 1e-6
+            assert res.polar_volume == pytest.approx(alone.polar_volume, rel=1e-12)
+        assert stacked[2].iterations == san.santalo_point(bodies[2]).iterations
+
 
 class TestLogRatio:
     def test_symmetric_chord_midpoint_ratio_one(self):

@@ -75,16 +75,6 @@ class TestSweepAndVerdicts:
         assert all(r.converged for r in rows)
         assert all(r.volume > 0 and r.polar_volume > 0 for r in rows)
 
-    def test_warm_start_matches_cold(self, rng):
-        for d, n_rows in ((2, 9), (3, 33), (4, 33)):
-            system = sh.random_shadow_system(d, rng)
-            grid = np.linspace(*system.interval, n_rows)
-            warm = sh.sweep(system, grid, warm_start=True)
-            cold = sh.sweep(system, grid, warm_start=False)
-            for a, b in zip(warm, cold):
-                assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-8)
-                assert np.allclose(a.santalo, b.santalo, atol=1e-6)
-
     def test_constant_system_zero_violation(self, rng):
         P = random_body(rng, 2)
         system = sh.ShadowSystem(P.vertices, np.zeros(P.n_vertices),
@@ -146,16 +136,16 @@ def _system_with(d, k, rng):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """(body, start, result) of every Santalo solve, in call order."""
+    """(body, result) of every row of every Santalo solve, in call order."""
     calls = []
-    solve = san.santalo_point
+    solve = san.santalo_points
 
-    def recording(K, start=None, **kwargs):
-        res = solve(K, start=start, **kwargs)
-        calls.append((K, start, res))
-        return res
+    def recording(bodies, *args, **kwargs):
+        results = solve(bodies, *args, **kwargs)
+        calls.extend(zip(bodies, results))
+        return results
 
-    monkeypatch.setattr(san, "santalo_point", recording)
+    monkeypatch.setattr(san, "santalo_points", recording)
     return calls
 
 
@@ -185,7 +175,7 @@ class TestCarriedCells:
             rows = sh.sweep(system, grid)
             assert all(r.converged for r in rows)
             n_carried += len(grid) - len(qhull_calls)
-            for t, r, (K, _, _) in zip(grid, rows, solved):
+            for t, r, (K, _) in zip(grid, rows, solved):
                 fresh, _ = geo.convex_hull(system.points_at(t))
                 assert set_equal(K, fresh, tol=1e-12)
                 assert r.volume == pytest.approx(geo.volume(fresh), rel=1e-12)
@@ -255,7 +245,7 @@ class TestCarriedCells:
                 fell_back.append(t)
                 next(it)
         assert fell_back == [0.125]
-        for t, r, (K, _, _) in zip(grid, rows, solved):
+        for t, r, (K, _) in zip(grid, rows, solved):
             fresh, _ = geo.convex_hull(system.points_at(t))
             assert K.n_vertices == (5 if t > 0.1 else 4)
             assert set_equal(K, fresh, tol=1e-12)
@@ -273,23 +263,50 @@ class TestCarriedCells:
         for t, r in zip(grid, rows):
             assert r.volume == geo.volume(sh.body_at(system, t))  # bitwise
 
-    def test_secant_start_on_uneven_grid(self, rng, solved):
-        system = sh.random_shadow_system(3, rng)
-        lo, hi = system.interval
-        grid = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 15)]))
+    def test_stacked_rows_match_single_solves(self, rng, solved):
+        # one stacked solve, its rows padded to the most facets and the
+        # largest fan, gives each row what a solve of that body alone gives
+        cases, mixed = [], 0
+        for d in (2, 3, 4):
+            system = sh.random_shadow_system(d, rng)
+            lo, hi = system.interval
+            uneven = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 15)]))
+            cases += [(system, np.linspace(lo, hi, 33)), (system, uneven)]
+        cases.append((sh.random_shadow_system(5, rng), np.linspace(-0.5, 0.5, 9)))
+        for system, grid in cases:
+            solved.clear()
+            rows = sh.sweep(system, grid)
+            assert len(solved) == len(grid)  # a single stack, no fallback
+            mixed += len({K.halfspaces.n_facets for K, _ in solved}) > 1
+            for t, r in zip(grid, rows):
+                alone = san.santalo_point(sh.body_at(system, t))
+                assert r.converged and alone.converged and r.iterations == alone.iterations
+                assert r.polar_volume == pytest.approx(alone.polar_volume, rel=1e-8)
+                assert np.allclose(r.santalo, alone.point, atol=1e-6)
+        assert mixed >= 3
+
+    def test_row_whose_solve_raises_is_recorded(self, rng, monkeypatch):
+        # the stacked solve raises, so the rows are solved one by one and
+        # only the row whose own solve raises is recorded as failed
+        system = sh.random_shadow_system(2, rng)
+        grid = np.linspace(*system.interval, 9)
+        plain = sh.sweep(system, grid)
+        solve, calls = san.santalo_points, []
+
+        def failing(bodies, *args, **kwargs):
+            calls.append(len(bodies))
+            if len(bodies) > 1 or len(calls) == 6:  # the stack, then row 4
+                raise pol.CenterNotInterior("center on the boundary")
+            return solve(bodies, *args, **kwargs)
+
+        monkeypatch.setattr(san, "santalo_points", failing)
         rows = sh.sweep(system, grid)
-        assert all(r.converged for r in rows)
-        starts = [start for _, start, _ in solved]
-        assert starts[0] is None
-        assert np.array_equal(starts[1], rows[0].santalo)
-        for i in range(2, len(grid)):
-            step = (grid[i] - grid[i - 1]) / (grid[i - 1] - grid[i - 2])
-            secant = rows[i - 1].santalo + step * (rows[i - 1].santalo - rows[i - 2].santalo)
-            assert np.array_equal(starts[i], secant)
-        cold = sh.sweep(system, grid, warm_start=False)
-        for a, b in zip(rows, cold):
-            assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-8)
-            assert np.allclose(a.santalo, b.santalo, atol=1e-6)
+        assert calls == [9] + [1] * 9
+        assert rows[4].note == "center on the boundary" and not rows[4].converged
+        assert math.isnan(rows[4].polar_volume) and math.isnan(rows[4].volume)
+        for a, b in zip(rows[:4] + rows[5:], plain[:4] + plain[5:]):
+            assert a.converged and a.volume == b.volume
+            assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-12)
 
 
 class TestAffineFamily:
