@@ -75,6 +75,13 @@ class TestSweepAndVerdicts:
         assert all(r.converged for r in rows)
         assert all(r.volume > 0 and r.polar_volume > 0 for r in rows)
 
+    def test_warm_start_matches_cold(self, rng):
+        # the sweep solves its rows together; each matches a cold solve
+        for d, n_rows in ((2, 9), (3, 33), (4, 33)):
+            system = sh.random_shadow_system(d, rng)
+            grid = np.linspace(*system.interval, n_rows)
+            _assert_rows_match_single_solves(system, grid, sh.sweep(system, grid))
+
     def test_constant_system_zero_violation(self, rng):
         P = random_body(rng, 2)
         system = sh.ShadowSystem(P.vertices, np.zeros(P.n_vertices),
@@ -132,6 +139,15 @@ def _system_with(d, k, rng):
         system = sh.random_shadow_system(d, rng, n_points=k - 2)
         if len(system.base_points) == k:
             return system
+
+
+def _assert_rows_match_single_solves(system, grid, rows):
+    """Each sweep row agrees with a cold solve of its body alone."""
+    for t, r in zip(grid, rows):
+        alone = san.santalo_point(sh.body_at(system, t))
+        assert r.converged and alone.converged and r.iterations == alone.iterations
+        assert r.polar_volume == pytest.approx(alone.polar_volume, rel=1e-8)
+        assert np.allclose(r.santalo, alone.point, atol=1e-6)
 
 
 @pytest.fixture
@@ -263,6 +279,23 @@ class TestCarriedCells:
         for t, r in zip(grid, rows):
             assert r.volume == geo.volume(sh.body_at(system, t))  # bitwise
 
+    def test_secant_start_on_uneven_grid(self, rng, monkeypatch):
+        # rows start at their vertex means, not at a secant prediction from
+        # their neighbours, so an uneven grid needs no step ratios
+        system = sh.random_shadow_system(3, rng)
+        lo, hi = system.interval
+        grid = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 15)]))
+        solve, options = san.santalo_points, []
+
+        def recording(bodies, *args, **kwargs):
+            options.append((args, kwargs))
+            return solve(bodies, *args, **kwargs)
+
+        monkeypatch.setattr(san, "santalo_points", recording)
+        rows = sh.sweep(system, grid)
+        assert options == [((), {})]  # one stack, no starts given
+        _assert_rows_match_single_solves(system, grid, rows)
+
     def test_stacked_rows_match_single_solves(self, rng, solved):
         # one stacked solve, its rows padded to the most facets and the
         # largest fan, gives each row what a solve of that body alone gives
@@ -278,11 +311,7 @@ class TestCarriedCells:
             rows = sh.sweep(system, grid)
             assert len(solved) == len(grid)  # a single stack, no fallback
             mixed += len({K.halfspaces.n_facets for K, _ in solved}) > 1
-            for t, r in zip(grid, rows):
-                alone = san.santalo_point(sh.body_at(system, t))
-                assert r.converged and alone.converged and r.iterations == alone.iterations
-                assert r.polar_volume == pytest.approx(alone.polar_volume, rel=1e-8)
-                assert np.allclose(r.santalo, alone.point, atol=1e-6)
+            _assert_rows_match_single_solves(system, grid, rows)
         assert mixed >= 3
 
     def test_row_whose_solve_raises_is_recorded(self, rng, monkeypatch):
