@@ -97,25 +97,23 @@ def _configuration(K: VPolytope) -> _Config:
     margin_ok = bool(np.all(independent)) and not np.any(
         (dist[independent] > tau_on) & (dist[independent] <= 10 * tau_on))
     best_on = tuple(np.flatnonzero(on[best]))
+    off = tuple(i for i in range(n) if i not in best_on)
+    normal = normals[best]
+    offset = float(normal @ centers[best])
 
     if n == d + 2:
         if best_count >= d + 1:
-            return _Config(CaseLabel.PYRAMID_Ia, margin_ok,
-                           coplanar=best_on,
-                           off=tuple(i for i in range(n) if i not in best_on))
+            return _Config(CaseLabel.PYRAMID_Ia, margin_ok, coplanar=best_on, off=off,
+                           hyperplane=Hyperplane(normal, offset))
         return _Config(CaseLabel.SIMPLICIAL_Ib, margin_ok)
 
     # n == d + 3
     if best_count >= d + 2:
-        return _Config(CaseLabel.PYRAMID_IIa, margin_ok,
-                       coplanar=best_on,
-                       off=tuple(i for i in range(n) if i not in best_on))
+        return _Config(CaseLabel.PYRAMID_IIa, margin_ok, coplanar=best_on, off=off,
+                       hyperplane=Hyperplane(normal, offset))
     if best_count == d:
         return _Config(CaseLabel.SIMPLICIAL_IIc, margin_ok)
 
-    normal = normals[best]
-    offset = float(normal @ centers[best])
-    off = tuple(i for i in range(n) if i not in best_on)
     heights = verts[list(off)] @ normal - offset
     if heights[0] * heights[1] < 0:
         # opposite sides: orient so xi_1 < 0 < xi_2

@@ -8,8 +8,8 @@ images of each other, so one boundary triangulation, found by a single Qhull
 run per body and cached on it, serves every center.  With it are cached the
 facet-normal determinants D_T = |det N_T| / d! of its simplices T, and after
 that first call a polar is closed-form: the cone from the center over T has
-volume D_T / prod_{F in T} slack_F(z).  Its H-form is built only when
-something reads it.
+volume D_T / prod_{F in T} slack_F(z).  Its H-form, one facet per vertex
+of K, is attached only where it is read (`bipolar`).
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
 by the staircase triangulation of `geometry._staircase`.
@@ -102,14 +102,18 @@ def _polar_fan(K: VPolytope, z=None, slack=None) -> tuple[np.ndarray, np.ndarray
         z0 = K.vertices.mean(axis=0)
         if slack is None or not np.array_equal(z, z0):
             slack = _slack(h.normals, h.offsets, z0)
-        try:
-            hull = ConvexHull(h.normals / slack[:, None])
-        except QhullError as exc:  # cannot happen for valid K, defensive
-            raise DegenerateInput(f"polar hull failed: {exc}") from exc
-        K._polar_fan = geo.hull_simplices(hull)
+        K._polar_fan = _hull_fan(h.normals / slack[:, None])
     if K._fan_dets is None:
         K._fan_dets = np.abs(np.linalg.det(h.normals[K._polar_fan])) / math.factorial(K.dim)
     return K._polar_fan, K._fan_dets
+
+
+def _hull_fan(y: np.ndarray) -> np.ndarray:
+    """Qhull's boundary triangulation of the polar vertices y, as indices."""
+    try:
+        return geo.hull_simplices(ConvexHull(y))
+    except QhullError as exc:  # cannot happen for valid K, defensive
+        raise DegenerateInput(f"polar hull failed: {exc}") from exc
 
 
 def _cones(slack, fan, dets) -> np.ndarray:
@@ -132,7 +136,15 @@ def polar(K: VPolytope, z) -> PolarBody:
 
 
 def bipolar(pb: PolarBody) -> VPolytope:
-    """Polar of the polar about the origin, translated back by the center."""
+    """Polar of the polar about the origin, translated back by the center.
+
+    The polar's facets are {y : <y, v - z> <= 1}, one per vertex v of K and
+    none redundant; they are attached here, where they are first read, so no
+    hull of the polar's vertices is run.
+    """
+    if pb.polar._halfspaces is None:
+        v = pb.base.vertices - pb.center
+        pb.polar._halfspaces = geo.HPolytope(v, np.ones(len(v)))
     inner = polar(pb.polar, np.zeros(pb.polar.dim))
     return geo.translate(inner.polar, pb.center)
 

@@ -7,8 +7,9 @@ The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
 damped Newton from the vertex mean, with Armijo backtracking and a step cap
 that keeps the iterate well inside the body, where the objective is finite.
 Newton steps are affine-invariant, so no preconditioning is needed.
-`santalo_points` runs it on a stack of bodies at once, each row on its own
-steps, so a sweep's rows share every numpy call.
+`santalo_stack` runs it on stacked arrays of facets, fans and starts, each
+row on its own steps, so a sweep's rows share every numpy call;
+`santalo_points` fills them from bodies.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .geometry import VPolytope
 
 TOL_SANT = 1e-8
 MAX_ITERATIONS = 500
+NOT_INTERIOR = "polarity center too close to the boundary"
 
 
 @dataclass
@@ -53,65 +55,123 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
 
 def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
                    max_iterations: int = MAX_ITERATIONS) -> list[SantaloResult]:
-    """Santalo points of bodies of one dimension, in one stacked Newton pass.
+    """Santalo points of bodies of one dimension, in one `santalo_stack` call.
 
     Row r starts at starts[r] if given and strictly interior, else at the
-    vertex mean (CenterNotInterior if that is not), and steps on its own
-    until its residual is at most `tol_sant`, or non-converged at the
-    iteration cap or a stalled line search.  Trials evaluate only the polar
-    volume.  Rows are padded by repeating facet 0 and by zero-volume fan
-    simplices, which keep each row's slacks, step cap and moments.
+    vertex mean (CenterNotInterior if that is not).
     """
-    d = bodies[0].dim
-    hs = [K.halfspaces for K in bodies]
-    N = _padded([h.normals for h in hs], repeat_first=True)
-    b = _padded([h.offsets for h in hs], repeat_first=True)
-    tau = geo.TAU_GEOM * np.array([K.scale() for K in bodies])
-    mean = np.array([K.vertices.mean(axis=0) for K in bodies])
-    z = mean.copy() if starts is None else np.array(
-        [c if x is None else geo.as_vector(x) for c, x in zip(mean, starts)])
+    stacks = [_body_stack(K, None if starts is None else starts[r])
+              for r, K in enumerate(bodies)]
+    out = santalo_stack(*_joined(stacks), tol_sant, max_iterations)
+    if any(out.note):
+        raise pol.CenterNotInterior(NOT_INTERIOR)
+    return [SantaloResult(out.point[r], float(out.polar_volume[r]), float(out.residual[r]),
+                          int(out.iterations[r]), bool(out.converged[r]),
+                          pol.PolarBody(K, out.point[r],
+                                        VPolytope(out.y[r, :K.halfspaces.n_facets],
+                                                  simplices=fan[0]),
+                                        float(out.polar_volume[r]), out.centroid[r],
+                                        out.second[r]))
+            for r, (K, (_, _, fan, *_)) in enumerate(zip(bodies, stacks))]
+
+
+def _body_stack(K: VPolytope, start=None) -> tuple:
+    """K as a solver stack of one row (N, b, fan, D, tau, z, s), from `start`
+    if it is strictly interior, else from the vertex mean; no fan is built
+    when that is not interior either."""
+    h = K.halfspaces
+    N, b, tau = h.normals[None], h.offsets[None], geo.TAU_GEOM * np.array([K.scale()])
+    mean = K.vertices.mean(axis=0)[None]
+    z = mean if start is None else geo.as_vector(start)[None]
     s = pol._slack(N, b, z)
-    if starts is not None:  # a start too close to the boundary: the mean
-        redo = (s.min(axis=1) <= tau) & (z != mean).any(axis=1)
-        z[redo] = mean[redo]
-        s[redo] = pol._slack(N[redo], b[redo], z[redo])
-    if np.any(s.min(axis=1) <= tau):
-        raise pol.CenterNotInterior("polarity center too close to the boundary")
-    fans = [pol._polar_fan(K, z[r], s[r, :h.n_facets])
-            for r, (K, h) in enumerate(zip(bodies, hs))]
-    fan = _padded([F for F, _ in fans], repeat_first=False)
-    dets = _padded([D for _, D in fans], repeat_first=False)
+    if start is not None and s.min() <= tau[0]:  # too close to the boundary
+        z, s = mean, pol._slack(N, b, mean)
+    fan, D = (pol._polar_fan(K, z[0], s[0]) if s.min() > tau[0] else
+              (np.zeros((1, K.dim), dtype=int), np.zeros(1)))
+    return N, b, fan[None], D[None], tau, z, s
+
+
+def _joined(stacks) -> list:
+    """Solver stacks (N, b, fan, D, tau, z, s) as one: rows padded to the
+    most facets by repeating facet 0 and to the largest fan by zero-volume
+    simplices, which keep each row's slacks, step cap and moments."""
+    if len(stacks) == 1:
+        return stacks[0][:7]
+    return [_padded([x[k] for x in stacks], repeat_first=k not in (2, 3)) for k in range(7)]
+
+
+@dataclass
+class StackSolve:
+    """Row r of a `santalo_stack` pass: its last iterate, the polar there
+    (vertices y, padded like the normals; volume, centroid, second moment),
+    residual and Newton steps.  A row that was not solved keeps its start
+    and NaNs, and note[r] says why."""
+
+    point: np.ndarray
+    y: np.ndarray
+    polar_volume: np.ndarray
+    centroid: np.ndarray
+    second: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    note: list
+
+
+def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
+                  max_iterations: int = MAX_ITERATIONS) -> StackSolve:
+    """Damped Newton on stacked rows, each on its own steps.
+
+    Row r is the polytope {x : N[r] x <= b[r]} with its polar fan fan[r]
+    (facet indices) and D_T = D[r] (`polarity._polar_fan`), started at z[r],
+    where its facet slacks are s[r].  It steps until its residual is at most
+    `tol_sant`, or is non-converged at the iteration cap or a stalled line
+    search; trials evaluate only the polar volume.  A row whose start has a
+    slack at most tau[r] is not solved: it fails with a note, and never
+    raises, so one bad row cannot cost the others their solve.
+    """
+    R, d = z.shape
+    interior = s.min(axis=1) > tau
+    note = ["" if ok else NOT_INTERIOR for ok in interior]
+    body = np.flatnonzero(interior)  # the row of each working row
+    out = None if len(body) == R else _unsolved(z, N.shape[1], note)  # else made when needed
+    if not len(body):
+        return out
+    z, s = z[body], s[body]  # copies: the iterates move in place
+    if len(body) < R:
+        N, b, fan, D, tau = (a[body] for a in (N, b, fan, D, tau))
     incidence = geo._incidence(fan, N.shape[1])
     at = lambda fan: fan + N.shape[1] * np.arange(len(fan))[:, None, None]  # for `_cones`
 
     def measure(slack):
         """Polar vertices, moments and residuals about the working rows' centers."""
         y = N / slack[..., None]
-        vol, cen, second = geo._fan_moments(y, pol._cones(slack, corners, dets), incidence)
+        vol, cen, second = geo._fan_moments(y, pol._cones(slack, corners, D), incidence)
         sq = (y * y).sum(axis=-1)  # the diameter from the Gram matrix
         gaps = sq[:, :, None] + sq[:, None] - 2 * y @ y.transpose(0, 2, 1)
         return y, vol, cen, second, np.sqrt((cen * cen).sum(axis=1) / gaps.max(axis=(1, 2)))
 
     corners = at(fan)
     y, vol, cen, second, res = measure(s)
-    body = np.arange(len(bodies))  # the body of each working row
-    iterations = np.zeros(len(bodies), dtype=int)
-    stalled = np.zeros(len(bodies), dtype=bool)
-    results = [None] * len(bodies)
+    iterations = np.zeros(len(z), dtype=int)
+    stalled = np.zeros(len(z), dtype=bool)
     while True:
         done = (res <= tol_sant) | (iterations == max_iterations) | stalled
         if done.any():
-            for r in np.flatnonzero(done):
-                K, h, (F, _) = bodies[body[r]], hs[body[r]], fans[body[r]]
-                pb = pol.PolarBody(K, z[r], VPolytope(y[r, :h.n_facets], simplices=F),
-                                   float(vol[r]), cen[r], second[r])
-                results[body[r]] = SantaloResult(z[r], pb.polar_volume, float(res[r]),
-                                                 int(iterations[r]), bool(res[r] <= tol_sant), pb)
+            if out is None and done.all():  # every row at once: these arrays are the result
+                return StackSolve(z, y, vol, cen, second, res, iterations, res <= tol_sant, note)
+            if out is None:
+                out = _unsolved(z, N.shape[1], note)
+            rows = body[done]
+            for name, a in (("point", z), ("y", y), ("polar_volume", vol), ("centroid", cen),
+                            ("second", second), ("residual", res), ("iterations", iterations)):
+                getattr(out, name)[rows] = a[done]
+            out.converged[rows] = res[done] <= tol_sant
             if done.all():
-                return results
+                return out
             # only the rows that go on stay in the stack
-            N, b, tau, fan, dets, incidence, body, iterations, z, s, y, vol, cen, second, res = (
-                a[~done] for a in (N, b, tau, fan, dets, incidence, body, iterations,
+            N, b, tau, fan, D, incidence, body, iterations, z, s, y, vol, cen, second, res = (
+                a[~done] for a in (N, b, tau, fan, D, incidence, body, iterations,
                                    z, s, y, vol, cen, second, res))
             corners = at(fan)
         iterations += 1
@@ -129,7 +189,7 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
             s_try = pol._slack(N, b, z_try)
             inside = searching & (s_try.min(axis=1) > tau)  # else halve
             s_try = np.where(inside[:, None], s_try, s)
-            trial = pol._cones(s_try, corners, dets).sum(axis=1)
+            trial = pol._cones(s_try, corners, D).sum(axis=1)
             ok = inside & (trial <= vol + t * armijo)  # Armijo
             if tiny.any() and (late := inside & ~ok & tiny).any():
                 ok |= late & (measure(s_try)[-1] < res)  # it lowers the residual
@@ -142,16 +202,22 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
         y, vol, cen, second, res = measure(s)  # stalled rows: as they were
 
 
-def _padded(arrays, repeat_first: bool) -> np.ndarray:
-    """One stack of arrays, each padded to the longest with its row 0 or 0s."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    sizes = np.array([len(a) for a in arrays])
-    start = np.cumsum(sizes) - sizes
-    flat = np.concatenate(arrays + [np.zeros_like(arrays[0][:1])])
-    cols = np.arange(sizes.max())
-    fill = start[:, None] if repeat_first else len(flat) - 1
-    return flat[np.where(cols < sizes[:, None], start[:, None] + cols, fill)]
+def _unsolved(z, n_facets: int, note: list) -> StackSolve:
+    """A `santalo_stack` result whose rows keep their starts z, with NaNs."""
+    R, d = z.shape
+    nan = lambda *shape: np.full((R, *shape), math.nan)
+    return StackSolve(z.copy(), nan(n_facets, d), nan(), nan(d), nan(d, d), nan(),
+                      np.zeros(R, dtype=int), np.zeros(R, dtype=bool), note)
+
+
+def _padded(stacks, repeat_first: bool) -> np.ndarray:
+    """Stacks (R_i, m_i, ...) joined along their rows, each padded to the
+    largest m_i by repeating its column 0, or with 0s (1-d stacks as given)."""
+    m = max(a.shape[1:2] for a in stacks)
+    pad = lambda a: np.repeat(a[:, :1] if repeat_first else np.zeros_like(a[:, :1]),
+                              m[0] - a.shape[1], axis=1)
+    return np.concatenate([np.concatenate([a, pad(a)], axis=1) if a.shape[1:2] < m else a
+                           for a in stacks])
 
 
 def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:

@@ -6,10 +6,11 @@ Sweeping t and measuring |K_t|, |K_t^*| and the Santalo point turns the
 convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
 
 Every orientation determinant det[1, x_i + speed_i * t * direction] is
-affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its facets
-between finitely many parameters.  A sweep carries each row's boundary
-triangulation and polar fan to the next row while a certificate holds and
-runs Qhull only where it fails.
+affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its boundary
+simplices over runs of parameters, its combinatorial cells.  A sweep
+stacks every row's points, certifies a cell's simplices and polar fan on
+all its rows at once, reads their facets and volumes off those arrays, and
+runs Qhull only where a cell or a fan starts.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ class ShadowSystem:
     def dim(self) -> int:
         return self.base_points.shape[1]
 
-    def points_at(self, t: float) -> np.ndarray:
-        """The moved points x_i + speed_i * t * direction, in base-point order."""
-        return self.base_points + np.outer(self.speeds * t, self.direction)
+    def points_at(self, t) -> np.ndarray:
+        """The moved points x_i + speed_i * t * direction, in base-point order;
+        stacked (R, n, d) for R parameters t."""
+        return self.base_points + np.multiply.outer(np.multiply.outer(t, self.speeds),
+                                                    self.direction)
 
     @property
     def axis(self) -> int:
@@ -89,75 +92,88 @@ def body_at(system: ShadowSystem, t: float) -> VPolytope:
     return _body(system, t)[0]
 
 
-def _body(system: ShadowSystem, t: float, tri=None):
-    """(K_t, the base-point index of each vertex, fit): built on the simplices
-    `tri` (base-point indices) when `_carried` certifies them, else the
-    cached or Qhull body with `fit` None."""
+def _body(system: ShadowSystem, t: float):
+    """(K_t, the base-point index of each vertex): cached or built by Qhull."""
     t = float(t)
-    if tri is None and t in system._bodies:
+    if t in system._bodies:
         return system._bodies[t]
     lo, hi = system.interval
     span = max(hi - lo, 1.0)
     if not lo - 1e-12 * span <= t <= hi + 1e-12 * span:
         raise ValueError(f"t={t} outside interval [{lo}, {hi}]")
     pts = system.points_at(t)
-    carried = None if tri is None else _carried(pts, tri)
-    if carried is not None or t in system._bodies:
-        return carried or system._bodies[t]
     try:
         P, _ = geo.convex_hull(pts)
     except DegenerateInput as exc:
         raise DegenerateAt(t, f"degenerate hull at t={t}: {exc}") from exc
     # The vertices are bitwise copies of rows of `pts`.
-    return P, np.argmax((P.vertices[:, None] == pts).all(axis=2), axis=1), None
+    return P, np.argmax((P.vertices[:, None] == pts).all(axis=2), axis=1)
 
 
-def _carried(pts: np.ndarray, tri: np.ndarray):
-    """(hull of `pts` on the boundary simplices `tri`, vertex indices, fit), or None.
+def _certified(P: np.ndarray, tri: np.ndarray):
+    """Which rows of the stacked points P (R, n, d) have the boundary
+    simplices `tri`, and their facets there: (ok, c, A, tau, volume).
 
-    A_j solves <A_j, p - c> = 1 on the corners p of simplex j, c the vertex
-    mean: it is that facet's polar vertex about c.  Certified when every
-    point off a simplex has slack > TAU_GEOM * scale for it, since a closed
-    pseudomanifold of strictly supporting simplices is the whole boundary;
-    coplanar or non-simplicial hulls never pass.  fit = (order, A), facet
-    row r of K lying on simplex order[r].
+    A[r, j] solves <A, p - c[r]> = 1 on the corners p of simplex j, c[r] the
+    vertex mean of row r: it is that facet's polar vertex about c[r], the
+    facet is <A_j, x> <= 1 + <A_j, c[r]>, and c[r]'s slack to it 1 / |A_j|.
+    Row r is certified when every point off a simplex has slack
+    > tau[r] = TAU_GEOM * scale for it, since a closed pseudomanifold of
+    strictly supporting simplices is the whole boundary; coplanar or
+    non-simplicial hulls never pass, nor do two facets that `HPolytope`
+    would merge.  volume[r] is the fan from c[r], as `geometry.volume`.
     """
-    verts = np.unique(tri)
-    c = pts[verts].mean(axis=0)
-    try:
-        A = np.linalg.solve(pts[tri] - c, np.ones((*tri.shape, 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        return None
-    norm = np.linalg.norm(A, axis=1)
-    slack = (1.0 - (pts - c) @ A.T) / norm
-    slack[tri, np.arange(len(tri))[:, None]] = np.inf
-    if not np.min(slack) > geo.TAU_GEOM * max(1e-30, float(np.max(np.abs(pts)))):
-        return None
-    rows = np.column_stack([A, 1.0 + A @ c]) / norm[:, None]  # unit normal, offset
-    order = np.lexsort(rows.T[::-1])  # the row order of HPolytope
-    h = geo.HPolytope(rows[:, :-1], rows[:, -1])
-    if h.n_facets != len(tri) or np.max(np.abs(h.normals - rows[order, :-1])) > 1e-12:
-        return None
-    return VPolytope(pts[verts], h, np.searchsorted(verts, tri)), verts, (order, A)
+    m, d = tri.shape
+    c = P[:, np.unique(tri)].mean(axis=1)
+    M = P[:, tri] - c[:, None, None]
+    dets = np.linalg.det(M)
+    bad = (dets == 0).any(axis=1)
+    M[bad] = np.eye(d)  # solvable; these rows fail
+    A = np.linalg.solve(M, np.ones((m, d, 1)))[..., 0]
+    norm = np.linalg.norm(A, axis=2)
+    slack = (1.0 - (P - c[:, None]) @ A.transpose(0, 2, 1)) / norm[:, None]
+    slack[:, tri, np.arange(m)[:, None]] = np.inf
+    # Facets within TAU_GEOM of each other have normals at cosine ~1.
+    rows = np.concatenate([A, 1.0 + A @ c[..., None]], axis=2) / norm[..., None]
+    r, j, k = np.nonzero(np.triu(rows[..., :-1] @ rows[..., :-1].transpose(0, 2, 1)
+                                 > 1 - 1e-12, 1))
+    bad[r[np.abs(rows[r, j] - rows[r, k]).max(axis=1) <= geo.TAU_GEOM]] = True
+    tau = geo.TAU_GEOM * np.maximum(1e-30, np.abs(P).max(axis=(1, 2)))
+    ok = ~bad & (slack.min(axis=(1, 2)) > tau)
+    return ok, c, A, tau, np.abs(dets).sum(axis=1) / math.factorial(d)
 
 
-def _fan(K: VPolytope, fit, fan=None):
-    """Give K a polar fan; return it over K's simplices, with its det signs.
+def _cell(c, A, tau, volume) -> list:
+    """Solver stacks (N, b, fan, D, tau, z, s, volume) of a cell's rows.
 
-    `fan`, the previous row's over the same simplices, is kept if its cone
-    dets at K's vertex mean keep their signs up to 1e-12 of their absolute
-    sum, the tolerance of `geometry.hull_simplices` (zero-volume simplices
-    may flip, so signs are not compared one by one); else Qhull builds one.
+    Qhull builds a polar fan on the first row's polar vertices A; the next
+    rows keep it while its cone dets keep their signs (`_same_signs`), and
+    the first row where they do not builds the next fan.  The same dets give
+    D_T = |det A_T| / (d! prod_{F in T} |A_F|), and each row starts at its
+    vertex mean c, where its slacks s are 1 / |A_F|.
     """
-    order, A = fit
-    if fan is not None:
-        dets = np.linalg.det(A[fan[0]])
-        total = np.abs(dets).sum()
-        if total - abs(fan[1] @ dets) <= 1e-12 * total:
-            K._polar_fan = np.argsort(order)[fan[0]]
-            return fan
-    simplices = order[pol._polar_fan(K)[0]]
-    return simplices, np.sign(np.linalg.det(A[simplices]))
+    norm = np.linalg.norm(A, axis=2)
+    N = A / norm[..., None]
+    b = (1.0 + (A @ c[..., None])[..., 0]) / norm
+    stacks, r = [], 0
+    while r < len(A):
+        fan = pol._hull_fan(A[r])
+        dets = np.linalg.det(A[r:, fan])
+        n = max(1, int(np.argmin(np.append(_same_signs(dets), False))))
+        at = slice(r, r + n)
+        D = np.abs(dets[:n]) / norm[at][:, fan].prod(axis=2) / math.factorial(A.shape[2])
+        stacks.append((N[at], b[at], np.broadcast_to(fan, (n, *fan.shape)), D, tau[at],
+                       c[at], 1.0 / norm[at], volume[at]))
+        r += n
+    return stacks
+
+
+def _same_signs(dets: np.ndarray) -> np.ndarray:
+    """Rows of a fan's cone dets (R, f) whose signs are row 0's up to 1e-12
+    of their absolute sum, the tolerance of `geometry.hull_simplices`:
+    zero-volume simplices may flip, so signs are not compared one by one."""
+    total = np.abs(dets).sum(axis=1)
+    return total - np.abs(dets @ np.sign(dets[0])) <= 1e-12 * total
 
 
 @dataclass
@@ -176,55 +192,50 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     """Measure |K_t|, |K_t^*| and S(K_t) on a sorted grid of parameters.
 
     Per-row failures are recorded (converged=False, NaNs), never raised, so
-    one bad parameter cannot abort a campaign.  Every row's body is built
-    first: it keeps the previous row's boundary simplices when `_carried`
-    certifies them, then its polar fan when `_fan` does; what fails, and
-    every row after a failed body, is built by Qhull as `body_at` does.
-    Then one `santalo.santalo_points` call solves every row from its vertex
-    mean; when it raises, the rows are solved one by one, so that only the
-    rows at fault are recorded as failed.
+    one bad parameter cannot abort a campaign.  The grid is cut into cells:
+    a cell opens at a row with the body `body_at` gives there, and its
+    boundary simplices are certified on all later rows at once
+    (`_certified`); the cell ends at the first row where they fail, which
+    opens the next.  A body that fails on its own simplices is solved as
+    Qhull built it.  A cell's rows are read off its arrays (`_cell`), with
+    no polytope per row, and one `santalo.santalo_stack` call solves every
+    row from its vertex mean.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted")
     d = system.dim
-    failed = lambda t, exc: SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
-                                        False, note=str(exc))
-    rows: list = []
-    bodies = {}  # row -> K_t
-    tri = fan = None  # the last good row's simplices and `_fan`
-    for i, t in enumerate(grid):
+    pts = system.points_at(np.array(grid))
+    failed = lambda t, why: SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
+                                        False, note=str(why))
+    rows: list = [None] * len(grid)
+    stacks, solved = [], []  # solver stacks, and the rows they hold in order
+    i = 0
+    while i < len(grid):
         try:
-            K, idx, fit = _body(system, t, tri)
-            if fit is None:  # a fresh body: rebuilt on its own simplices if they pass
-                own = _carried(system.points_at(t), idx[K.facet_simplices])
-                K, idx, fit = own or (K, idx, None)
-                fan = None
-            fan = None if fit is None else _fan(K, fit, fan)
-            tri = idx[K.facet_simplices]
-            bodies[i] = K
-            rows.append(None)
+            K, idx = _body(system, grid[i])
+            ok, *cell = _certified(pts[i:], idx[K.facet_simplices])
+            # the row after a body failing its own simplices may still carry them
+            first = int(not ok[0])
+            n = first + int(np.argmin(np.append(ok[first:], False)))
+            new = ([(*san._body_stack(K), np.array([geo.volume(K)]))] if first else []
+                   ) + _cell(*(a[first:n] for a in cell))
         except DegenerateInput as exc:
-            tri = fan = None
-            rows.append(failed(t, exc))
-    try:
-        solved = san.santalo_points(list(bodies.values())) if bodies else []
-    except (DegenerateInput, pol.CenterNotInterior):
-        solved = [_solve_alone(K) for K in bodies.values()]
-    for (i, K), res in zip(bodies.items(), solved):
-        t = grid[i]
-        rows[i] = (failed(t, res) if isinstance(res, Exception) else
-                   SweepRecord(t, geo.volume(K), res.polar_volume, res.point,
-                               res.converged, res.iterations, res.centroid_residual))
+            rows[i] = failed(grid[i], exc)
+            i += 1
+            continue
+        stacks += new
+        solved += range(i, i + n)
+        i += n
+    if stacks:
+        out = san.santalo_stack(*san._joined(stacks))
+        volume = np.concatenate([x[-1] for x in stacks])
+        for k, i in enumerate(solved):
+            rows[i] = (failed(grid[i], out.note[k]) if out.note[k] else
+                       SweepRecord(grid[i], float(volume[k]), float(out.polar_volume[k]),
+                                   out.point[k], bool(out.converged[k]),
+                                   int(out.iterations[k]), float(out.residual[k])))
     return rows
-
-
-def _solve_alone(K: VPolytope):
-    """K's Santalo solve, or the error it raises."""
-    try:
-        return san.santalo_point(K)
-    except (DegenerateInput, pol.CenterNotInterior) as exc:
-        return exc
 
 
 @dataclass

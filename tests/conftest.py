@@ -56,3 +56,13 @@ def qhull_calls(monkeypatch):
     monkeypatch.setattr(pol, "ConvexHull", counting)
     monkeypatch.setattr(geo, "ConvexHull", counting)
     return calls
+
+
+@pytest.fixture
+def slack_centers(monkeypatch):
+    """Every center passed to `polarity._slack`, one row each, in call order."""
+    centers = []
+    slack = pol._slack
+    monkeypatch.setattr(pol, "_slack", lambda n, b, z: centers.extend(
+        np.array(z, ndmin=2)) or slack(n, b, z))
+    return centers

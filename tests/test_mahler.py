@@ -74,13 +74,15 @@ def _reference_configuration(K):
         if best_count >= d + 1:
             return mah._Config(CaseLabel.PYRAMID_Ia, margin_ok,
                                coplanar=best_on,
-                               off=tuple(i for i in range(n) if i not in best_on))
+                               off=tuple(i for i in range(n) if i not in best_on),
+                               hyperplane=geo.Hyperplane(*best_plane))
         return mah._Config(CaseLabel.SIMPLICIAL_Ib, margin_ok)
 
     if best_count >= d + 2:
         return mah._Config(CaseLabel.PYRAMID_IIa, margin_ok,
                            coplanar=best_on,
-                           off=tuple(i for i in range(n) if i not in best_on))
+                           off=tuple(i for i in range(n) if i not in best_on),
+                           hyperplane=geo.Hyperplane(*best_plane))
     if best_count == d:
         return mah._Config(CaseLabel.SIMPLICIAL_IIc, margin_ok)
 
@@ -246,6 +248,30 @@ class TestClassify:
             with pytest.raises(error) as got:
                 mah._configuration(K)
             assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pyramids_carry_their_base_plane(self, d):
+        # a base of d+1 or d+2 points on a bowl 1e-10 deep (in convex
+        # position, so in d = 2 too), under an apex, rotated and moved: the
+        # coplanar vertices lie on the plane
+        rng = np.random.default_rng(d)
+        for i in range(50):
+            k = d + 2 + i % 2
+            K = None
+            while K is None or K.n_vertices < k:  # Qhull merged a shallow vertex
+                X = mah._ball_points(rng, k - 1, d - 1)
+                base = np.column_stack([X, 1e-10 * ((X * X).sum(axis=1) - 1)])
+                apex = np.append(0.3 * rng.normal(size=d - 1), rng.uniform(0.5, 2.0))
+                Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                K, _ = geo.convex_hull(np.vstack([base, apex]) @ Q.T + rng.normal(size=d))
+            cfg = mah._configuration(K)
+            assert cfg.label is (CaseLabel.PYRAMID_Ia if k == d + 2 else CaseLabel.PYRAMID_IIa)
+            H = cfg.hyperplane
+            on = K.vertices[list(cfg.coplanar)] @ H.normal - H.offset
+            assert len(cfg.coplanar) == k - 1
+            assert np.abs(on).max() <= geo.TAU_GEOM * max(1.0, K.scale())
+            (apex_height,) = K.vertices[list(cfg.off)] @ H.normal - H.offset
+            assert abs(apex_height) > 0.1
 
     def test_fuzz_totality(self):
         # classification is total and single-valued on clean samples

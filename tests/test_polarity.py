@@ -65,6 +65,19 @@ class TestPolar:
                 back = pol.bipolar(pb)
                 assert set_equal(K, back, tol=1e-7)
 
+    def test_bipolar_near_the_boundary_in_6d(self, qhull_calls):
+        # the polar's 184 vertices defeat Qhull's triangulation at 0.99, but
+        # its facets are known, one per vertex of K: only the fan of the
+        # bipolar runs Qhull, on 16 points
+        K, _ = geo.convex_hull(np.random.default_rng(6).normal(size=(16, 6)))
+        c = K.vertices.mean(axis=0)
+        pb = pol.polar(K, c + 0.99 * (K.vertices[0] - c))
+        assert pb.polar.n_vertices == 184
+        qhull_calls.clear()
+        back = pol.bipolar(pb)
+        assert [len(pts) for pts, in qhull_calls] == [16]
+        assert vertices_match(back, K.vertices, tol=1e-12)
+
     def test_inclusion_reversal(self, rng):
         # K subset L about a shared center implies L^* subset K^*
         for _ in range(100):
@@ -155,13 +168,10 @@ class TestPolarFan:
         san.santalo_point(fresh)
         assert len(qhull_calls) == 1
 
-    def test_one_slack_per_polar(self, monkeypatch, rng):
+    def test_one_slack_per_polar(self, slack_centers, rng):
         # every center's facet slacks are computed once, on fresh bodies too:
         # the fan's Qhull at the vertex mean reuses the caller's slacks there
-        centers = []
-        slack = pol._slack
-        monkeypatch.setattr(pol, "_slack", lambda n, b, z: centers.extend(
-            np.array(z, ndmin=2)) or slack(n, b, z))
+        centers = slack_centers
         K = random_body(rng, 3)
         z = K.vertices.mean(axis=0)
         pol.polar(K, z)

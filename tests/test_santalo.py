@@ -152,6 +152,20 @@ class TestSantaloPoint:
             assert res.polar_volume == pytest.approx(alone.polar_volume, rel=1e-12)
         assert stacked[2].iterations == san.santalo_point(bodies[2]).iterations
 
+    def test_stack_fails_a_row_whose_start_is_not_interior(self, rng):
+        # a flat triangle's vertex mean lies within TAU_GEOM of its boundary:
+        # the stack records that row as failed and still solves the other,
+        # while `santalo_point` on the flat body raises
+        flat = geo.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]])
+        K = random_body(rng, 2)
+        out = san.santalo_stack(*san._joined([san._body_stack(flat), san._body_stack(K)]))
+        assert out.note == [san.NOT_INTERIOR, ""] and list(out.converged) == [False, True]
+        assert math.isnan(out.polar_volume[0]) and out.iterations[0] == 0
+        assert out.polar_volume[1] == pytest.approx(san.santalo_point(K).polar_volume,
+                                                    rel=1e-12)
+        with pytest.raises(pol.CenterNotInterior):
+            san.santalo_point(flat)
+
 
 class TestLogRatio:
     def test_symmetric_chord_midpoint_ratio_one(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,31 +153,62 @@ def _assert_rows_match_single_solves(system, grid, rows):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """(body, result) of every row of every Santalo solve, in call order."""
+    """The rows of every stacked Santalo solve, one list per call: each row's
+    facets `h` (its padding merged away), normals N and offsets b, polar fan
+    with its D_T, start z and slacks s there."""
     calls = []
-    solve = san.santalo_points
+    solve = san.santalo_stack
 
-    def recording(bodies, *args, **kwargs):
-        results = solve(bodies, *args, **kwargs)
-        calls.extend(zip(bodies, results))
-        return results
+    def recording(N, b, fan, D, tau, z, s, *args, **kwargs):
+        calls.append([SimpleNamespace(h=geo.HPolytope(N[r], b[r]), N=N[r], b=b[r],
+                                      fan=fan[r], D=D[r], z=z[r], s=s[r])
+                      for r in range(len(z))])
+        return solve(N, b, fan, D, tau, z, s, *args, **kwargs)
 
-    monkeypatch.setattr(san, "santalo_points", recording)
+    monkeypatch.setattr(san, "santalo_stack", recording)
     return calls
 
 
 @pytest.fixture
-def carries(monkeypatch):
-    """What each `_carried` call returned: None unless it certified."""
+def cells(monkeypatch):
+    """(rows left, simplices, certificate mask) of each `_certified` call: a
+    cell opens at row len(grid) - rows left."""
     calls = []
-    carried = sh._carried
+    certified = sh._certified
 
-    def recording(pts, tri):
-        calls.append(carried(pts, tri))
-        return calls[-1]
+    def recording(P, tri):
+        out = certified(P, tri)
+        calls.append((len(P), tri, out[0]))
+        return out
 
-    monkeypatch.setattr(sh, "_carried", recording)
+    monkeypatch.setattr(sh, "_certified", recording)
     return calls
+
+
+def _row_by_row_qhulls(system, grid):
+    """Qhull runs of a sweep that tries each row on the last row's simplices
+    and fan: a body where they do not carry (unless cached), then a fan where
+    the body's own simplices do not carry either (its solve's) or where the
+    last fan's det signs do not hold."""
+    runs, tri, signs = 0, None, None
+    for t in grid:
+        pts = system.points_at(t)[None]
+        if tri is None or not sh._certified(pts, tri)[0][0]:
+            runs += t not in system._bodies
+            K, idx = sh._body(system, t)
+            tri, signs = idx[K.facet_simplices], None
+            if not sh._certified(pts, tri)[0][0]:
+                runs += 1
+                continue
+        A = sh._certified(pts, tri)[2][0]
+        if signs is not None:
+            dets = np.linalg.det(A[fan])
+            if sh._same_signs(np.stack([signs, dets]))[1]:
+                continue
+        runs += 1
+        fan = pol._hull_fan(A)
+        signs = np.sign(np.linalg.det(A[fan]))
+    return runs
 
 
 class TestCarriedCells:
@@ -191,16 +223,62 @@ class TestCarriedCells:
             rows = sh.sweep(system, grid)
             assert all(r.converged for r in rows)
             n_carried += len(grid) - len(qhull_calls)
-            for t, r, (K, _) in zip(grid, rows, solved):
-                fresh, _ = geo.convex_hull(system.points_at(t))
-                assert set_equal(K, fresh, tol=1e-12)
+            (stack,) = solved
+            for t, r, row in zip(grid, rows, stack, strict=True):
+                pts = system.points_at(t)
+                fresh, _ = geo.convex_hull(pts)
+                assert set_equal(geo.VPolytope(pts, row.h), fresh, tol=1e-12)
                 assert r.volume == pytest.approx(geo.volume(fresh), rel=1e-12)
                 # the H-form keeps its row order: lexicographic, as from Qhull
-                assert np.abs(K.halfspaces.normals - fresh.halfspaces.normals).max() <= 1e-12
+                assert row.h.n_facets == fresh.halfspaces.n_facets
+                assert np.abs(row.h.normals - fresh.halfspaces.normals).max() <= 1e-12
                 z = fresh.vertices.mean(axis=0)
-                assert pol.polar(K, z).polar_volume == pytest.approx(
-                    pol.polar(fresh, z).polar_volume, rel=1e-12)
+                cones = pol._cones(pol._slack(row.N, row.b, z)[None], row.fan[None],
+                                   row.D[None])
+                assert cones.sum() == pytest.approx(pol.polar(fresh, z).polar_volume,
+                                                    rel=1e-12)
         assert n_carried > 5 * len(grid)  # most rows ran no Qhull at all
+
+    def test_cells_end_where_the_row_certificate_fails(self, rng, cells, qhull_calls):
+        # the stacked certificate is the single-row one on every row, and the
+        # sweep runs as many Qhulls as one that goes row by row
+        for d, k in ((2, 5), (3, 6), (4, 7)):
+            for _ in range(10):
+                system = _system_with(d, k, rng)
+                grid = np.linspace(*system.interval, 33)
+                expected = _row_by_row_qhulls(system, grid)
+                cells.clear()
+                qhull_calls.clear()
+                sh.sweep(system, grid)
+                assert len(qhull_calls) == expected
+                opened = [len(grid) - n for n, _, _ in cells]
+                for a, b, (_, tri, ok) in zip(opened, opened[1:] + [len(grid)], cells):
+                    single = [sh._certified(system.points_at(t)[None], tri)[0][0]
+                              for t in grid[a:]]
+                    assert single == list(ok)
+                    # rows a+1 .. b-1 carry row a's simplices, and row b does not
+                    assert ok[1:b - a].all() and (b == len(grid) or not ok[b - a])
+
+    def test_sweep_evaluates_each_center_once(self, rng, slack_centers):
+        # a cell's starts and first slacks come from its certificate, and a
+        # fresh body's fan reuses the slacks of its solve's start
+        for d, k in ((2, 5), (3, 6), (4, 7)):
+            for _ in range(3):
+                system = _system_with(d, k, rng)
+                slack_centers.clear()
+                sh.sweep(system, np.linspace(*system.interval, 33))
+                assert len(slack_centers) > 33
+                assert len(np.unique(slack_centers, axis=0)) == len(slack_centers)
+
+    def test_duplicate_facet_fails_the_certificate(self, rng):
+        # a simplex listed twice passes every slack test, but HPolytope
+        # would merge its two facets into one
+        system = _system_with(3, 6, rng)
+        K, idx = sh._body(system, 0.0)
+        pts = system.points_at(0.0)[None]
+        tri = idx[K.facet_simplices]
+        assert sh._certified(pts, tri)[0][0]
+        assert not sh._certified(pts, np.vstack([tri, tri[:1]]))[0][0]
 
     def test_fan_certificate_lets_only_flat_simplices_flip(self, rng, qhull_calls):
         # Qhull's triangulated 4D fans hold zero-volume simplices whose det
@@ -209,33 +287,36 @@ class TestCarriedCells:
         while True:
             system = _system_with(4, 7, rng)
             lo, hi = system.interval
-            K, idx, _ = sh._body(system, lo)
-            first = sh._carried(system.points_at(lo), idx[K.facet_simplices])
-            second = first and sh._carried(system.points_at(lo + (hi - lo) / 32),
-                                           first[1][first[0].facet_simplices])
-            if second is None:
+            K, idx = sh._body(system, lo)
+            pts = np.stack([system.points_at(t) for t in (lo, lo + (hi - lo) / 32)])
+            ok, c, A, tau, volume = sh._certified(pts, idx[K.facet_simplices])
+            if not ok.all():
                 continue
-            simplices, _ = sh._fan(first[0], first[2])
-            K2, _, fit = second
-            dets = np.linalg.det(fit[1][simplices])
+            fan = pol._hull_fan(A[0])
+            dets = np.linalg.det(A[1, fan])
             flat = (np.abs(dets) <= 1e-14 * np.abs(dets).sum()) & (dets != 0)
             if flat.any():
                 break
         signs = np.sign(dets)
         signs[flat] *= -1
-        kept = (simplices, signs)
-        qhull_calls.clear()
-        assert sh._fan(K2, fit, kept) is kept
-        assert K2._polar_fan is not None and qhull_calls == []
+        assert sh._same_signs(np.stack([signs, dets]))[1]
         signs = np.sign(dets)
         signs[np.argmax(np.abs(dets))] *= -1
-        K2._polar_fan = None
-        sh._fan(K2, fit, (simplices, signs))
+        assert not sh._same_signs(np.stack([signs, dets]))[1]
+        # a cell keeps its fan on the rows whose signs hold: one Qhull
+        qhull_calls.clear()
+        (stack,) = sh._cell(c, A, tau, volume)
         assert len(qhull_calls) == 1
-        z = K2.vertices.mean(axis=0)
-        fresh, _ = geo.convex_hull(K2.vertices)
-        assert pol.polar(K2, z).polar_volume == pytest.approx(
-            pol.polar(fresh, z).polar_volume, rel=1e-12)
+        N, b, fan, D, _, _, s, _ = stack
+        fresh, _ = geo.convex_hull(pts[1])
+        assert pol._cones(s[1:], fan[1:], D[1:]).sum() == pytest.approx(
+            pol.polar(fresh, c[1]).polar_volume, rel=1e-12)
+        # negating a corner of the largest cone flips the cones on it: a new fan
+        broken = A.copy()
+        broken[1, fan[0, np.argmax(np.abs(dets))][0]] *= -1
+        qhull_calls.clear()
+        assert len(sh._cell(c, broken, tau, volume)) == 2
+        assert len(qhull_calls) == 2
 
     def test_affine_family_runs_one_qhull(self, rng, qhull_calls):
         K = random_body(rng, 3)
@@ -245,55 +326,46 @@ class TestCarriedCells:
         assert len(qhull_calls) == 1  # the first row's polar fan
         assert all(r.converged for r in rows)
 
-    def test_facet_flip_falls_back(self, carries, solved):
+    def test_facet_flip_falls_back(self, cells, solved):
         # the fifth point crosses the square's top edge at t = 0.1
         square = [[0, 0], [1, 0], [1, 1], [0, 1]]
         system = sh.ShadowSystem(np.vstack([square, [0.5, 0.9]]), [0, 0, 0, 0, 1.0],
                                  [0.0, 1.0], (-0.5, 0.5))
         grid = np.linspace(-0.5, 0.5, 17)
         rows = sh.sweep(system, grid)
-        # the first row and every row that fails to carry the last simplices
-        # try the fresh body's own simplices too
-        fell_back = []
-        it = iter(carries[1:])
-        for t in grid[1:]:
-            if next(it) is None:
-                fell_back.append(t)
-                next(it)
-        assert fell_back == [0.125]
-        for t, r, (K, _) in zip(grid, rows, solved):
-            fresh, _ = geo.convex_hull(system.points_at(t))
-            assert K.n_vertices == (5 if t > 0.1 else 4)
-            assert set_equal(K, fresh, tol=1e-12)
+        # a cell opens at the first row and at the first row past the crossing
+        assert [grid[len(grid) - n] for n, _, _ in cells] == [-0.5, 0.125]
+        (stack,) = solved
+        for t, r, row in zip(grid, rows, stack, strict=True):
+            pts = system.points_at(t)
+            fresh, _ = geo.convex_hull(pts)
+            assert row.h.n_facets == (5 if t > 0.1 else 4)
+            assert set_equal(geo.VPolytope(pts, row.h), fresh, tol=1e-12)
             cold = san.santalo_point(fresh)
             assert r.volume == pytest.approx(geo.volume(fresh), rel=1e-14)
             assert r.polar_volume == pytest.approx(cold.polar_volume, rel=1e-8)
             assert np.allclose(r.santalo, cold.point, atol=1e-6)
 
-    def test_steiner_sweep_always_falls_back(self, rng, carries):
+    def test_steiner_sweep_always_falls_back(self, rng, cells):
         K = random_body(rng, 3)
         system = sh.steiner_system(K, Hyperplane([0.2, -0.3, 1.0], 0.1))
         grid = np.linspace(-1.0, 1.0, 9)
         rows = sh.sweep(system, grid)
-        assert carries and all(c is None for c in carries)
+        # every row opens a cell, and no body certifies its own simplices
+        assert len(cells) == len(grid) and not any(ok[0] for _, _, ok in cells)
         for t, r in zip(grid, rows):
             assert r.volume == geo.volume(sh.body_at(system, t))  # bitwise
 
-    def test_secant_start_on_uneven_grid(self, rng, monkeypatch):
+    def test_secant_start_on_uneven_grid(self, rng, solved):
         # rows start at their vertex means, not at a secant prediction from
         # their neighbours, so an uneven grid needs no step ratios
         system = sh.random_shadow_system(3, rng)
         lo, hi = system.interval
         grid = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 15)]))
-        solve, options = san.santalo_points, []
-
-        def recording(bodies, *args, **kwargs):
-            options.append((args, kwargs))
-            return solve(bodies, *args, **kwargs)
-
-        monkeypatch.setattr(san, "santalo_points", recording)
         rows = sh.sweep(system, grid)
-        assert options == [((), {})]  # one stack, no starts given
+        (stack,) = solved  # one stack
+        means = [sh.body_at(system, t).vertices.mean(axis=0) for t in grid]
+        assert np.allclose([row.z for row in stack], means, rtol=0, atol=1e-14)
         _assert_rows_match_single_solves(system, grid, rows)
 
     def test_stacked_rows_match_single_solves(self, rng, solved):
@@ -309,30 +381,32 @@ class TestCarriedCells:
         for system, grid in cases:
             solved.clear()
             rows = sh.sweep(system, grid)
-            assert len(solved) == len(grid)  # a single stack, no fallback
-            mixed += len({K.halfspaces.n_facets for K, _ in solved}) > 1
+            (stack,) = solved
+            assert len(stack) == len(grid)  # a single stack of every row
+            mixed += len({row.h.n_facets for row in stack}) > 1
             _assert_rows_match_single_solves(system, grid, rows)
         assert mixed >= 3
 
     def test_row_whose_solve_raises_is_recorded(self, rng, monkeypatch):
-        # the stacked solve raises, so the rows are solved one by one and
-        # only the row whose own solve raises is recorded as failed
+        # row 4 starts on its body's boundary: the stacked solve records it
+        # as failed, raises nothing, and solves the other rows as before
         system = sh.random_shadow_system(2, rng)
         grid = np.linspace(*system.interval, 9)
         plain = sh.sweep(system, grid)
-        solve, calls = san.santalo_points, []
+        solve = san.santalo_stack
 
-        def failing(bodies, *args, **kwargs):
-            calls.append(len(bodies))
-            if len(bodies) > 1 or len(calls) == 6:  # the stack, then row 4
-                raise pol.CenterNotInterior("center on the boundary")
-            return solve(bodies, *args, **kwargs)
+        def on_boundary(N, b, fan, D, tau, z, s, *args, **kwargs):
+            z, s = z.copy(), s.copy()
+            z[4] = sh.body_at(system, grid[4]).vertices[0]
+            s[4] = pol._slack(N[4], b[4], z[4])
+            assert s[4].min() <= tau[4]
+            return solve(N, b, fan, D, tau, z, s, *args, **kwargs)
 
-        monkeypatch.setattr(san, "santalo_points", failing)
+        monkeypatch.setattr(san, "santalo_stack", on_boundary)
         rows = sh.sweep(system, grid)
-        assert calls == [9] + [1] * 9
-        assert rows[4].note == "center on the boundary" and not rows[4].converged
+        assert rows[4].note == san.NOT_INTERIOR and not rows[4].converged
         assert math.isnan(rows[4].polar_volume) and math.isnan(rows[4].volume)
+        assert np.isnan(rows[4].santalo).all() and rows[4].iterations == 0
         for a, b in zip(rows[:4] + rows[5:], plain[:4] + plain[5:]):
             assert a.converged and a.volume == b.volume
             assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-12)
