@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -23,6 +23,9 @@ from . import santalo as san
 from . import shadow as sh
 from .errors import DegenerateAt, DegenerateInput, GeometryInconsistent, TooManyVertices
 from .geometry import Hyperplane, VPolytope
+
+PARALLEL_T_MAX = 1e3  # far end of the parallel move, near its projective limit
+SAMPLE_TRIES, POLYGON_TRIES = 2000, 200  # draws before the samplers give up
 
 
 def simplex_bound(d: int) -> float:
@@ -315,7 +318,7 @@ def _skew_move(K: VPolytope, cfg: _Config) -> DescentMove:
                        "base plane, at the other the apexes merge", cfg.label)
 
 
-def _parallel_move(K: VPolytope, cfg: _Config, t_max: float = 1e3) -> DescentMove:
+def _parallel_move(K: VPolytope, cfg: _Config) -> DescentMove:
     i1, i2 = cfg.off
     coords = geo.to_frame(K.vertices, cfg.hyperplane)
     xi = cfg.xi[0]
@@ -337,8 +340,8 @@ def _parallel_move(K: VPolytope, cfg: _Config, t_max: float = 1e3) -> DescentMov
     slope = xi * vn * pl / (d * (d - 1))
     speeds = np.zeros(K.n_vertices)
     speeds[i2] = vn
-    system = sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, (-1.0, t_max))
-    return DescentMove(system, (-1.0, t_max),
+    system = sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, (-1.0, PARALLEL_T_MAX))
+    return DescentMove(system, (-1.0, PARALLEL_T_MAX),
                        "single apex stretches along the line parallel to the "
                        "base plane; t=-1 merges the apexes (pyramid), large t "
                        "approximates the projective pyramid limit",
@@ -419,14 +422,14 @@ def _ball_points(rng, n: int, d: int) -> np.ndarray:
     return x * r
 
 
-def random_polytope(d: int, k: int, rng, max_tries: int = 2000) -> VPolytope:
+def random_polytope(d: int, k: int, rng) -> VPolytope:
     """k-vertex polytope from i.i.d. unit-ball points.
 
     Rejection-sampled until all k points are vertices and the classification
     margins are decisive (no near-coplanarity inside the ambiguous band).
     The margin check leaves the body's config in `_configuration`'s cache.
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         pts = _ball_points(rng, k, d)
         try:
             P, _ = geo.convex_hull(pts)
@@ -459,12 +462,7 @@ class CampaignReport:
     label_counts: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed, "d": self.d, "k": self.k, "trials": self.trials,
-            "min_vp": self.min_vp, "argmin_vertices": self.argmin_vertices,
-            "violations": self.violations, "excluded": self.excluded,
-            "bound": self.bound, "label_counts": self.label_counts,
-        }
+        return asdict(self)
 
 
 def _unit_ball_volume(d: int) -> float:
@@ -563,9 +561,9 @@ def polygon_minimality_campaign(trials: int, seed: int = 0, tol: float = 1e-6,
     return report
 
 
-def _random_polygon(rng, k: int, max_tries: int = 200) -> VPolytope:
+def _random_polygon(rng, k: int) -> VPolytope:
     """Exactly-k-vertex convex polygon from angle-sorted closed edge vectors."""
-    for _ in range(max_tries):
+    for _ in range(POLYGON_TRIES):
         ang = rng.uniform(0.0, 2 * math.pi, size=k)
         lens = rng.uniform(0.3, 1.0, size=k)
         edges = lens[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])

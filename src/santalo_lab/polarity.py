@@ -8,8 +8,9 @@ images of each other, so one boundary triangulation, found by a single Qhull
 run per body and cached on it, serves every center.  With it are cached the
 facet-normal determinants D_T = |det N_T| / d! of its simplices T, and after
 that first call a polar is closed-form: the cone from the center over T has
-volume D_T / prod_{F in T} slack_F(z).  Its H-form, one facet per vertex
-of K, is attached only where it is read (`bipolar`).
+volume D_T / prod_{F in T} slack_F(z).  A sweep's rows share fans too
+(`_fans`).  The polar's H-form, one facet per vertex of K, is attached only
+where it is read (`bipolar`).
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
 by the staircase triangulation of `geometry._staircase`.
@@ -114,6 +115,28 @@ def _hull_fan(y: np.ndarray) -> np.ndarray:
         return geo.hull_simplices(ConvexHull(y))
     except QhullError as exc:  # cannot happen for valid K, defensive
         raise DegenerateInput(f"polar hull failed: {exc}") from exc
+
+
+def _fans(N: np.ndarray, s: np.ndarray) -> list:
+    """[(rows, fan, D_T)] of stacked unit normals N (R, m, d) with slacks s:
+    Qhull fans the polar vertices N / s of a run's first row, and the run
+    goes on while the fan's dets det N_T keep their signs (`_same_signs`)."""
+    runs, r = [], 0
+    while r < len(N):
+        fan = _hull_fan(N[r] / s[r][:, None])
+        dets = np.linalg.det(N[r:, fan])
+        n = max(1, int(np.argmin(np.append(_same_signs(dets), False))))
+        runs.append((slice(r, r + n), fan, np.abs(dets[:n]) / math.factorial(N.shape[2])))
+        r += n
+    return runs
+
+
+def _same_signs(dets: np.ndarray) -> np.ndarray:
+    """Rows of a fan's cone dets (R, f) whose signs are row 0's up to 1e-12
+    of their absolute sum, the tolerance of `geometry.hull_simplices`:
+    zero-volume simplices may flip, so signs are not compared one by one."""
+    total = np.abs(dets).sum(axis=1)
+    return total - np.abs(dets @ np.sign(dets[0])) <= 1e-12 * total
 
 
 def _cones(slack, fan, dets) -> np.ndarray:

@@ -8,9 +8,9 @@ convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
 Every orientation determinant det[1, x_i + speed_i * t * direction] is
 affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its boundary
 simplices over runs of parameters, its combinatorial cells.  A sweep
-stacks every row's points, certifies a cell's simplices and polar fan on
-all its rows at once, reads their facets and volumes off those arrays, and
-runs Qhull only where a cell or a fan starts.
+stacks every row's points, certifies a cell's simplices on all its rows at
+once and reads their facets and volumes off those arrays; `polarity._fans`
+gives the cell's polar fans.  Qhull runs only where a cell or a fan starts.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def _body(system: ShadowSystem, t: float):
 
 def _certified(P: np.ndarray, tri: np.ndarray):
     """Which rows of the stacked points P (R, n, d) have the boundary
-    simplices `tri`, and their facets there: (ok, c, A, tau, volume).
+    simplices `tri`, and their facets there: (ok, c, N, b, s, tau, volume).
 
     A[r, j] solves <A, p - c[r]> = 1 on the corners p of simplex j, c[r] the
     vertex mean of row r: it is that facet's polar vertex about c[r], the
-    facet is <A_j, x> <= 1 + <A_j, c[r]>, and c[r]'s slack to it 1 / |A_j|.
+    facet <N, x> <= b has N = A_j / |A_j|, and c[r]'s slack is s = 1 / |A_j|.
     Row r is certified when every point off a simplex has slack
     > tau[r] = TAU_GEOM * scale for it, since a closed pseudomanifold of
     strictly supporting simplices is the whole boundary; coplanar or
@@ -140,40 +140,8 @@ def _certified(P: np.ndarray, tri: np.ndarray):
     bad[r[np.abs(rows[r, j] - rows[r, k]).max(axis=1) <= geo.TAU_GEOM]] = True
     tau = geo.TAU_GEOM * np.maximum(1e-30, np.abs(P).max(axis=(1, 2)))
     ok = ~bad & (slack.min(axis=(1, 2)) > tau)
-    return ok, c, A, tau, np.abs(dets).sum(axis=1) / math.factorial(d)
-
-
-def _cell(c, A, tau, volume) -> list:
-    """Solver stacks (N, b, fan, D, tau, z, s, volume) of a cell's rows.
-
-    Qhull builds a polar fan on the first row's polar vertices A; the next
-    rows keep it while its cone dets keep their signs (`_same_signs`), and
-    the first row where they do not builds the next fan.  The same dets give
-    D_T = |det A_T| / (d! prod_{F in T} |A_F|), and each row starts at its
-    vertex mean c, where its slacks s are 1 / |A_F|.
-    """
-    norm = np.linalg.norm(A, axis=2)
-    N = A / norm[..., None]
-    b = (1.0 + (A @ c[..., None])[..., 0]) / norm
-    stacks, r = [], 0
-    while r < len(A):
-        fan = pol._hull_fan(A[r])
-        dets = np.linalg.det(A[r:, fan])
-        n = max(1, int(np.argmin(np.append(_same_signs(dets), False))))
-        at = slice(r, r + n)
-        D = np.abs(dets[:n]) / norm[at][:, fan].prod(axis=2) / math.factorial(A.shape[2])
-        stacks.append((N[at], b[at], np.broadcast_to(fan, (n, *fan.shape)), D, tau[at],
-                       c[at], 1.0 / norm[at], volume[at]))
-        r += n
-    return stacks
-
-
-def _same_signs(dets: np.ndarray) -> np.ndarray:
-    """Rows of a fan's cone dets (R, f) whose signs are row 0's up to 1e-12
-    of their absolute sum, the tolerance of `geometry.hull_simplices`:
-    zero-volume simplices may flip, so signs are not compared one by one."""
-    total = np.abs(dets).sum(axis=1)
-    return total - np.abs(dets @ np.sign(dets[0])) <= 1e-12 * total
+    return (ok, c, rows[..., :-1], rows[..., -1], 1.0 / norm, tau,
+            np.abs(dets).sum(axis=1) / math.factorial(d))
 
 
 @dataclass
@@ -197,9 +165,9 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     boundary simplices are certified on all later rows at once
     (`_certified`); the cell ends at the first row where they fail, which
     opens the next.  A body that fails on its own simplices is solved as
-    Qhull built it.  A cell's rows are read off its arrays (`_cell`), with
-    no polytope per row, and one `santalo.santalo_stack` call solves every
-    row from its vertex mean.
+    Qhull built it.  A cell's rows are read off its arrays, with no polytope
+    per row, their polar fans off `polarity._fans`, and one
+    `santalo.santalo_stack` call solves every row from its vertex mean.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -218,8 +186,10 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
             # the row after a body failing its own simplices may still carry them
             first = int(not ok[0])
             n = first + int(np.argmin(np.append(ok[first:], False)))
+            c, N, b, s, tau, volume = (a[first:n] for a in cell)
             new = ([(*san._body_stack(K), np.array([geo.volume(K)]))] if first else []
-                   ) + _cell(*(a[first:n] for a in cell))
+                   ) + [(N[at], b[at], np.broadcast_to(fan, (len(D), *fan.shape)), D,
+                         tau[at], c[at], s[at], volume[at]) for at, fan, D in pol._fans(N, s)]
         except DegenerateInput as exc:
             rows[i] = failed(grid[i], exc)
             i += 1
@@ -255,25 +225,20 @@ def _midpoint_verdict(ts, values, valid, tol_rel) -> ConvexityVerdict:
     steps = np.diff(ts)
     if np.max(steps) - np.min(steps) > 1e-9 * (ts[-1] - ts[0]):
         raise InsufficientGrid("grid must be equally spaced")
+    valid = np.asarray(valid, dtype=bool)
     scale = float(np.max(np.abs(values[valid]))) if np.any(valid) else 1.0
-    worst = -math.inf
-    witness = None
-    for i in range(n):
-        if not valid[i]:
-            continue
-        for j in range(i + 2, n, 2):
-            m = (i + j) // 2
-            if not (valid[j] and valid[m]):
-                continue
-            viol = values[m] - 0.5 * (values[i] + values[j])
-            if viol > worst:
-                worst = viol
-                witness = (ts[i], ts[m], ts[j])
-    if witness is None:
+    # triples (i, (i+j)/2, j) in (i, j) order: the first worst is the witness
+    i, j = np.triu_indices(n, 2)
+    i, j = i[(j - i) % 2 == 0], j[(j - i) % 2 == 0]
+    m = (i + j) // 2
+    viol = values[m] - 0.5 * (values[i] + values[j])
+    (k,) = np.nonzero(valid[i] & valid[m] & valid[j] & (viol > -math.inf))
+    if not len(k):
         raise InsufficientGrid("no valid midpoint triple on the grid")
-    return ConvexityVerdict(bool(worst <= tol_rel * scale), float(worst),
-                            tuple(float(x) for x in witness),
-                            excluded=int(np.sum(~np.asarray(valid))))
+    k = k[np.argmax(viol[k])]
+    return ConvexityVerdict(bool(viol[k] <= tol_rel * scale), float(viol[k]),
+                            (float(ts[i[k]]), float(ts[m[k]]), float(ts[j[k]])),
+                            excluded=int(np.sum(~valid)))
 
 
 def check_volume_convexity(records, tol_rel: float = TAU_CONV) -> ConvexityVerdict:

@@ -207,6 +207,11 @@ def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
                                 "equality": bool(abs(margin) <= tol)})
 
 
+def _harmonic_slack(a: float, m: float, b: float) -> float:
+    """Slack of 1/m <= (1/a + 1/b) / 2, relative to 1/m."""
+    return (0.5 * (1 / a + 1 / b) - 1 / m) * m
+
+
 def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
                                  z_s, z_t, axis: int,
                                  tol: float = 1e-9) -> CheckReport:
@@ -221,11 +226,8 @@ def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
     hv_s = pol.half_volumes(K_s, z_s, axis=axis)
     hv_t = pol.half_volumes(K_t, z_t, axis=axis)
     hv_m = pol.half_volumes(K_m, 0.5 * (z_s + z_t), axis=axis)
-    slack_plus = 0.5 * (1 / hv_s.b_plus + 1 / hv_t.b_plus) - 1 / hv_m.b_plus
-    slack_minus = 0.5 * (1 / hv_s.b_minus + 1 / hv_t.b_minus) - 1 / hv_m.b_minus
-    rel_plus = slack_plus * hv_m.b_plus
-    rel_minus = slack_minus * hv_m.b_minus
-    worst = float(min(rel_plus, rel_minus))
+    worst = float(min(_harmonic_slack(hv_s.b_plus, hv_m.b_plus, hv_t.b_plus),
+                      _harmonic_slack(hv_s.b_minus, hv_m.b_minus, hv_t.b_minus)))
     status = "pass" if worst >= -tol else "violation"
     return CheckReport(status == "pass", status, worst,
                        details={"b_plus": (hv_s.b_plus, hv_m.b_plus, hv_t.b_plus),
@@ -249,12 +251,13 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     """Reconstruct the full midpoint-convexity chain on one system instance.
 
     Builds the bodies K_s, K_mid and K_t once (s < t, else ValueError),
-    solves the mid-body Santalo point, balances the half-volume ratios at
-    its height, then checks: the slice-profile hypothesis, its integrated
-    conclusion, the exact half-volume inequality, and finally the midpoint
-    bound 1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|)/2 through the solved polar
-    volumes.  Any broken link localizes a geometry bug.  `n_samples` is
-    the number of uniform heights in the hypothesis check's grids.
+    solves their Santalo points in one stacked call, balances the half-volume
+    ratios at the mid body's height, then checks: the slice-profile
+    hypothesis, its integrated conclusion, the exact half-volume inequality,
+    and finally the midpoint bound 1/|K_mid^*| <= (1/|K_s^*| + 1/|K_t^*|)/2
+    through the solved polar volumes.  Any broken link localizes a geometry
+    bug.  `n_samples` is the number of uniform heights in the hypothesis
+    check's grids.
     """
     if not s < t:
         raise ValueError("need s < t")
@@ -262,7 +265,7 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     K_s = sh.body_at(system, s)
     K_t = sh.body_at(system, t)
     K_m = sh.body_at(system, 0.5 * (s + t))
-    res_m = san.santalo_point(K_m)
+    res_s, res_m, res_t = san.santalo_points([K_s, K_m, K_t])
     C = np.delete(res_m.point, axis)
     a = float(res_m.point[axis])
     a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, C, axis)
@@ -278,12 +281,8 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     conc = harmonic_conclusion_check(prof_f, prof_g, prof_h)
     half = half_volume_inequality_check(K_s, K_m, K_t, G_s, G_t, axis)
 
-    res_s = san.santalo_point(K_s)
-    res_t = san.santalo_point(K_t)
-    mid_slack = (0.5 * (1 / pb_s.polar_volume + 1 / pb_t.polar_volume)
-                 - 1 / res_m.polar_volume) * res_m.polar_volume
-    sant_slack = (0.5 * (1 / res_s.polar_volume + 1 / res_t.polar_volume)
-                  - 1 / res_m.polar_volume) * res_m.polar_volume
+    mid_slack = _harmonic_slack(pb_s.polar_volume, res_m.polar_volume, pb_t.polar_volume)
+    sant_slack = _harmonic_slack(res_s.polar_volume, res_m.polar_volume, res_t.polar_volume)
     passed = (hyp.passed and conc.passed and half.passed
               and mid_slack >= -tol and sant_slack >= -tol)
     return MidpointBoundReport(hyp, conc, half, float(mid_slack),

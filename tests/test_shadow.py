@@ -67,6 +67,37 @@ class TestBodyAt:
             sh.body_at(system, system.interval[1] + 1.0)
 
 
+def _loop_verdict(ts, values, valid, tol_rel):
+    """Reference midpoint verdict: a Python loop over the grid triples."""
+    ts = np.asarray(ts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = len(ts)
+    if n < 3:
+        raise InsufficientGrid("need at least 3 grid points")
+    steps = np.diff(ts)
+    if np.max(steps) - np.min(steps) > 1e-9 * (ts[-1] - ts[0]):
+        raise InsufficientGrid("grid must be equally spaced")
+    scale = float(np.max(np.abs(values[valid]))) if np.any(valid) else 1.0
+    worst = -math.inf
+    witness = None
+    for i in range(n):
+        if not valid[i]:
+            continue
+        for j in range(i + 2, n, 2):
+            m = (i + j) // 2
+            if not (valid[j] and valid[m]):
+                continue
+            viol = values[m] - 0.5 * (values[i] + values[j])
+            if viol > worst:
+                worst = viol
+                witness = (ts[i], ts[m], ts[j])
+    if witness is None:
+        raise InsufficientGrid("no valid midpoint triple on the grid")
+    return sh.ConvexityVerdict(bool(worst <= tol_rel * scale), float(worst),
+                               tuple(float(x) for x in witness),
+                               excluded=int(np.sum(~np.asarray(valid))))
+
+
 class TestSweepAndVerdicts:
     def test_sweep_shape_and_flags(self, rng):
         system = sh.random_shadow_system(2, rng)
@@ -108,6 +139,33 @@ class TestSweepAndVerdicts:
         for checker in (sh.check_volume_convexity, sh.check_polar_convexity):
             assert checker(coarse).is_midpoint_convex
             assert checker(fine).is_midpoint_convex
+
+    def test_verdict_matches_loop_reference(self, rng):
+        # random grids with invalid rows, tied values, non-finite values and
+        # uneven steps: the same verdict bit for bit, or the same raise
+        raised = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 16))
+            ts = np.linspace(-1.0, 1.0, n) if rng.random() < 0.9 else np.sort(rng.normal(size=n))
+            values = (rng.integers(0, 3, size=n).astype(float) if rng.random() < 0.3
+                      else rng.normal(size=n))
+            values[rng.random(n) < 0.05] = rng.choice([math.nan, math.inf, -math.inf])
+            valid = list(rng.random(n) < rng.uniform(0.3, 1.0))
+            tol = rng.choice([0.0, 1e-7, 0.5])
+            with np.errstate(all="ignore"):
+                try:
+                    want = _loop_verdict(ts, values, valid, tol)
+                except InsufficientGrid as exc:
+                    with pytest.raises(InsufficientGrid, match=str(exc)):
+                        sh._midpoint_verdict(ts, values, valid, tol)
+                    raised += 1
+                    continue
+                got = sh._midpoint_verdict(ts, values, valid, tol)
+            assert got.is_midpoint_convex == want.is_midpoint_convex
+            assert got.witness_triple == want.witness_triple
+            assert got.excluded == want.excluded
+            assert np.array_equal(got.worst_violation, want.worst_violation, equal_nan=True)
+        assert 0 < raised < 1000
 
     def test_reflection_symmetric_polar_max_at_zero(self, rng):
         # K_{-t} an affine image of K_t: |K_t^*| peaks at the symmetral
@@ -200,14 +258,14 @@ def _row_by_row_qhulls(system, grid):
             if not sh._certified(pts, tri)[0][0]:
                 runs += 1
                 continue
-        A = sh._certified(pts, tri)[2][0]
+        _, _, N, _, s, _, _ = sh._certified(pts, tri)
         if signs is not None:
-            dets = np.linalg.det(A[fan])
-            if sh._same_signs(np.stack([signs, dets]))[1]:
+            dets = np.linalg.det(N[0, fan])
+            if pol._same_signs(np.stack([signs, dets]))[1]:
                 continue
         runs += 1
-        fan = pol._hull_fan(A)
-        signs = np.sign(np.linalg.det(A[fan]))
+        fan = pol._hull_fan(N[0] / s[0][:, None])
+        signs = np.sign(np.linalg.det(N[0, fan]))
     return runs
 
 
@@ -270,6 +328,23 @@ class TestCarriedCells:
                 assert len(slack_centers) > 33
                 assert len(np.unique(slack_centers, axis=0)) == len(slack_centers)
 
+    def test_rows_take_d_t_off_their_own_normals(self, rng, solved):
+        # every row's D_T is |det N_T| / d! of the normals it is solved with,
+        # the formula of `polarity._polar_fan`, bit for bit
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        flip = sh.ShadowSystem(np.vstack([square, [0.5, 0.9]]), [0, 0, 0, 0, 1.0],
+                               [0.0, 1.0], (-0.5, 0.5))
+        steiner = sh.steiner_system(random_body(rng, 3), Hyperplane([0.2, -0.3, 1.0], 0.1))
+        systems = [_system_with(d, k, rng) for d, k in ((2, 5), (3, 6), (4, 7))]
+        for system in systems + [flip, steiner]:
+            solved.clear()
+            sh.sweep(system, np.linspace(*system.interval, 17))
+            (stack,) = solved
+            for row in stack:
+                own = row.fan.any(axis=1)  # padding simplices repeat facet 0
+                dets = np.abs(np.linalg.det(row.N[row.fan[own]])) / math.factorial(system.dim)
+                assert np.array_equal(row.D[own], dets) and not row.D[~own].any()
+
     def test_duplicate_facet_fails_the_certificate(self, rng):
         # a simplex listed twice passes every slack test, but HPolytope
         # would merge its two facets into one
@@ -289,33 +364,32 @@ class TestCarriedCells:
             lo, hi = system.interval
             K, idx = sh._body(system, lo)
             pts = np.stack([system.points_at(t) for t in (lo, lo + (hi - lo) / 32)])
-            ok, c, A, tau, volume = sh._certified(pts, idx[K.facet_simplices])
+            ok, c, N, b, s, tau, volume = sh._certified(pts, idx[K.facet_simplices])
             if not ok.all():
                 continue
-            fan = pol._hull_fan(A[0])
-            dets = np.linalg.det(A[1, fan])
+            fan = pol._hull_fan(N[0] / s[0][:, None])
+            dets = np.linalg.det(N[1, fan])
             flat = (np.abs(dets) <= 1e-14 * np.abs(dets).sum()) & (dets != 0)
             if flat.any():
                 break
         signs = np.sign(dets)
         signs[flat] *= -1
-        assert sh._same_signs(np.stack([signs, dets]))[1]
+        assert pol._same_signs(np.stack([signs, dets]))[1]
         signs = np.sign(dets)
         signs[np.argmax(np.abs(dets))] *= -1
-        assert not sh._same_signs(np.stack([signs, dets]))[1]
-        # a cell keeps its fan on the rows whose signs hold: one Qhull
+        assert not pol._same_signs(np.stack([signs, dets]))[1]
+        # a run keeps its fan on the rows whose signs hold: one Qhull
         qhull_calls.clear()
-        (stack,) = sh._cell(c, A, tau, volume)
-        assert len(qhull_calls) == 1
-        N, b, fan, D, _, _, s, _ = stack
+        ((rows, fan, D),) = pol._fans(N, s)
+        assert len(qhull_calls) == 1 and rows == slice(0, 2)
         fresh, _ = geo.convex_hull(pts[1])
-        assert pol._cones(s[1:], fan[1:], D[1:]).sum() == pytest.approx(
+        assert pol._cones(s[1:], fan[None], D[1:]).sum() == pytest.approx(
             pol.polar(fresh, c[1]).polar_volume, rel=1e-12)
         # negating a corner of the largest cone flips the cones on it: a new fan
-        broken = A.copy()
-        broken[1, fan[0, np.argmax(np.abs(dets))][0]] *= -1
+        broken = N.copy()
+        broken[1, fan[np.argmax(np.abs(dets))][0]] *= -1
         qhull_calls.clear()
-        assert len(sh._cell(c, broken, tau, volume)) == 2
+        assert len(pol._fans(broken, s)) == 2
         assert len(qhull_calls) == 2
 
     def test_affine_family_runs_one_qhull(self, rng, qhull_calls):

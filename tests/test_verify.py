@@ -4,6 +4,7 @@ import pytest
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
+from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
 from santalo_lab.errors import NotInCone
@@ -212,6 +213,21 @@ class TestMidpointChain:
             calls.clear()
             assert ver.midpoint_bound_check(system, s, t).passed
             assert sorted(calls) == [s, 0.5 * (s + t), t]
+
+    def test_one_santalo_solve_for_the_three_bodies(self, rng, monkeypatch):
+        calls = []
+        solve = san.santalo_stack
+
+        def counting(N, *args, **kwargs):
+            calls.append(len(N))
+            return solve(N, *args, **kwargs)
+
+        monkeypatch.setattr(san, "santalo_stack", counting)
+        for d in (2, 3):
+            system = sh.random_shadow_system(d, rng)
+            calls.clear()
+            assert ver.midpoint_bound_check(system, *system.interval).passed
+            assert calls == [3]  # K_s, K_mid and K_t in one stack
 
 
 class TestExtremeRayDecomposition:
