@@ -36,28 +36,36 @@ class _MalformedInput(Exception):
     pass
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, parse):
+    """parse(the JSON document at path, or on stdin for -); an unreadable or
+    malformed document is malformed input."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return parse(json.load(sys.stdin))
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
+            return parse(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise _MalformedInput(f"bad input {path}: {exc}") from exc
 
 
-def _load_polytope(path: str) -> geo.VPolytope:
+def _vector_flag(text: str, name: str, dim: int) -> np.ndarray:
+    """The JSON list given to --name, as a point of R^dim."""
     try:
-        return ser.polytope_from_dict(_read_json(path))
-    except ValueError as exc:
-        raise _MalformedInput(str(exc)) from exc
+        v = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _MalformedInput(f"bad --{name} {text!r}: {exc}") from exc
+    if v.shape != (dim,):
+        raise _MalformedInput(f"--{name} must be a list of {dim} numbers, got {text!r}")
+    return v
 
 
-def _load_system(path: str) -> sh.ShadowSystem:
-    try:
-        return ser.system_from_dict(_read_json(path))
-    except ValueError as exc:
-        raise _MalformedInput(str(exc)) from exc
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def _tol_overrides(args, known: str) -> dict:
@@ -90,10 +98,10 @@ def _print(line: str, out) -> None:
 
 
 def cmd_polar(args, out) -> int:
-    K = _load_polytope(args.input)
+    K = _load(args.input, ser.polytope_from_dict)
     tols = _tol_overrides(args, "tol_sant")
     if args.center is not None:
-        center = np.asarray(json.loads(args.center), dtype=float)
+        center = _vector_flag(args.center, "center", K.dim)
     else:
         center = san.santalo_point(
             K, tol_sant=tols.get("tol_sant", san.TOL_SANT)).point
@@ -112,7 +120,7 @@ def cmd_polar(args, out) -> int:
 
 
 def cmd_santalo(args, out) -> int:
-    K = _load_polytope(args.input)
+    K = _load(args.input, ser.polytope_from_dict)
     tols = _tol_overrides(args, "tol_sant")
     res = san.santalo_point(K, tol_sant=tols.get("tol_sant", san.TOL_SANT))
     report = {
@@ -128,7 +136,7 @@ def cmd_santalo(args, out) -> int:
 
 
 def cmd_vp(args, out) -> int:
-    K = _load_polytope(args.input)
+    K = _load(args.input, ser.polytope_from_dict)
     tols = _tol_overrides(args, "tol_sant")
     report = {
         "config": _config_header(args, tols),
@@ -142,7 +150,7 @@ def cmd_vp(args, out) -> int:
 
 
 def cmd_shadow(args, out) -> int:
-    system = _load_system(args.input)
+    system = _load(args.input, ser.system_from_dict)
     tols = _tol_overrides(args, "tau_conv")
     lo, hi = system.interval
     grid = np.linspace(lo, hi, args.grid)
@@ -178,7 +186,7 @@ def _verdict_dict(v: sh.ConvexityVerdict) -> dict:
 
 def cmd_search(args, out) -> int:
     tols = _tol_overrides(args, "campaign")
-    tol = tols.get("campaign", 1e-6)
+    tol = tols.get("campaign", mah.CAMPAIGN_TOL)
     header = _config_header(args, tols)
 
     def progress(done, rep):
@@ -196,12 +204,8 @@ def cmd_search(args, out) -> int:
 
 
 def cmd_symmetrize(args, out) -> int:
-    K = _load_polytope(args.input)
-    try:
-        normal = np.asarray(json.loads(args.normal), dtype=float)
-    except json.JSONDecodeError as exc:
-        raise _MalformedInput(f"bad --normal: {exc}") from exc
-    H = geo.Hyperplane(normal, args.offset)
+    K = _load(args.input, ser.polytope_from_dict)
+    H = geo.Hyperplane(_vector_flag(args.normal, "normal", K.dim), args.offset)
     KH = sh.steiner_symmetral(K, H)
     report = {
         "config": _config_header(args, {}),
@@ -216,7 +220,7 @@ def cmd_symmetrize(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    system = _load_system(args.input)
+    system = _load(args.input, ser.system_from_dict)
     lo, hi = system.interval
     s = args.s if args.s is not None else lo
     t = args.t if args.t is not None else hi
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("shadow", help="sweep a shadow system; CSV + verdicts")
     sp.add_argument("input", help="shadow-system JSON file or -")
-    sp.add_argument("--grid", type=int, default=33)
+    sp.add_argument("--grid", type=_int_at_least(3), default=33)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
     tol_flag(sp, "tau_conv")
     sp.set_defaults(func=cmd_shadow)
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="randomized few-vertex campaign")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_int_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, required=True,
                     help="RNG seed (required for reproducibility)")
     tol_flag(sp, "campaign")

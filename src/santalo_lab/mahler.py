@@ -26,6 +26,8 @@ from .geometry import Hyperplane, VPolytope
 
 PARALLEL_T_MAX = 1e3  # far end of the parallel move, near its projective limit
 SAMPLE_TRIES, POLYGON_TRIES = 2000, 200  # draws before the samplers give up
+CAMPAIGN_TOL = 1e-6  # slack on either side of the campaigns' bounds
+POLYGON_NEAR, POLYGON_MAX_VERTICES = 1e-4, 12  # the 2D campaign's near band and sizes
 
 
 def simplex_bound(d: int) -> float:
@@ -377,8 +379,7 @@ class MonotonicityReport:
     worst_interior_drop: float
 
 
-def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
-                                tol_rel: float = 1e-7) -> MonotonicityReport:
+def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33) -> MonotonicityReport:
     """Sweep the volume product over the move's range; check endpoint minimality.
 
     For volume-affine moves additionally checks the concave/convex quotient
@@ -397,7 +398,7 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
     scale = float(np.max(pis))
     endpoint_min = min(pis[0], pis[-1])
     worst_drop = float(endpoint_min - np.min(pis[1:-1]))
-    endpoint_minimal = worst_drop <= tol_rel * scale
+    endpoint_minimal = worst_drop <= sh.TAU_CONV * scale
 
     if move.volume_behavior == "constant":
         dev = (np.max(vols) - np.min(vols)) / np.max(vols)
@@ -406,7 +407,7 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33,
         secant = vols[0] + (vols[-1] - vols[0]) * (ts - ts[0]) / (ts[-1] - ts[0])
         volume_ok = bool(np.max(np.abs(vols - secant)) <= 1e-9 * np.max(vols))
 
-    inverse_convex = sh.check_polar_convexity(rows, tol_rel).is_midpoint_convex
+    inverse_convex = sh.check_polar_convexity(rows).is_midpoint_convex
     return MonotonicityReport(ts, pis, vols, endpoint_minimal,
                               volume_ok, inverse_convex, worst_drop)
 
@@ -478,87 +479,68 @@ def _vp_with_condition(K: VPolytope) -> tuple[float, float]:
     return geo.volume(K) * res.polar_volume, ball / res.polar_volume
 
 
-def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
-                     tol: float = 1e-6,
-                     progress=None) -> CampaignReport:
-    """Randomized few-vertex campaign against the simplex bound.
+def _campaign(report: CampaignReport, draw, tol: float, progress,
+              near: float | None = None) -> CampaignReport:
+    """The trial loop of both campaigns; `draw()` gives (body, label).
 
-    Samples `trials` clean k-vertex polytopes, computes each volume product,
-    and records any value below simplex_bound(d) - tol as a violation
-    certificate, and any value above the Blaschke-Santalo bound omega_d**2
-    + tol as an "above-santalo-bound" one.  Samples whose polar is
-    conditioned worse than 1e8 are excluded from the minimum and counted
-    separately.
+    Every trial counts in `label_counts`.  Trials whose polar is conditioned
+    worse than 1e8 are `excluded`; the others set the minimum and are
+    violations `below-bound` (under the bound - tol), `above-santalo-bound`
+    (over omega_d**2 + tol) and, when `near` is given,
+    `near-minimal-non-simplex`.  `progress(done, report)` runs every 100th.
     """
+    for i in range(report.trials):
+        K, label = draw()
+        report.label_counts[label] = report.label_counts.get(label, 0) + 1
+        vp, cond = _vp_with_condition(K)
+        if cond > 1e8:
+            report.excluded += 1
+        else:
+            if vp < report.min_vp:
+                report.min_vp, report.argmin_vertices = vp, K.vertices.tolist()
+            kinds = {"below-bound": vp < report.bound - tol,
+                     "near-minimal-non-simplex": (near is not None and K.n_vertices > K.dim + 1
+                                                  and vp <= report.bound + near),
+                     "above-santalo-bound": vp > _unit_ball_volume(K.dim) ** 2 + tol}
+            report.violations += [{"trial": i, "vp": vp, "kind": kind,
+                                   "vertices": K.vertices.tolist()}
+                                  for kind, hit in kinds.items() if hit]
+        if progress is not None and (i + 1) % 100 == 0:
+            progress(i + 1, report)
+    return report
+
+
+def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
+                        tol: float = CAMPAIGN_TOL, progress=None) -> CampaignReport:
+    """Campaign of `trials` clean k-vertex polytopes, labelled by `classify`,
+    against simplex_bound(d); `_campaign` says what the report records."""
     if d > 4:
         raise ValueError("campaigns cover d in {2, 3, 4}")
     if k > d + 3:
         raise TooManyVertices("campaign vertex count exceeds d+3")
     rng = np.random.default_rng(seed)
-    bound = simplex_bound(d)
-    report = CampaignReport(seed, d, k, trials, math.inf, [], bound=bound)
-    for i in range(trials):
+
+    def draw():
         K = random_polytope(d, k, rng)
-        label = classify(K).value
-        report.label_counts[label] = report.label_counts.get(label, 0) + 1
-        vp, cond = _vp_with_condition(K)
-        if cond > 1e8:
-            report.excluded += 1
-            continue
-        if vp < report.min_vp:
-            report.min_vp = vp
-            report.argmin_vertices = K.vertices.tolist()
-        if vp < bound - tol:
-            report.violations.append({"trial": i, "vp": vp,
-                                      "vertices": K.vertices.tolist()})
-        if vp > _unit_ball_volume(d) ** 2 + tol:
-            report.violations.append({"trial": i, "vp": vp,
-                                      "kind": "above-santalo-bound",
-                                      "vertices": K.vertices.tolist()})
-        if progress is not None and (i + 1) % 100 == 0:
-            progress(i + 1, report)
-    return report
+        return K, classify(K).value
+
+    report = CampaignReport(seed, d, k, trials, math.inf, [], bound=simplex_bound(d))
+    return _campaign(report, draw, tol, progress)
 
 
-def polygon_minimality_campaign(trials: int, seed: int = 0, tol: float = 1e-6,
-                        near: float = 1e-4, max_vertices: int = 12,
-                        progress=None) -> CampaignReport:
-    """2D minimality campaign: random polygons, 3..max_vertices vertices.
-
-    Checks the triangle bound 27/4, that near-minimal samples (within
-    `near` of the bound) only occur for triangles, and the Blaschke-Santalo
-    bound pi**2.
-    """
+def polygon_minimality_campaign(trials: int, seed: int = 0) -> CampaignReport:
+    """2D campaign of `trials` polygons with 3..POLYGON_MAX_VERTICES vertices,
+    labelled `n=<vertices>`, against 27/4 (`_campaign`); a non-triangle
+    within POLYGON_NEAR of 27/4 is a violation too."""
     rng = np.random.default_rng(seed)
-    bound = simplex_bound(2)
-    report = CampaignReport(seed, 2, 0, trials, math.inf, [], bound=bound)
-    for i in range(trials):
-        k = 3 + int(rng.integers(0, max_vertices - 2))
+
+    def draw():
+        k = 3 + int(rng.integers(0, POLYGON_MAX_VERTICES - 2))
         K = random_polytope(2, k, rng) if k <= 5 else _random_polygon(rng, k)
-        vp, cond = _vp_with_condition(K)
-        if cond > 1e8:
-            report.excluded += 1
-            continue
-        if vp < report.min_vp:
-            report.min_vp = vp
-            report.argmin_vertices = K.vertices.tolist()
-        is_simplex = K.n_vertices == 3
-        if vp < bound - tol:
-            report.violations.append({"trial": i, "vp": vp, "kind": "below-bound",
-                                      "vertices": K.vertices.tolist()})
-        if vp <= bound + near and not is_simplex:
-            report.violations.append({"trial": i, "vp": vp,
-                                      "kind": "near-minimal-non-simplex",
-                                      "vertices": K.vertices.tolist()})
-        if vp > _unit_ball_volume(2) ** 2 + tol:
-            report.violations.append({"trial": i, "vp": vp,
-                                      "kind": "above-santalo-bound",
-                                      "vertices": K.vertices.tolist()})
-        key = f"n={K.n_vertices}"
-        report.label_counts[key] = report.label_counts.get(key, 0) + 1
-        if progress is not None and (i + 1) % 100 == 0:
-            progress(i + 1, report)
-    return report
+        return K, f"n={K.n_vertices}"
+
+    report = CampaignReport(seed, 2, 0, trials, math.inf, [], bound=simplex_bound(2))
+    return _campaign(report, draw, CAMPAIGN_TOL, None, near=POLYGON_NEAR)
 
 
 def _random_polygon(rng, k: int) -> VPolytope:
@@ -579,8 +561,8 @@ def _random_polygon(rng, k: int) -> VPolytope:
     raise DegenerateInput(f"could not sample a {k}-gon")
 
 
-def regular_polygon(n: int, radius: float = 1.0) -> VPolytope:
+def regular_polygon(n: int) -> VPolytope:
+    """The regular n-gon inscribed in the unit circle."""
     ang = 2 * math.pi * np.arange(n) / n
-    P, _ = geo.convex_hull(np.column_stack([radius * np.cos(ang),
-                                            radius * np.sin(ang)]))
+    P, _ = geo.convex_hull(np.column_stack([np.cos(ang), np.sin(ang)]))
     return P

@@ -242,6 +242,5 @@ def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
         raise DegenerateInput("polar does not straddle the split hyperplane")
     fan, dets = _polar_fan(K, z, slack)
     cones = _cones(slack[None], fan[None], dets[None])[0]
-    tops = heights[fan]
-    return HalfVolumes(b_plus=float(cones @ _share_above(tops)),
-                       b_minus=float(cones @ _share_above(-tops)))
+    plus, minus = np.split(_share_above(np.concatenate([heights[fan], -heights[fan]])), 2)
+    return HalfVolumes(b_plus=float(cones @ plus), b_minus=float(cones @ minus))

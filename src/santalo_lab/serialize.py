@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .geometry import VPolytope
+from .geometry import VPolytope, convex_hull
 from .shadow import ShadowSystem, SweepRecord
 
 
@@ -29,18 +29,24 @@ def polytope_to_dict(P: VPolytope) -> dict:
     return {"dim": P.dim, "vertices": _listify(P.vertices)}
 
 
-def polytope_from_dict(data: dict) -> VPolytope:
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError("polytope JSON needs a 'vertices' field")
-    verts = np.asarray(data["vertices"], dtype=float)
-    if verts.ndim != 2:
-        raise ValueError("'vertices' must be a list of coordinate lists")
-    if "dim" in data and int(data["dim"]) != verts.shape[1]:
-        raise ValueError("'dim' does not match vertex coordinates")
-    from .geometry import convex_hull
+def _fields(data, kind: str, **shapes) -> list[np.ndarray]:
+    """Fields of a `kind` JSON object as float arrays of the given shapes
+    (None: any length); ValueError on any malformed document."""
+    try:
+        out = [np.asarray(data[key], dtype=float) for key in shapes]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} JSON: bad or missing field ({exc})") from exc
+    for (key, shape), arr in zip(shapes.items(), out):
+        if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+            raise ValueError(f"'{key}' must have shape {shape}, got {arr.shape}")
+    return out
 
-    P, _ = convex_hull(verts)
-    return P
+
+def polytope_from_dict(data: dict) -> VPolytope:
+    (verts,) = _fields(data, "polytope", vertices=(None, None))
+    if "dim" in data and _fields(data, "polytope", dim=())[0] != verts.shape[1]:
+        raise ValueError("'dim' does not match vertex coordinates")
+    return convex_hull(verts)[0]
 
 
 def system_to_dict(S: ShadowSystem) -> dict:
@@ -53,15 +59,10 @@ def system_to_dict(S: ShadowSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> ShadowSystem:
-    for key in ("base_points", "speeds", "direction", "interval"):
-        if key not in data:
-            raise ValueError(f"shadow-system JSON needs '{key}'")
-    return ShadowSystem(
-        np.asarray(data["base_points"], dtype=float),
-        np.asarray(data["speeds"], dtype=float),
-        np.asarray(data["direction"], dtype=float),
-        (float(data["interval"][0]), float(data["interval"][1])),
-    )
+    base, speeds, direction, (lo, hi) = _fields(
+        data, "shadow-system", base_points=(None, None), speeds=(None,),
+        direction=(None,), interval=(2,))
+    return ShadowSystem(base, speeds, direction, (float(lo), float(hi)))
 
 
 def sweep_to_csv(records: list[SweepRecord], dim: int) -> str:

@@ -374,11 +374,10 @@ def reflect(K: VPolytope, H: Hyperplane) -> VPolytope:
     return VPolytope(verts)
 
 
-def brunn_midpoint_check(K: VPolytope, n_directions: int = 16,
-                         tol: float = 1e-6, seed: int = 0) -> bool:
+def brunn_midpoint_check(K: VPolytope, tol: float = 1e-6) -> bool:
     """Do chord midpoints lie in a hyperplane, for a family of directions?
 
-    For each of `n_directions` random chord directions, the midpoints of
+    For each of 16 random chord directions (seed 0), the midpoints of
     chords of K parallel to the direction are sampled at interior points of
     the projection and fitted with a hyperplane; the check passes when every
     direction's fit residual is at most tol * diameter(K).  Ellipsoid-like
@@ -386,12 +385,12 @@ def brunn_midpoint_check(K: VPolytope, n_directions: int = 16,
     an ellipse carries a midpoint residual on the scale of its own
     approximation error, so `tol` must be chosen accordingly.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     d = K.dim
     if d not in (2, 3):
         raise DegenerateInput("midpoint check supports d = 2 or 3")
     diam = geo.diameter(K)
-    for _ in range(n_directions):
+    for _ in range(16):
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
         H = Hyperplane(u, 0.0)
@@ -438,21 +437,20 @@ class AffineFamilyFit:
     verdict: str = ""
 
 
-def fit_affine_family(system: ShadowSystem, n_grid: int = 9,
-                      tol_rel: float = 1e-7) -> AffineFamilyFit:
+def fit_affine_family(system: ShadowSystem) -> AffineFamilyFit:
     """Fit (v, V, u) to a system whose sweeps look affine; verify the map."""
     if system.axis != system.dim - 1:
         raise ValueError("fit expects the direction on the last axis")
     lo, hi = system.interval
     mid = 0.5 * (lo + hi)
-    ts = np.linspace(lo, hi, n_grid)
+    ts = np.linspace(lo, hi, 9)
     rows = sweep(system, ts)
     vols = np.array([r.volume for r in rows])
     inv = np.array([1.0 / r.polar_volume for r in rows])
     lin = (ts - lo) / (hi - lo)
     dev_v = np.max(np.abs(vols - (vols[0] + (vols[-1] - vols[0]) * lin)))
     dev_i = np.max(np.abs(inv - (inv[0] + (inv[-1] - inv[0]) * lin)))
-    affine = bool(dev_v <= tol_rel * vols.max() and dev_i <= tol_rel * inv.max())
+    affine = bool(dev_v <= TAU_CONV * vols.max() and dev_i <= TAU_CONV * inv.max())
     if not affine:
         return AffineFamilyFit(False, verdict="sweeps not affine; family "
                                               "characterization not applicable")
@@ -493,10 +491,8 @@ def fit_affine_family(system: ShadowSystem, n_grid: int = 9,
     return AffineFamilyFit(True, v, V, u, resid, reproduces, mismatch, verdict)
 
 
-def random_shadow_system(d: int, rng, n_points: int | None = None,
-                         speed_scale: float = 0.6,
-                         interval: tuple[float, float] = (-0.5, 0.5)) -> ShadowSystem:
-    """Random non-degenerate system: ball-sampled hull points, normal speeds."""
+def random_shadow_system(d: int, rng, n_points: int | None = None) -> ShadowSystem:
+    """Random system on [-0.5, 0.5]: ball-sampled hull points, N(0, 0.6) speeds."""
     n = n_points or (d + 3)
     theta = np.zeros(d)
     theta[-1] = 1.0
@@ -506,8 +502,8 @@ def random_shadow_system(d: int, rng, n_points: int | None = None,
         raw *= rng.uniform(0.2, 1.0, size=(n + 2, 1))
         try:
             P, _ = geo.convex_hull(raw)
-            speeds = rng.normal(scale=speed_scale, size=P.n_vertices)
-            return ShadowSystem(P.vertices, speeds, theta, interval)
+            speeds = rng.normal(scale=0.6, size=P.n_vertices)
+            return ShadowSystem(P.vertices, speeds, theta, (-0.5, 0.5))
         except DegenerateInput:
             continue
     raise DegenerateInput("failed to sample a non-degenerate system")

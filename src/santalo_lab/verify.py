@@ -33,6 +33,7 @@ from .errors import EmptySection, NotInCone
 from .geometry import VPolytope
 
 N_PROFILE_SAMPLES = 257
+TOL_EXACT = 1e-9  # pass slack of the exact checks: half-volumes, midpoint bound, cone
 
 
 def _lobatto(n: int) -> np.ndarray:
@@ -166,12 +167,11 @@ def _check_grid(p: SliceProfile, n_samples: int) -> tuple[np.ndarray, np.ndarray
 
 
 def harmonic_hypothesis_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
-                              n_samples: int = N_PROFILE_SAMPLES,
-                              tol: float = 1e-7) -> CheckReport:
+                              n_samples: int = N_PROFILE_SAMPLES) -> CheckReport:
     """Check f(2zy/(z+y)) >= g(y)^{z/(z+y)} h(z)^{y/(z+y)} on grid pairs.
 
     y runs over g's grid and z over h's: a profile's nodes plus `n_samples`
-    uniform heights over its support.  Slack is normalized by max f.
+    uniform heights over its support.  Slack / max f passes at >= -1e-7.
     """
     ys, g_ys = _check_grid(g, n_samples)
     zs, h_zs = _check_grid(h, n_samples)
@@ -184,27 +184,26 @@ def harmonic_hypothesis_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
     slack = (lhs - rhs) / float(np.max(f.ys))
     i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
     worst = float(slack[i, j])
-    status = "pass" if worst >= -tol else "violation"
+    status = "pass" if worst >= -1e-7 else "violation"
     return CheckReport(status == "pass", status, worst,
                        witness=(float(ys[i]), float(zs[j])),
                        details={"n_pairs": int(slack.size)})
 
 
-def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
-                              tol: float = 1e-6) -> CheckReport:
+def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile) -> CheckReport:
     """Check 1/int f <= (1/int g + 1/int h)/2 with the exact integrals.
 
-    The margin (rhs - lhs)/rhs passes at >= -tol; `equality` is |margin| <= tol.
+    The margin (rhs - lhs)/rhs passes at >= -1e-6; `equality` is |margin| <= 1e-6.
     """
     If, Ig, Ih = f.integral(), g.integral(), h.integral()
     lhs = 1.0 / If
     rhs = 0.5 * (1.0 / Ig + 1.0 / Ih)
     margin = (rhs - lhs) / rhs
-    status = "pass" if margin >= -tol else "violation"
+    status = "pass" if margin >= -1e-6 else "violation"
     return CheckReport(status == "pass", status, float(margin),
                        details={"integrals": (If, Ig, Ih),
                                 "lhs": lhs, "rhs": rhs,
-                                "equality": bool(abs(margin) <= tol)})
+                                "equality": bool(abs(margin) <= 1e-6)})
 
 
 def _harmonic_slack(a: float, m: float, b: float) -> float:
@@ -213,14 +212,13 @@ def _harmonic_slack(a: float, m: float, b: float) -> float:
 
 
 def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
-                                 z_s, z_t, axis: int,
-                                 tol: float = 1e-9) -> CheckReport:
+                                 z_s, z_t, axis: int) -> CheckReport:
     """Exact check of the harmonic half-volume inequality.
 
     K_s, K_m and K_t are a shadow system's bodies at s, (s+t)/2 and t along
     the coordinate axis `axis`.  Verifies 1/B_+(mid) <= (1/B_+(s) + 1/B_+(t))/2
     and the B_- analogue at centers z_s, z_t and their midpoint (for K_m);
-    slack >= -tol relative.
+    slack >= -TOL_EXACT relative.
     """
     z_s, z_t = geo.as_vector(z_s), geo.as_vector(z_t)
     hv_s = pol.half_volumes(K_s, z_s, axis=axis)
@@ -228,7 +226,7 @@ def half_volume_inequality_check(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope,
     hv_m = pol.half_volumes(K_m, 0.5 * (z_s + z_t), axis=axis)
     worst = float(min(_harmonic_slack(hv_s.b_plus, hv_m.b_plus, hv_t.b_plus),
                       _harmonic_slack(hv_s.b_minus, hv_m.b_minus, hv_t.b_minus)))
-    status = "pass" if worst >= -tol else "violation"
+    status = "pass" if worst >= -TOL_EXACT else "violation"
     return CheckReport(status == "pass", status, worst,
                        details={"b_plus": (hv_s.b_plus, hv_m.b_plus, hv_t.b_plus),
                                 "b_minus": (hv_s.b_minus, hv_m.b_minus, hv_t.b_minus)})
@@ -246,8 +244,7 @@ class MidpointBoundReport:
 
 
 def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
-                         n_samples: int = N_PROFILE_SAMPLES,
-                         tol: float = 1e-9) -> MidpointBoundReport:
+                         n_samples: int = N_PROFILE_SAMPLES) -> MidpointBoundReport:
     """Reconstruct the full midpoint-convexity chain on one system instance.
 
     Builds the bodies K_s, K_mid and K_t once (s < t, else ValueError),
@@ -284,20 +281,20 @@ def midpoint_bound_check(system: sh.ShadowSystem, s: float, t: float,
     mid_slack = _harmonic_slack(pb_s.polar_volume, res_m.polar_volume, pb_t.polar_volume)
     sant_slack = _harmonic_slack(res_s.polar_volume, res_m.polar_volume, res_t.polar_volume)
     passed = (hyp.passed and conc.passed and half.passed
-              and mid_slack >= -tol and sant_slack >= -tol)
+              and mid_slack >= -TOL_EXACT and sant_slack >= -TOL_EXACT)
     return MidpointBoundReport(hyp, conc, half, float(mid_slack),
                                float(sant_slack), passed, (a_s, a_t))
 
 
-def equality_family(template, B: float, C: float,
-                    n: int = 513) -> tuple[SliceProfile, SliceProfile, SliceProfile]:
+def equality_family(template, B: float,
+                    C: float) -> tuple[SliceProfile, SliceProfile, SliceProfile]:
     """Equality-case triple g(Bx) = h(Cx) = f(2BCx/(B+C)) from one template.
 
-    The template is any callable on [0, 1], sampled at `n` uniform points
+    The template is any callable on [0, 1], sampled at 513 uniform points
     to degree-1 profile data of unit integral; the returned profiles make
     the harmonic conclusion an equality up to rounding.
     """
-    xs = np.linspace(0.0, 1.0, n)
+    xs = np.linspace(0.0, 1.0, 513)
     ys = np.array([template(x) for x in xs])
     ys = ys / np.trapezoid(ys, xs)
     M = 2.0 * B * C / (B + C)
@@ -311,13 +308,13 @@ def equality_family(template, B: float, C: float,
 # Extreme-ray decomposition of the concave cone
 # ---------------------------------------------------------------------------
 
-def in_cone(f: SliceProfile, tol: float = 1e-9) -> bool:
+def in_cone(f: SliceProfile) -> bool:
     """Degree-1 f is concave and vanishes at both ends of its nodes."""
     scale = max(1.0, float(np.max(f.ys)))
-    if f.ys[0] > tol * scale or f.ys[-1] > tol * scale:
+    if f.ys[0] > TOL_EXACT * scale or f.ys[-1] > TOL_EXACT * scale:
         return False
     slopes = np.diff(f.ys) / np.diff(f.xs)
-    return bool(np.all(np.diff(slopes) <= 10 * tol * scale / (f.xs[-1] - f.xs[0])))
+    return bool(np.all(np.diff(slopes) <= 10 * TOL_EXACT * scale / (f.xs[-1] - f.xs[0])))
 
 
 def tent(a: float, alpha: float = 0.0, beta: float = 1.0,

@@ -229,3 +229,67 @@ class TestVerifyCommand:
         rc2, out2 = run_cli(["verify", system_file])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+class TestMalformedInput:
+    """Malformed documents and flags exit 2 with an error line, never a traceback."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            rc, out = run_cli(argv)
+        except SystemExit as exc:  # argparse rejects the flag value
+            rc, out = exc.code, ""
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        return rc, out
+
+    @pytest.mark.parametrize("command", ["shadow", "verify"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc: 5,
+        lambda doc: None,
+        lambda doc: {**doc, "interval": [0]},
+        lambda doc: {**doc, "interval": 3},
+        lambda doc: {**doc, "base_points": {"a": 1}},
+        lambda doc: {k: v for k, v in doc.items() if k != "speeds"},
+    ], ids=["number", "null", "short-interval", "scalar-interval",
+            "dict-base-points", "no-speeds"])
+    def test_bad_system_documents(self, command, edit, system_file, tmp_path, capsys):
+        with open(system_file, encoding="utf-8") as fh:
+            doc = edit(json.load(fh))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc) + "\n")
+        assert self._run([command, str(path)], capsys) == (2, "")
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": {"a": 1}},
+        {"dim": None, "vertices": [[0, 0], [1, 0], [0, 1]]},
+        {"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]},
+        [[0, 0], [1, 0], [0, 1]],
+        {"vertices": [[0, 0], [1, 0], [0]]},
+    ], ids=["dict-vertices", "null-dim", "wrong-dim", "bare-list", "ragged"])
+    def test_bad_polytope_documents(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc) + "\n")
+        assert self._run(["vp", str(path)], capsys) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["polar", "{square}", "--center", "[0.1"],
+        ["polar", "{square}", "--center", '{{"a": 1}}'],
+        ["polar", "{square}", "--center", "[0.1, 0.2, 0.3]"],
+        ["polar", "{square}", "--center", "0.1"],
+        ["symmetrize", "{square}", "--normal", "[1, 0"],
+        ["symmetrize", "{square}", "--normal", '{{"a": 1}}'],
+        ["symmetrize", "{square}", "--normal", "[1, 0, 0]"],
+        ["search", "--d", "2", "--k", "4", "--trials", "-2", "--seed", "1"],
+        ["search", "--d", "2", "--k", "4", "--trials", "0", "--seed", "1"],
+        ["search", "--d", "2", "--k", "4", "--trials", "many", "--seed", "1"],
+        ["shadow", "{system}", "--grid", "2", "--out", "{csv}"],
+    ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
+            "normal-bad-json", "normal-dict", "normal-3d", "trials-negative",
+            "trials-zero", "trials-word", "grid-2"])
+    def test_bad_flags(self, argv, square_file, system_file, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]
+        assert self._run(argv, capsys) == (2, "")
+        assert not csv.exists()

@@ -630,6 +630,36 @@ class TestCampaigns:
         monkeypatch.setattr(mah, "_vp_with_condition", self._above_santalo(1 + 1e-8))
         assert not run().violations  # within the campaign tolerance
 
+    @staticmethod
+    def _fixed(vp_of_dim, cond):
+        """Stand-in for _vp_with_condition: vp_of_dim(d) with condition cond."""
+        return lambda K: (vp_of_dim(K.dim), cond)
+
+    def test_excluded_trials_are_counted_and_reported(self, monkeypatch):
+        monkeypatch.setattr(mah, "_vp_with_condition", self._fixed(mah.simplex_bound, 1e9))
+        done = []
+        rep = mah.few_vertex_campaign(2, 4, 200, seed=3,
+                                      progress=lambda i, r: done.append(i))
+        assert rep.excluded == 200 and sum(rep.label_counts.values()) == 200
+        assert done == [100, 200]
+        assert rep.min_vp == math.inf and not rep.violations
+        rep = mah.polygon_minimality_campaign(200, seed=3)
+        assert rep.excluded == 200 and sum(rep.label_counts.values()) == 200
+
+    @pytest.mark.parametrize("run", [
+        lambda: mah.few_vertex_campaign(3, 5, 4, seed=1),
+        lambda: mah.polygon_minimality_campaign(4, seed=1),
+    ], ids=["few-vertex", "polygon"])
+    def test_below_bound_violations_carry_their_kind(self, monkeypatch, run):
+        below = lambda d: 0.9 * mah.simplex_bound(d)
+        monkeypatch.setattr(mah, "_vp_with_condition", self._fixed(below, 1.0))
+        rep = run()
+        kinds = [v["kind"] for v in rep.violations]
+        # the polygon campaign also flags its non-triangles as near-minimal
+        assert set(kinds) <= {"below-bound", "near-minimal-non-simplex"}
+        assert [v["trial"] for v in rep.violations
+                if v["kind"] == "below-bound"] == [0, 1, 2, 3]
+
     def test_regular_polygon_products(self):
         # exact value n^2 sin^2(pi/n); tends to pi^2 for large n
         for n in range(4, 13):

@@ -237,6 +237,19 @@ class TestHalfVolumes:
             pv = pol.polar(K, z).polar_volume
             assert hv.b_plus + hv.b_minus == pytest.approx(pv, rel=1e-12)
 
+    def test_one_share_pass_per_call(self, monkeypatch, rng):
+        passes = []
+        share_above = pol._share_above
+        monkeypatch.setattr(pol, "_share_above", lambda h: passes.append(h) or share_above(h))
+        calls = 0
+        for d in (2, 3, 4):
+            K = random_body(rng, d)
+            for axis in range(d):
+                hv = pol.half_volumes(K, K.vertices.mean(axis=0), axis=axis)
+                calls += 1
+                assert len(passes) == calls
+                assert hv.b_plus > 0 and hv.b_minus > 0
+
     @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:5],
                              ids=["cube", "octahedron", "4-simplex", "random-3-6"])
     def test_matches_hform_clips(self, K):
