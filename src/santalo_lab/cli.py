@@ -185,6 +185,9 @@ def _verdict_dict(v: sh.ConvexityVerdict) -> dict:
 
 
 def cmd_search(args, out) -> int:
+    if not args.d < args.k <= args.d + 3:
+        raise _MalformedInput(f"--k must be in {args.d + 1}..{args.d + 3} for --d {args.d}, "
+                              f"got {args.k}")
     tols = _tol_overrides(args, "campaign")
     tol = tols.get("campaign", mah.CAMPAIGN_TOL)
     header = _config_header(args, tols)
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_shadow)
 
     sp = sub.add_parser("search", help="randomized few-vertex campaign")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=_int_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, required=True,

@@ -6,7 +6,7 @@ pure functions; nothing mutates its arguments.  Double precision throughout;
 the exact-rational 2D cross-check oracle lives in the test tree.
 
 Cuts by a coordinate hyperplane share one primitive, the staircase table
-`_staircase`, which `section` and `polarity.half_volumes` both read.
+`_staircase`, which `sections` and `polarity.half_volumes` both read.
 
 Supported dimensions: 1 <= d <= 6 (hull enumeration is delegated to Qhull,
 which is reliable at desk scale in this range).
@@ -35,6 +35,7 @@ from .errors import (
 TAU_GEOM = 1e-9
 
 MAX_DIM = 6
+SECTION_PAIRS = 4096  # (level, simplex) pairs per `sections` pass: arrays stay in cache
 
 # Vertex-index pairs spanning the edges of a (d-1)-simplex, by d.
 _EDGES = {d: np.array(list(itertools.combinations(range(d), 2)))
@@ -129,9 +130,9 @@ class VPolytope:
 
     Use `convex_hull` to build one from raw points; the direct constructor
     trusts its input (internal fast path for affine images, polars, ...).
-    Facets, a facet triangulation, the coordinate scale and the polar fan
-    with its determinants (see `polarity._polar_fan`) are computed lazily
-    and cached; `vertices` never changes.
+    Facets, a facet triangulation, the coordinate scale, the polar fan
+    with its determinants and split plans (see `polarity`) are computed
+    lazily and cached; `vertices` never changes.
     """
 
     def __init__(self, vertices, halfspaces: HPolytope | None = None, simplices=None):
@@ -139,6 +140,7 @@ class VPolytope:
         self._halfspaces = halfspaces
         self._simplices = simplices
         self._polar_fan = self._fan_dets = self._scale = None
+        self._split_plans = {}
         if not np.all(np.isfinite(self.vertices)):
             raise DegenerateInput("non-finite vertex coordinates")
 
@@ -382,45 +384,73 @@ def _staircase(p: int, q: int) -> np.ndarray:
     return np.array(paths)
 
 
-def section(P: VPolytope, axis: int, level: float) -> float:
-    """(d-1)-volume of the slice {X : (X with coordinate `axis` = level) in P}.
-
-    Each boundary simplex with p vertices at or above the level and q below
-    meets it in the hull of its p*q edge crossings x_ij, a projective image
-    of Delta_{p-1} x Delta_{q-1} that `_staircase` triangulates.  These
-    pieces triangulate the slice's boundary, so its volume is the fan from
-    c, the mean of the crossings, in the remaining coordinates:
-    sum |det(sigma - c)| / (d-1)!.  A vertex within tolerance of the level
-    counts as on it: it is its own crossing.  No hull is run.
-    Raises EmptySection unless `level` is strictly inside the open coordinate
-    range of `axis` over P.
-    """
-    d = P.dim
-    axis = range(d)[axis]
+def _open_range(P: VPolytope, axis: int) -> tuple[float, float]:
+    """Open interval of the levels strictly inside P's range along `axis`."""
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
     margin = TAU_GEOM * max(1.0, abs(lo), abs(hi))
-    if not (lo + margin < level < hi - margin):
+    return lo + margin, hi - margin
+
+
+def section(P: VPolytope, axis: int, level: float) -> float:
+    """(d-1)-volume of the slice {X : (X with coordinate `axis` = level) in P},
+    one level of `sections`; EmptySection unless `level` is in `_open_range`."""
+    lo, hi = _open_range(P, range(P.dim)[axis])
+    if not lo < level < hi:
         raise EmptySection(f"level {level} outside open range ({lo}, {hi})")
-    rel = heights - level
-    tol = TAU_GEOM * max(1.0, abs(level), float(np.abs(rel).max()))
-    rel[np.abs(rel) <= tol] = 0.0
-    rest = P.vertices[:, [i for i in range(d) if i != axis]]
+    return float(sections(P, axis, [level])[0])
+
+
+def sections(P: VPolytope, axis: int, levels) -> np.ndarray:
+    """(d-1)-volumes of the slices of P at `levels` along `axis`, in one pass.
+
+    Each boundary simplex with p vertices at or above a level and q below
+    meets it in the hull of its p*q edge crossings x_ij, a projective image
+    of Delta_{p-1} x Delta_{q-1} that `_staircase` triangulates.  These
+    pieces triangulate the slice's boundary, so its volume is the fan from
+    c, the mean of the level's crossings (by p, then by simplex), in the
+    remaining coordinates: sum |det(sigma - c)| / (d-1)!.  A vertex within
+    tolerance of a level counts as on it: it is its own crossing.  Pairs
+    (level, simplex) are cut SECTION_PAIRS at a time; means and sums run
+    per level.  No hull is run.  Levels must lie in `_open_range`.
+    """
+    d = P.dim
+    axis = range(d)[axis]
+    levels = np.asarray(levels, dtype=float)
     tri = P.facet_simplices
-    above = rel[tri] >= 0
-    n_above = above.sum(axis=1)
-    # Each simplex's vertices reordered: those at or above the level first.
-    tri = tri[np.arange(len(tri))[:, None], np.argsort(~above, axis=1, kind="stable")]
-    crossings, pieces = [], []
+    step = max(1, SECTION_PAIRS // len(tri))
+    if not 0 < len(levels) <= step:  # no level, or more than one pass
+        return np.concatenate([np.zeros(0)] + [sections(P, axis, levels[i:i + step])
+                                               for i in range(0, len(levels), step)])
+    rel = P.vertices[:, axis] - levels[:, None]
+    tol = TAU_GEOM * np.maximum(np.maximum(1.0, np.abs(levels)), np.abs(rel).max(axis=1))
+    rel[np.abs(rel) <= tol[:, None]] = 0.0
+    rest = np.delete(P.vertices, axis, axis=1)
+    above = rel[:, tri] >= 0
+    n_above = above.sum(axis=2)
+    # Each simplex's vertices reordered per level: those at or above it first.
+    tri = tri[np.arange(len(tri))[:, None], np.argsort(~above, axis=2, kind="stable")]
+    crossings, pieces, at, piece_at = [], [], [], []
     for p in range(1, d):
-        ip, iq = tri[n_above == p, :p, None], tri[n_above == p, None, p:]
-        w = (rel[ip] / (rel[ip] - rel[iq]))[..., None]
+        lv, sx = np.nonzero(n_above == p)
+        ip, iq = tri[lv, sx, :p, None], tri[lv, sx, None, p:]
+        rp, rq = rel[lv[:, None, None], ip], rel[lv[:, None, None], iq]
+        w = (rp / (rp - rq))[..., None]
         x = (rest[ip] + w * (rest[iq] - rest[ip])).reshape(-1, p * (d - p), d - 1)
+        stairs = _staircase(p, d - p)
         crossings.append(x.reshape(-1, d - 1))
-        pieces.append(x[:, _staircase(p, d - p)].reshape(-1, d - 1, d - 1))
-    c = np.concatenate(crossings).mean(axis=0)
-    dets = np.linalg.det(np.concatenate(pieces) - c)
-    return float(np.abs(dets).sum()) / math.factorial(d - 1)
+        pieces.append(x[:, stairs].reshape(-1, d - 1, d - 1))
+        at.append(np.repeat(lv, p * (d - p)))
+        piece_at.append(np.repeat(lv, len(stairs)))
+    # Stable sorts by level keep each level's rows in the order p, simplex.
+    at, piece_at = np.concatenate(at), np.concatenate(piece_at)
+    crossings = np.split(np.concatenate(crossings)[np.argsort(at, kind="stable")],
+                         np.cumsum(np.bincount(at, minlength=len(levels)))[:-1])
+    c = np.array([x.mean(axis=0) for x in crossings])
+    order = np.argsort(piece_at, kind="stable")
+    dets = np.abs(np.linalg.det(np.concatenate(pieces)[order] - c[piece_at[order], None]))
+    ends = np.cumsum(np.bincount(piece_at, minlength=len(levels)))[:-1]
+    return np.array([part.sum() for part in np.split(dets, ends)]) / math.factorial(d - 1)
 
 
 def chord(P: VPolytope, X, axis: int = -1) -> tuple[float, float]:

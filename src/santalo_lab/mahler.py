@@ -514,8 +514,10 @@ def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
                         tol: float = CAMPAIGN_TOL, progress=None) -> CampaignReport:
     """Campaign of `trials` clean k-vertex polytopes, labelled by `classify`,
     against simplex_bound(d); `_campaign` says what the report records."""
-    if d > 4:
+    if d not in (2, 3, 4):
         raise ValueError("campaigns cover d in {2, 3, 4}")
+    if k <= d:
+        raise ValueError(f"a {d}-polytope needs more than {d} vertices, got k = {k}")
     if k > d + 3:
         raise TooManyVertices("campaign vertex count exceeds d+3")
     rng = np.random.default_rng(seed)

@@ -13,7 +13,8 @@ volume D_T / prod_{F in T} slack_F(z).  A sweep's rows share fans too
 where it is read (`bipolar`).
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
-by the staircase triangulation of `geometry._staircase`.
+by the staircase triangulation of `geometry._staircase`, in an order
+cached on K per axis (`_split_plan`).
 """
 
 from __future__ import annotations
@@ -203,26 +204,45 @@ def _cut_terms(d: int, p: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _share_above(heights: np.ndarray) -> np.ndarray:
-    """Share of each (d-1)-simplex where the affine height is positive.
+def _split_plan(K: VPolytope, fan: np.ndarray, axis: int) -> tuple:
+    """K's cached plan for `_share_above` to cut its polar fan at x_axis = 0.
 
-    `heights` is (m, d): row r holds simplex r's vertex heights.  Every term
-    is a product of crossing weights in [0, 1], so nothing cancels.
+    Rows 0..m-1 are the fan's simplices with their polar heights, rows
+    m..2m-1 the same negated.  Polar vertex F's height n_F[axis] / slack_F
+    has the sign of n_F[axis] at every interior center, so which corners
+    are above (a zero height on neither side), their stable order, above
+    first, and the row groups depend on K and the axis alone.  The plan is
+    (1.0 on rows with all d corners above, else 0.0; [(p, rows, corners,
+    signs)] for the rows with 0 < p < d corners above).
     """
-    d = heights.shape[1]
-    above = heights > 0
-    n_above = above.sum(axis=1)
-    share = (n_above == d).astype(float)
-    h = np.take_along_axis(heights, np.argsort(~above, axis=1, kind="stable"), axis=1)
-    for p in range(1, d):
-        rows = n_above == p
-        if rows.any():
-            hp, hq = h[rows, :p, None], h[rows, None, p:]
-            gap = hp - hq
-            factors = np.column_stack([(hp / gap).reshape(-1, p * (d - p)),
-                                       (-hq / gap).reshape(-1, p * (d - p)),
-                                       np.ones(int(rows.sum()))])
-            share[rows] = factors[:, _cut_terms(d, p)].prod(axis=2).sum(axis=1)
+    plan = K._split_plans.get(axis)
+    if plan is None:
+        corners = np.concatenate([fan, fan])
+        signs = np.repeat([1.0, -1.0], len(fan))[:, None]
+        above = signs * K.halfspaces.normals[corners, axis] > 0
+        n_above = above.sum(axis=1)
+        corners = np.take_along_axis(corners, np.argsort(~above, axis=1, kind="stable"), axis=1)
+        groups = [(p, rows, corners[rows], signs[rows]) for p in range(1, K.dim)
+                  if len(rows := np.flatnonzero(n_above == p))]
+        plan = K._split_plans[axis] = ((n_above == K.dim).astype(float), groups)
+    return plan
+
+
+def _share_above(heights: np.ndarray, plan: tuple) -> np.ndarray:
+    """Share of each `_split_plan` row's simplex where its signed polar
+    heights, one per facet, are positive.  Every term is a product of
+    crossing weights in [0, 1], so nothing cancels."""
+    whole, groups = plan
+    share = whole.copy()
+    for p, rows, corners, signs in groups:
+        d = corners.shape[1]
+        h = signs * heights[corners]
+        hp, hq = h[:, :p, None], h[:, None, p:]
+        gap = hp - hq
+        factors = np.column_stack([(hp / gap).reshape(-1, p * (d - p)),
+                                   (-hq / gap).reshape(-1, p * (d - p)),
+                                   np.ones(len(rows))])
+        share[rows] = factors[:, _cut_terms(d, p)].prod(axis=2).sum(axis=1)
     return share
 
 
@@ -236,11 +256,11 @@ def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
     Exact in closed form, with no hull and no quadrature.
     """
     z, slack = _check_interior(K, z)
-    y = K.halfspaces.normals / slack[:, None]
-    heights = y[:, range(K.dim)[axis]]
+    axis = range(K.dim)[axis]
+    heights = K.halfspaces.normals[:, axis] / slack
     if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")
     fan, dets = _polar_fan(K, z, slack)
     cones = _cones(slack[None], fan[None], dets[None])[0]
-    plus, minus = np.split(_share_above(np.concatenate([heights[fan], -heights[fan]])), 2)
+    plus, minus = np.split(_share_above(heights, _split_plan(K, fan, axis)), 2)
     return HalfVolumes(b_plus=float(cones @ plus), b_minus=float(cones @ minus))

@@ -13,9 +13,11 @@ consecutive vertex heights (Curry and Schoenberg), so d exact section
 volumes per piece fix it: profiles are exact piecewise polynomials, their
 values and integrals carry only rounding error.  Section volumes and the
 extreme faces' volumes are sums over the body's boundary triangulation, so
-once a polar's fan is cached its profile runs no hull.  Polar profiles
-cover only the half x >= 0 that the checks read.  Half-volumes are exact
-sums of cones from the polarity center over the polar's cached boundary fan.
+once a polar's fan is cached its profile runs no hull; one `geo.sections`
+call cuts its nodes.  Polar profiles cover only the half x >= 0 that the
+checks read.  The hypothesis grid is walked in blocks of BLOCK_ROWS values
+of y.  Half-volumes are exact sums of cones from the polarity center over
+the polar's cached boundary fan.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from . import geometry as geo
 from . import polarity as pol
 from . import santalo as san
 from . import shadow as sh
-from .errors import EmptySection, NotInCone
+from .errors import NotInCone
 from .geometry import VPolytope
 
 N_PROFILE_SAMPLES = 257
+BLOCK_ROWS = 32  # y rows per pass of the hypothesis grid: each temporary stays in cache
 TOL_EXACT = 1e-9  # pass slack of the exact checks: half-volumes, midpoint bound, cone
 
 
@@ -74,15 +77,19 @@ class SliceProfile:
                                      self.ys[nodes].T).T
 
     def __call__(self, x):
-        """Value of the piece containing x (Horner), 0 outside the nodes."""
+        """Value of the piece containing x (Horner, piece by piece), 0 outside."""
         x = np.asarray(x, dtype=float)
-        knots = self._knots
-        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
-        t = (x - knots[i]) / (knots[i + 1] - knots[i])
-        value = self._coef[i, -1]
-        for k in range(self.degree - 1, -1, -1):
-            value = value * t + self._coef[i, k]
-        return np.where((x >= knots[0]) & (x <= knots[-1]), value, 0.0)[()]
+        knots, value = self._knots, np.zeros(x.shape)
+        piece = np.where((x >= knots[0]) & (x <= knots[-1]), np.minimum(
+            np.searchsorted(knots, x, side="right") - 1, len(knots) - 2), -1)
+        for i, coef in enumerate(self._coef):
+            on = piece == i
+            t = (x[on] - knots[i]) / (knots[i + 1] - knots[i])
+            v = coef[-1]
+            for c in coef[-2::-1]:
+                v = v * t + c
+            value[on] = v
+        return value[()]
 
     def integral(self) -> float:
         """Exact integral, each piece's polynomial integrated term by term.
@@ -108,24 +115,23 @@ def _sample(P: VPolytope, axis: int, start: float | None = None) -> SliceProfile
     """Exact profile of P from height `start` (default: its lowest) up.
 
     The knots are `start` and the vertex heights above it; each piece
-    between consecutive knots gets its d Chebyshev-Lobatto nodes, and each
-    node is evaluated once.
+    between consecutive knots gets its d Chebyshev-Lobatto nodes, cut in
+    one `geo.sections` call, or at the extreme heights P's face there.
     """
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
     start = lo if start is None else start
-
-    def evaluate(x: float) -> float:
-        try:
-            return geo.section(P, axis, x)
-        except EmptySection:
-            return _extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
-
     knots = np.unique(np.append(heights[heights > start], start))
     degree = P.dim - 1
     xs = np.append((knots[:-1, None] + np.diff(knots)[:, None]
                     * _lobatto(degree)[:-1]).ravel(), hi)
-    return SliceProfile(xs, np.array([evaluate(x) for x in xs]), (start, hi), degree)
+    low, high = geo._open_range(P, axis)
+    inside = (low < xs) & (xs < high)
+    ys = np.empty(len(xs))
+    ys[inside] = geo.sections(P, axis, xs[inside])
+    ys[~inside] = [_extreme_face_volume(P, axis, top=(x > 0.5 * (lo + hi)))
+                   for x in xs[~inside]]
+    return SliceProfile(xs, ys, (start, hi), degree)
 
 
 def slice_profile(P: VPolytope, axis: int = -1) -> SliceProfile:
@@ -171,23 +177,29 @@ def harmonic_hypothesis_check(f: SliceProfile, g: SliceProfile, h: SliceProfile,
     """Check f(2zy/(z+y)) >= g(y)^{z/(z+y)} h(z)^{y/(z+y)} on grid pairs.
 
     y runs over g's grid and z over h's: a profile's nodes plus `n_samples`
-    uniform heights over its support.  Slack / max f passes at >= -1e-7.
+    uniform heights over its support, BLOCK_ROWS values of y at a time.
+    Slack / max f passes at >= -1e-7; the witness is np.argmin's on the grid.
     """
     ys, g_ys = _check_grid(g, n_samples)
     zs, h_zs = _check_grid(h, n_samples)
     if len(ys) == 0 or len(zs) == 0:
         raise ValueError("no positive grid pairs with positive profile values")
-    Y, Z = ys[:, None], zs[None, :]
-    lam = Z / (Z + Y)
-    lhs = f(2.0 * Z * Y / (Z + Y))
-    rhs = g_ys[:, None] ** lam * h_zs[None, :] ** (1.0 - lam)
-    slack = (lhs - rhs) / float(np.max(f.ys))
-    i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-    worst = float(slack[i, j])
-    status = "pass" if worst >= -1e-7 else "violation"
-    return CheckReport(status == "pass", status, worst,
-                       witness=(float(ys[i]), float(zs[j])),
-                       details={"n_pairs": int(slack.size)})
+    Z, Z2, H = zs[None, :], 2.0 * zs[None, :], h_zs[None, :]
+    top = float(np.max(f.ys))
+    worst = None
+    for r in range(0, len(ys), BLOCK_ROWS):
+        Y = ys[r:r + BLOCK_ROWS, None]
+        S = Z + Y
+        lam = Z / S
+        slack = (f(Z2 * Y / S) - g_ys[r:r + BLOCK_ROWS, None] ** lam * H ** (1.0 - lam)) / top
+        k = int(np.argmin(slack))
+        # Row-major first minimum over the blocks; a NaN, as argmin reads it, wins.
+        if worst is None or not (slack.flat[k] >= worst[0] or math.isnan(worst[0])):
+            worst = (float(slack.flat[k]), r + k // len(zs), k % len(zs))
+    status = "pass" if worst[0] >= -1e-7 else "violation"
+    return CheckReport(status == "pass", status, worst[0],
+                       witness=(float(ys[worst[1]]), float(zs[worst[2]])),
+                       details={"n_pairs": len(ys) * len(zs)})
 
 
 def harmonic_conclusion_check(f: SliceProfile, g: SliceProfile, h: SliceProfile) -> CheckReport:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from santalo_lab import geometry as geo
+from santalo_lab import mahler
 from santalo_lab import polarity as pol
 
 
@@ -10,6 +13,11 @@ def random_body(rng, d, extra=4):
     """Full-dimensional random polytope from normal points."""
     pts = rng.normal(size=(d + extra, d))
     P, _ = geo.convex_hull(pts)
+    return P
+
+
+def simplex(d):
+    P, _ = geo.convex_hull(np.vstack([np.zeros(d), np.eye(d)]))
     return P
 
 
@@ -37,6 +45,18 @@ def hform_section(P, axis, level):
     b = h.offsets - h.normals[:, axis] * level
     sliced = np.linalg.norm(A, axis=1) > geo.TAU_GEOM
     return geo.vertex_enumeration(geo.HPolytope(A[sliced], b[sliced]))
+
+
+def fan_bodies():
+    ang = 2 * math.pi * np.arange(6) / 6
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])  # polar has square facets
+    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
+    cross5 = np.vstack([np.eye(5), -np.eye(5)])  # polar: the 5-cube, merged facets
+    segment, random6 = [[-0.4], [1.3]], np.random.default_rng(6).normal(size=(16, 6))
+    bodies = [geo.convex_hull(pts)[0] for pts in (cube, octahedron, hexagon)]
+    return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))] + [
+        geo.convex_hull(pts)[0] for pts in (segment, cross5, random6)]
 
 
 @pytest.fixture

@@ -284,10 +284,17 @@ class TestMalformedInput:
         ["search", "--d", "2", "--k", "4", "--trials", "-2", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "0", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "many", "--seed", "1"],
+        ["search", "--d", "5", "--k", "7", "--seed", "1"],
+        ["search", "--d", "0", "--k", "2", "--seed", "1"],
+        ["search", "--d", "2", "--k", "6", "--seed", "1"],
+        ["search", "--d", "4", "--k", "8", "--seed", "1"],
+        ["search", "--d", "3", "--k", "3", "--seed", "1"],
+        ["search", "--d", "2", "--k", "1", "--seed", "1"],
         ["shadow", "{system}", "--grid", "2", "--out", "{csv}"],
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
             "normal-bad-json", "normal-dict", "normal-3d", "trials-negative",
-            "trials-zero", "trials-word", "grid-2"])
+            "trials-zero", "trials-word", "d-5", "d-0", "k-above-d+3-in-2d",
+            "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2"])
     def test_bad_flags(self, argv, square_file, system_file, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]

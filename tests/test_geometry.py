@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
-from conftest import hform_section, random_body, set_equal, vertices_match
+from conftest import fan_bodies, hform_section, random_body, set_equal, vertices_match
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
@@ -266,6 +266,16 @@ def section_bodies(rng):
             "random-3": random_body(rng, 3), "random-4": random_body(rng, 4)}
 
 
+def stacked_section_bodies():
+    """The fan bodies of dimension 2..6, then polars about an off-center point
+    (a smaller 6D body stands in for the (6, 16) one, whose polar's fan holds
+    about 15,000 simplices)."""
+    bodies = [K for K in fan_bodies() if K.dim > 1]
+    polars = bodies[:-1] + [mahler.random_polytope(6, 9, np.random.default_rng(0))]
+    return bodies + [pol.polar(K, 0.7 * K.vertices.mean(axis=0) + 0.3 * K.vertices[0]).polar
+                     for K in polars]
+
+
 class TestSection:
     def test_cube_midslice(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)
@@ -307,6 +317,23 @@ class TestSection:
                 ref = hform_section(P, axis, level)
                 assert geo.section(P, axis, level) == pytest.approx(
                     ConvexHull(ref.vertices).volume, rel=1e-12)
+
+    @pytest.mark.parametrize("P", stacked_section_bodies(),
+                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
+                                  "5-cross", "random-6-16", "cube-polar", "octahedron-polar",
+                                  "hexagon-polar", "4-simplex-polar", "random-3-6-polar",
+                                  "5-cross-polar", "random-6-9-polar"])
+    def test_stacked_levels_match_single_levels(self, P):
+        # one `sections` call gives each level the bits of a call of its
+        # own; vertex heights are levels too, and the 6D body's 47 levels
+        # take three SECTION_PAIRS passes
+        for axis in range(P.dim):
+            lo, hi = geo._open_range(P, axis)
+            heights = np.unique(P.vertices[:, axis])
+            heights = heights[(heights > lo) & (heights < hi)]
+            levels = np.concatenate([np.linspace(lo, hi, 41)[1:-1], heights[:8]])
+            assert np.array_equal(geo.sections(P, axis, levels),
+                                  [geo.section(P, axis, x) for x in levels])
 
     def test_polygon_section_is_an_interval(self, rng):
         P = random_body(rng, 2)

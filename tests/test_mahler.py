@@ -610,6 +610,15 @@ class TestCampaigns:
         assert not rep.violations
         assert rep.min_vp >= 6.75 - 1e-6
 
+    @pytest.mark.parametrize("d, k", [(3, 3), (2, 2), (4, 1), (1, 3), (5, 7)])
+    def test_bad_shapes_raise_before_drawing(self, d, k, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a polytope")
+
+        monkeypatch.setattr(mah, "random_polytope", no_draw)
+        with pytest.raises(ValueError):
+            mah.few_vertex_campaign(d, k, 3, seed=1)
+
     @staticmethod
     def _above_santalo(factor):
         """Stand-in for _vp_with_condition: factor x the Blaschke-Santalo bound."""

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection
 
 import rational_oracle as oracle
-from conftest import hform_section, random_body, set_equal, vertices_match
+from conftest import (fan_bodies, hform_section, random_body, set_equal, simplex,
+                      vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
@@ -13,11 +14,6 @@ from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
 from santalo_lab.errors import CenterNotInterior
-
-
-def simplex(d):
-    P, _ = geo.convex_hull(np.vstack([np.zeros(d), np.eye(d)]))
-    return P
 
 
 class TestPolar:
@@ -118,18 +114,6 @@ def qhull_polar_moments(K, z):
     return vols.sum(), vols @ sums / (d + 1) / vols.sum(), second / vols.sum()
 
 
-def fan_bodies():
-    ang = 2 * math.pi * np.arange(6) / 6
-    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-    octahedron = np.vstack([np.eye(3), -np.eye(3)])  # polar has square facets
-    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
-    cross5 = np.vstack([np.eye(5), -np.eye(5)])  # polar: the 5-cube, merged facets
-    segment, random6 = [[-0.4], [1.3]], np.random.default_rng(6).normal(size=(16, 6))
-    bodies = [geo.convex_hull(pts)[0] for pts in (cube, octahedron, hexagon)]
-    return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))] + [
-        geo.convex_hull(pts)[0] for pts in (segment, cross5, random6)]
-
-
 class TestPolarFan:
     @pytest.mark.parametrize("K", fan_bodies(),
                              ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
@@ -221,6 +205,31 @@ class TestVolumeProduct:
         assert pol.volume_product(H) == pytest.approx(9.0, rel=1e-9)
 
 
+def sorted_half_volumes(K, z, axis):
+    """(B_+, B_-) with each call sorting every fan simplex's corners by their
+    heights at z, above first, in place of the cached split plan."""
+    slack = K.halfspaces.slack(z)
+    heights = K.halfspaces.normals[:, axis] / slack
+    fan, dets = pol._polar_fan(K)
+    h = np.concatenate([heights[fan], -heights[fan]])
+    d = h.shape[1]
+    above = h > 0
+    n_above = above.sum(axis=1)
+    share = (n_above == d).astype(float)
+    h = np.take_along_axis(h, np.argsort(~above, axis=1, kind="stable"), axis=1)
+    for p in range(1, d):
+        rows = n_above == p
+        if rows.any():
+            hp, hq = h[rows, :p, None], h[rows, None, p:]
+            factors = np.column_stack([(hp / (hp - hq)).reshape(-1, p * (d - p)),
+                                       (-hq / (hp - hq)).reshape(-1, p * (d - p)),
+                                       np.ones(int(rows.sum()))])
+            share[rows] = factors[:, pol._cut_terms(d, p)].prod(axis=2).sum(axis=1)
+    cones = pol._cones(slack[None], fan[None], dets[None])[0]
+    plus, minus = np.split(share, 2)
+    return float(cones @ plus), float(cones @ minus)
+
+
 class TestHalfVolumes:
     def test_symmetric_ratio_one(self):
         Sq, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -240,7 +249,8 @@ class TestHalfVolumes:
     def test_one_share_pass_per_call(self, monkeypatch, rng):
         passes = []
         share_above = pol._share_above
-        monkeypatch.setattr(pol, "_share_above", lambda h: passes.append(h) or share_above(h))
+        monkeypatch.setattr(pol, "_share_above",
+                            lambda *args: passes.append(args) or share_above(*args))
         calls = 0
         for d in (2, 3, 4):
             K = random_body(rng, d)
@@ -249,6 +259,24 @@ class TestHalfVolumes:
                 calls += 1
                 assert len(passes) == calls
                 assert hv.b_plus > 0 and hv.b_minus > 0
+
+    @pytest.mark.parametrize("K", fan_bodies(),
+                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
+                                  "segment", "5-cross", "random-6-16"])
+    def test_cached_plan_matches_fresh_body(self, K):
+        # the split plan cached at the vertex mean serves a second center bit
+        # for bit, as a fresh body and a per-call sort by height give there;
+        # the cube's axis-parallel facets give zero heights
+        mean = K.vertices.mean(axis=0)
+        z = mean + 0.4 * (K.vertices[-1] - mean)
+        for axis in range(K.dim):
+            pol.half_volumes(K, mean, axis=axis)
+            plan = K._split_plans[axis]
+            cached = pol.half_volumes(K, z, axis=axis)
+            assert K._split_plans[axis] is plan
+            fresh = pol.half_volumes(geo.VPolytope(K.vertices, K.halfspaces), z, axis=axis)
+            assert (cached.b_plus, cached.b_minus) == (fresh.b_plus, fresh.b_minus)
+            assert (cached.b_plus, cached.b_minus) == sorted_half_volumes(K, z, axis)
 
     @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:5],
                              ids=["cube", "octahedron", "4-simplex", "random-3-6"])

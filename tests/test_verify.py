@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_body
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
@@ -31,6 +32,44 @@ def route_bodies():
                for d, k in ((5, 7), (5, 8), (6, 9))]
             + [mah.random_polytope(d, k, np.random.default_rng(10))
                for d, k in ((6, 9), (6, 10))])
+
+
+def gathered(p, x):
+    """p at x with each point gathering its piece's knots and coefficients."""
+    x = np.asarray(x, dtype=float)
+    knots = p._knots
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    t = (x - knots[i]) / (knots[i + 1] - knots[i])
+    value = p._coef[i, -1]
+    for k in range(p.degree - 1, -1, -1):
+        value = value * t + p._coef[i, k]
+    return np.where((x >= knots[0]) & (x <= knots[-1]), value, 0.0)[()]
+
+
+def one_array_hypothesis(f, g, h, n_samples=ver.N_PROFILE_SAMPLES, evaluate=gathered):
+    """(worst slack, witness, n_pairs, slack) of the hypothesis check as one
+    (y, z) array, with f evaluated by evaluate(f, x)."""
+    ys, g_ys = ver._check_grid(g, n_samples)
+    zs, h_zs = ver._check_grid(h, n_samples)
+    Y, Z = ys[:, None], zs[None, :]
+    lam = Z / (Z + Y)
+    rhs = g_ys[:, None] ** lam * h_zs[None, :] ** (1.0 - lam)
+    slack = (evaluate(f, 2.0 * Z * Y / (Z + Y)) - rhs) / float(np.max(f.ys))
+    i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    return float(slack[i, j]), (float(ys[i]), float(zs[j])), int(slack.size), slack
+
+
+class NanAbove(ver.SliceProfile):
+    """A profile that reads NaN above its `cut`."""
+
+    def __call__(self, x):
+        return np.where(np.asarray(x) > self.cut, np.nan, super().__call__(x))
+
+
+def same_report(rep, ref) -> bool:
+    worst, witness, n_pairs, _ = ref
+    return (np.array_equal(rep.worst_slack, worst, equal_nan=True)
+            and rep.witness == witness and rep.details["n_pairs"] == n_pairs)
 
 
 class TestSliceProfile:
@@ -82,18 +121,33 @@ class TestSliceProfile:
     @pytest.mark.parametrize("d", [2, 3])
     def test_each_section_sampled_once(self, d, rng, monkeypatch):
         keys = []
-        section = geo.section
+        sections = geo.sections
 
-        def counting(P, axis, level):
-            keys.append((P.vertices.tobytes(), axis, level))
-            return section(P, axis, level)
+        def counting(P, axis, levels):
+            keys.extend((P.vertices.tobytes(), axis, level) for level in levels)
+            return sections(P, axis, levels)
 
         system = sh.random_shadow_system(d, rng)
-        monkeypatch.setattr(geo, "section", counting)
+        monkeypatch.setattr(geo, "sections", counting)
         ver.midpoint_bound_check(system, *system.interval, n_samples=33)
         assert keys and len(set(keys)) == len(keys)
         # polar profiles cover only the half x >= 0 that the checks read
         assert all(level >= 0 for _, _, level in keys)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_call_matches_gathered_pieces(self, d, rng):
+        # piece-by-piece evaluation against the per-point gather, on degree
+        # d-1 profiles: random points, the knots, points outside the nodes
+        prof = ver.slice_profile(random_body(rng, d), axis=0)
+        lo, hi = prof.xs[0], prof.xs[-1]
+        xs = np.concatenate([rng.uniform(lo, hi, 200), prof._knots, prof.xs,
+                             [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]])
+        assert np.array_equal(prof(xs), gathered(prof, xs))
+        grid = xs[:200].reshape(10, 20)
+        assert np.array_equal(prof(grid), gathered(prof, grid))
+        for x in (lo, 0.5 * (lo + hi), hi, hi + 1.0, np.float64(prof._knots[1]), np.array(lo)):
+            value = prof(x)
+            assert np.ndim(value) == 0 and value == gathered(prof, x)
 
     def test_polar_profile_samples_are_section_volumes(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
@@ -131,6 +185,56 @@ class TestHarmonicHypothesis:
             rep = ver.midpoint_bound_check(system, *system.interval)
             assert rep.hypothesis.status == "pass"
             assert rep.hypothesis.worst_slack >= -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n_samples", [65, 100, 257])
+    def test_blocked_grid_matches_one_array(self, d, n_samples, rng):
+        # polar profiles of three bodies; the y grid spans several blocks
+        for _ in range(3):
+            f, g, h = [ver.polar_slice_profile(pol.polar(K, geo.interior_point(K)), axis=0)
+                       for K in (random_body(rng, d) for _ in range(3))]
+            ref = one_array_hypothesis(f, g, h, n_samples)
+            assert ref[3].shape[0] > ver.BLOCK_ROWS
+            assert same_report(ver.harmonic_hypothesis_check(f, g, h, n_samples), ref)
+
+    def test_tie_across_blocks_keeps_the_first(self):
+        # g = h = 1, and f dips to its minimum at the harmonic mean of ys[a]
+        # and ys[b]: the pair (a, b) in the first block, its mirror in the next
+        flat = ver.SliceProfile([0.0, 1.0], [1.0, 1.0], (0.0, 1.0))
+        ys = ver._check_grid(flat, 100)[0]
+        a, b = 20, ver.BLOCK_ROWS + 20
+        dip = 2.0 * ys[b] * ys[a] / (ys[b] + ys[a])
+        f = ver.SliceProfile([0.0, dip, 2.0], [1.0, 0.25, 1.0], (0.0, 2.0))
+        ref = one_array_hypothesis(f, flat, flat, 100)
+        slack = ref[3]
+        assert slack[a, b] == slack[b, a] == slack.min()
+        assert np.count_nonzero(slack == slack.min()) == 2
+        rep = ver.harmonic_hypothesis_check(f, flat, flat, 100)
+        assert same_report(rep, ref) and rep.witness == (ys[a], ys[b])
+
+    def test_nan_slack_is_a_violation(self):
+        f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
+        ys = f.ys.copy()
+        ys[100] = np.nan
+        bad = ver.SliceProfile(f.xs, ys, f.support)
+        rep = ver.harmonic_hypothesis_check(bad, g, h)
+        assert rep.status == "violation" and not rep.passed
+        assert np.isnan(rep.worst_slack)
+        assert same_report(rep, one_array_hypothesis(bad, g, h))
+
+    def test_later_nan_beats_earlier_minimum(self):
+        # as in np.argmin, the first NaN wins over every number, also over
+        # the minimum of an earlier block; f's harmonic-mean arguments stay
+        # below 2 y, so the first block holds no NaN
+        f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
+        spiked = NanAbove(f.xs, f.ys, f.support)
+        spiked.cut = 2.0 * ver._check_grid(g, ver.N_PROFILE_SAMPLES)[0][ver.BLOCK_ROWS - 1]
+        ref = one_array_hypothesis(spiked, g, h, evaluate=lambda p, x: p(x))
+        slack = ref[3]
+        assert not np.isnan(slack[:ver.BLOCK_ROWS]).any() and np.isnan(slack).any()
+        rep = ver.harmonic_hypothesis_check(spiked, g, h)
+        assert rep.status == "violation" and np.isnan(rep.worst_slack)
+        assert same_report(rep, ref)
 
     def test_scaled_down_f_reports_violation_with_witness(self):
         f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
