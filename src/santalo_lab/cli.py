@@ -227,6 +227,8 @@ def cmd_verify(args, out) -> int:
     lo, hi = system.interval
     s = args.s if args.s is not None else lo
     t = args.t if args.t is not None else hi
+    if not lo <= s < t <= hi:  # false for NaN too
+        raise _MalformedInput(f"need {lo} <= --s < --t <= {hi}, got --s {s} --t {t}")
     rep = ver.midpoint_bound_check(system, s, t)
     report = {
         "config": _config_header(args, {}),

@@ -70,7 +70,9 @@ def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def embed_point(C, v: float, axis: int) -> np.ndarray:
     """C, a point or an array of points, with coordinate `v` inserted at `axis`."""
-    return np.insert(np.asarray(C, dtype=float), axis, v, axis=-1)
+    C = np.asarray(C, dtype=float)
+    axis = range(C.shape[-1] + 1)[axis]
+    return np.concatenate([C[..., :axis], np.full((*C.shape[:-1], 1), v), C[..., axis:]], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ where it is read (`bipolar`).
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
 by the staircase triangulation of `geometry._staircase`, in an order
-cached on K per axis (`_split_plan`).
+cached on K per axis (`_split_plan`), all fetched once by a probe that
+moves the center along the axis (`_half_volume_probe`).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _cones(slack, fan, dets) -> np.ndarray:
     """(R, f) volumes D_T / prod slack_F of the cones from R stacked centers
     over their fans, from slacks (R, m), D_T (R, f) and fans (R, f, d) that
     index `slack.ravel()`: facet F of row r is r * m + F, so one body's
-    cached fan indexes its own row as it is."""
+    cached fan indexes its own row as it is (or its unstacked slacks (m,))."""
     return dets / slack.ravel()[fan].prod(axis=-1)
 
 
@@ -239,11 +240,34 @@ def _share_above(heights: np.ndarray, plan: tuple) -> np.ndarray:
         h = signs * heights[corners]
         hp, hq = h[:, :p, None], h[:, None, p:]
         gap = hp - hq
-        factors = np.column_stack([(hp / gap).reshape(-1, p * (d - p)),
-                                   (-hq / gap).reshape(-1, p * (d - p)),
-                                   np.ones(len(rows))])
+        factors = np.concatenate([(hp / gap).reshape(-1, p * (d - p)),
+                                  (-hq / gap).reshape(-1, p * (d - p)),
+                                  np.ones((len(rows), 1))], axis=1)
         share[rows] = factors[:, _cut_terms(d, p)].prod(axis=2).sum(axis=1)
     return share
+
+
+def _half_volume_probe(K: VPolytope, z: np.ndarray, axis: int):
+    """v -> (B_+, B_-) of K about z with its `axis` coordinate set to v in
+    place; K's facets, cached fan, D_T and split plan are fetched once."""
+    h = K.halfspaces
+    normals, offsets, n_axis = h.normals, h.offsets, h.normals[:, axis]
+    tau, z = geo.TAU_GEOM * K.scale(), z.copy()
+    fan, dets = _polar_fan(K)
+    plan = _split_plan(K, fan, axis)
+
+    def probe(v: float) -> tuple[float, float]:
+        z[axis] = v
+        slack = _slack(normals, offsets, z)
+        if slack.min() <= tau:
+            raise CenterNotInterior("polarity center too close to the boundary")
+        heights = n_axis / slack
+        if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
+            raise DegenerateInput("polar does not straddle the split hyperplane")
+        cones, share = _cones(slack, fan, dets), _share_above(heights, plan)
+        return float(cones @ share[:len(fan)]), float(cones @ share[len(fan):])
+
+    return probe
 
 
 def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
@@ -253,14 +277,8 @@ def half_volumes(K: VPolytope, z, axis: int = -1) -> HalfVolumes:
     the union of the cones from it over the parts of the cached boundary
     fan's simplices T on that side: B_+ = sum_T |det Y_T| / d! * share_+(T),
     where |det Y_T| / d! = D_T / prod_{F in T} slack_F (`_cones`).
-    Exact in closed form, with no hull and no quadrature.
+    Exact in closed form, with no hull and no quadrature; one probe.
     """
-    z, slack = _check_interior(K, z)
+    z = geo.as_vector(z)
     axis = range(K.dim)[axis]
-    heights = K.halfspaces.normals[:, axis] / slack
-    if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
-        raise DegenerateInput("polar does not straddle the split hyperplane")
-    fan, dets = _polar_fan(K, z, slack)
-    cones = _cones(slack[None], fan[None], dets[None])[0]
-    plus, minus = np.split(_share_above(heights, _split_plan(K, fan, axis)), 2)
-    return HalfVolumes(b_plus=float(cones @ plus), b_minus=float(cones @ minus))
+    return HalfVolumes(*_half_volume_probe(K, z, axis)(z[axis]))

@@ -9,7 +9,8 @@ that keeps the iterate well inside the body, where the objective is finite.
 Newton steps are affine-invariant, so no preconditioning is needed.
 `santalo_stack` runs it on stacked arrays of facets, fans and starts, each
 row on its own steps, so a sweep's rows share every numpy call;
-`santalo_points` fills them from bodies.
+`santalo_points` fills them from bodies.  Balanced points take one
+half-volume probe per end body (`polarity._half_volume_probe`).
 """
 
 from __future__ import annotations
@@ -220,11 +221,17 @@ def _padded(stacks, repeat_first: bool) -> np.ndarray:
                            for a in stacks])
 
 
-def _log_ratio(K: VPolytope, C, v: float, axis: int) -> float:
-    hv = pol.half_volumes(K, geo.embed_point(C, v, axis), axis=axis)
-    if hv.diverged or hv.b_plus < pol.TAU_VOL:
-        raise BracketFailure("half volume underflow at an interior probe")
-    return math.log(hv.b_plus) - math.log(hv.b_minus)
+def _log_ratio_probe(K: VPolytope, C, axis: int):
+    """v -> log(B_+ / B_-) of K about (C, v), on one `polarity._half_volume_probe`."""
+    probe = pol._half_volume_probe(K, geo.embed_point(C, 0.0, axis), axis)
+
+    def log_ratio(v: float) -> float:
+        b_plus, b_minus = probe(v)
+        if b_minus < pol.TAU_VOL or b_plus < pol.TAU_VOL:
+            raise BracketFailure("half volume underflow at an interior probe")
+        return math.log(b_plus) - math.log(b_minus)
+
+    return log_ratio
 
 
 def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
@@ -254,10 +261,11 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
     if hi - lo <= geo.TAU_GEOM * span:
         raise BracketFailure("empty definition interval for rho")
 
+    ratio_s, ratio_t = _log_ratio_probe(K_s, C, axis), _log_ratio_probe(K_t, C, axis)
+
     @functools.cache  # brentq re-evaluates the bracket ends first
     def rho(v: float) -> float:
-        return (_log_ratio(K_s, C, v, axis)
-                - _log_ratio(K_t, C, 2 * a - v, axis))
+        return ratio_s(v) - ratio_t(2 * a - v)
 
     width = hi - lo
     v_lo = v_hi = None

@@ -8,8 +8,8 @@ convexity statements about t -> |K_t| and t -> 1/|K_t^*| into grid tests.
 Every orientation determinant det[1, x_i + speed_i * t * direction] is
 affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its boundary
 simplices over runs of parameters, its combinatorial cells.  A sweep
-stacks every row's points, certifies a cell's simplices on all its rows at
-once and reads their facets and volumes off those arrays; `polarity._fans`
+stacks every row's points, certifies a cell's simplices on its rows a chunk
+at a time and reads their facets and volumes off those arrays; `polarity._fans`
 gives the cell's polar fans.  Qhull runs only where a cell or a fan starts.
 """
 
@@ -33,6 +33,8 @@ from .geometry import Hyperplane, VPolytope
 
 # Midpoint-convexity slack, relative to the largest value on the grid.
 TAU_CONV = 1e-7
+# Rows per pass of a cell's simplex certificate (`_cell`).
+CERTIFY_ROWS = 8
 
 
 @dataclass
@@ -144,6 +146,20 @@ def _certified(P: np.ndarray, tri: np.ndarray):
             np.abs(dets).sum(axis=1) / math.factorial(d))
 
 
+def _cell(P: np.ndarray, tri: np.ndarray):
+    """`_certified` on a cell's rows P (R, n, d), CERTIFY_ROWS at a time,
+    until a chunk holds a failing row past P[0].  A lone last row joins the
+    chunk before it: numpy sums a one-row pass's volume in another order."""
+    parts, r = [], 0
+    while r < len(P):
+        n = CERTIFY_ROWS + (len(P) - r == CERTIFY_ROWS + 1)
+        parts.append(_certified(P[r:r + n], tri))
+        if not parts[-1][0][r == 0:].all():  # P[0] may fail its own simplices
+            break
+        r += n
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
 @dataclass
 class SweepRecord:
     t: float
@@ -162,8 +178,8 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     Per-row failures are recorded (converged=False, NaNs), never raised, so
     one bad parameter cannot abort a campaign.  The grid is cut into cells:
     a cell opens at a row with the body `body_at` gives there, and its
-    boundary simplices are certified on all later rows at once
-    (`_certified`); the cell ends at the first row where they fail, which
+    boundary simplices are certified on the later rows, CERTIFY_ROWS at
+    once (`_cell`); the cell ends at the first row where they fail, which
     opens the next.  A body that fails on its own simplices is solved as
     Qhull built it.  A cell's rows are read off its arrays, with no polytope
     per row, their polar fans off `polarity._fans`, and one
@@ -182,7 +198,7 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     while i < len(grid):
         try:
             K, idx = _body(system, grid[i])
-            ok, *cell = _certified(pts[i:], idx[K.facet_simplices])
+            ok, *cell = _cell(pts[i:], idx[K.facet_simplices])
             # the row after a body failing its own simplices may still carry them
             first = int(not ok[0])
             n = first + int(np.argmin(np.append(ok[first:], False)))

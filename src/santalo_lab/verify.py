@@ -15,7 +15,8 @@ values and integrals carry only rounding error.  Section volumes and the
 extreme faces' volumes are sums over the body's boundary triangulation, so
 once a polar's fan is cached its profile runs no hull; one `geo.sections`
 call cuts its nodes.  Polar profiles cover only the half x >= 0 that the
-checks read.  The hypothesis grid is walked in blocks of BLOCK_ROWS values
+checks read.  A profile evaluates all points at once, each on its piece's
+gathered row.  The hypothesis grid is walked in blocks of BLOCK_ROWS values
 of y.  Half-volumes are exact sums of cones from the polarity center over
 the polar's cached boundary fan.
 """
@@ -75,21 +76,24 @@ class SliceProfile:
         nodes = n * np.arange(len(self._knots) - 1)[:, None] + np.arange(n + 1)
         self._coef = np.linalg.solve(np.vander(_lobatto(n), increasing=True),
                                      self.ys[nodes].T).T
+        self._rows = np.column_stack([self._knots[:-1], np.diff(self._knots), self._coef])
 
     def __call__(self, x):
-        """Value of the piece containing x (Horner, piece by piece), 0 outside."""
+        """Value of the piece containing x, 0 outside: x's piece is the count
+        of interior knots at or below it, and Horner reads the piece's row
+        (knot, width, coefficients) gathered by one `take`."""
         x = np.asarray(x, dtype=float)
-        knots, value = self._knots, np.zeros(x.shape)
-        piece = np.where((x >= knots[0]) & (x <= knots[-1]), np.minimum(
-            np.searchsorted(knots, x, side="right") - 1, len(knots) - 2), -1)
-        for i, coef in enumerate(self._coef):
-            on = piece == i
-            t = (x[on] - knots[i]) / (knots[i + 1] - knots[i])
-            v = coef[-1]
-            for c in coef[-2::-1]:
-                v = v * t + c
-            value[on] = v
-        return value[()]
+        knots = self._knots
+        piece = np.zeros(x.shape, dtype=np.intp)
+        for knot in knots[1:-1]:
+            piece += x >= knot
+        row = self._rows.take(piece, axis=0)
+        # clipped, a point outside (NaN stays NaN) keeps t finite
+        t = (x.clip(knots[0], knots[-1]) - row[..., 0]) / row[..., 1]
+        value = row[..., -1]
+        for k in range(self.degree + 1, 1, -1):
+            value = value * t + row[..., k]
+        return np.where((x >= knots[0]) & (x <= knots[-1]), value, 0.0)[()]
 
     def integral(self) -> float:
         """Exact integral, each piece's polynomial integrated term by term.

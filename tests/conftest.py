@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
+from santalo_lab.errors import BracketFailure, DegenerateInput
 
 
 def random_body(rng, d, extra=4):
@@ -57,6 +58,43 @@ def fan_bodies():
     bodies = [geo.convex_hull(pts)[0] for pts in (cube, octahedron, hexagon)]
     return bodies + [simplex(4), mahler.random_polytope(3, 6, np.random.default_rng(5))] + [
         geo.convex_hull(pts)[0] for pts in (segment, cross5, random6)]
+
+
+def one_call_half_volumes(K, z, axis):
+    """(B_+, B_-) of K about z by the one-call formula that `half_volumes`
+    used before its probe: check the center, fetch the cached fan and split
+    plan, build each group's factors with `column_stack` and `np.split` the
+    shares.  The reference the probe must match bit for bit."""
+    z, slack = pol._check_interior(K, z)
+    axis = range(K.dim)[axis]
+    heights = K.halfspaces.normals[:, axis] / slack
+    if heights.max() <= pol.TAU_VOL or heights.min() >= -pol.TAU_VOL:
+        raise DegenerateInput("polar does not straddle the split hyperplane")
+    fan, dets = pol._polar_fan(K, z, slack)
+    cones = pol._cones(slack[None], fan[None], dets[None])[0]
+    whole, groups = pol._split_plan(K, fan, axis)
+    share = whole.copy()
+    for p, rows, corners, signs in groups:
+        d = corners.shape[1]
+        h = signs * heights[corners]
+        hp, hq = h[:, :p, None], h[:, None, p:]
+        gap = hp - hq
+        factors = np.column_stack([(hp / gap).reshape(-1, p * (d - p)),
+                                   (-hq / gap).reshape(-1, p * (d - p)),
+                                   np.ones(len(rows))])
+        share[rows] = factors[:, pol._cut_terms(d, p)].prod(axis=2).sum(axis=1)
+    plus, minus = np.split(share, 2)
+    return float(cones @ plus), float(cones @ minus)
+
+
+def one_call_log_ratio(K, C, v, axis):
+    """log(B_+ / B_-) at the center C with v inserted at `axis`, one
+    `one_call_half_volumes` per height: the route `balanced_points` took
+    before its probes."""
+    b_plus, b_minus = one_call_half_volumes(K, np.insert(C, axis, v), axis)
+    if b_minus < pol.TAU_VOL or b_plus < pol.TAU_VOL:
+        raise BracketFailure("half volume underflow at an interior probe")
+    return math.log(b_plus) - math.log(b_minus)
 
 
 @pytest.fixture

@@ -291,10 +291,20 @@ class TestMalformedInput:
         ["search", "--d", "3", "--k", "3", "--seed", "1"],
         ["search", "--d", "2", "--k", "1", "--seed", "1"],
         ["shadow", "{system}", "--grid", "2", "--out", "{csv}"],
+        ["verify", "{system}", "--s", "nan"],
+        ["verify", "{system}", "--t", "nan"],
+        ["verify", "{system}", "--t", "inf"],
+        ["verify", "{system}", "--s=-inf"],
+        ["verify", "{system}", "--s", "-0.6"],
+        ["verify", "{system}", "--t", "0.6"],
+        ["verify", "{system}", "--s", "0.2", "--t", "0.2"],
+        ["verify", "{system}", "--s", "0.3", "--t", "-0.3"],
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
             "normal-bad-json", "normal-dict", "normal-3d", "trials-negative",
             "trials-zero", "trials-word", "d-5", "d-0", "k-above-d+3-in-2d",
-            "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2"])
+            "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
+            "s-nan", "t-nan", "t-inf", "s-minus-inf", "s-below-interval",
+            "t-above-interval", "s-equal-t", "s-above-t"])
     def test_bad_flags(self, argv, square_file, system_file, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]

@@ -253,6 +253,10 @@ class TestDedupeRows:
 def test_embed_point():
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 1), [1.0, 7.0, 2.0])
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 2), [1.0, 2.0, 7.0])
+    # a negative axis counts in the result, as `half_volumes` and `chord` count it
+    assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, -1), [1.0, 2.0, 7.0])
+    with pytest.raises(IndexError):
+        geo.embed_point([1.0, 2.0], 7.0, 3)
     # a vertex array: every row gets the coordinate
     assert np.array_equal(geo.embed_point([[1.0, 2.0], [3.0, 4.0]], 0.0, 2),
                           [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])

@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection
 
 import rational_oracle as oracle
-from conftest import (fan_bodies, hform_section, random_body, set_equal, simplex,
-                      vertices_match)
+from conftest import (fan_bodies, hform_section, one_call_half_volumes, random_body,
+                      set_equal, simplex, vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
@@ -277,6 +277,25 @@ class TestHalfVolumes:
             fresh = pol.half_volumes(geo.VPolytope(K.vertices, K.halfspaces), z, axis=axis)
             assert (cached.b_plus, cached.b_minus) == (fresh.b_plus, fresh.b_minus)
             assert (cached.b_plus, cached.b_minus) == sorted_half_volumes(K, z, axis)
+
+    @pytest.mark.parametrize("K", fan_bodies(),
+                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
+                                  "segment", "5-cross", "random-6-16"])
+    def test_probe_matches_one_call_formula(self, K):
+        # one probe per (center, axis), moved along its chord, gives the
+        # one-call formula's (B_+, B_-) bit for bit at every height
+        mean = K.vertices.mean(axis=0)
+        centers = [mean] + [mean + 0.4 * (v - mean) for v in K.vertices[[0, -1]]]
+        for axis in range(K.dim):
+            for z in centers:
+                probe = pol._half_volume_probe(K, z, axis)
+                lo, hi = geo._vertical_extent(K, np.delete(z, axis), axis)
+                for v in [z[axis]] + [lo + f * (hi - lo) for f in (0.1, 0.45, 0.8)]:
+                    at = z.copy()
+                    at[axis] = v
+                    assert probe(v) == one_call_half_volumes(K, at, axis)
+                    hv = pol.half_volumes(K, at, axis=axis)
+                    assert (hv.b_plus, hv.b_minus) == one_call_half_volumes(K, at, axis)
 
     @pytest.mark.parametrize("K", fan_bodies()[:2] + fan_bodies()[3:5],
                              ids=["cube", "octahedron", "4-simplex", "random-3-6"])

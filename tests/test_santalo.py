@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_body
+from conftest import one_call_log_ratio, random_body
 from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
@@ -170,7 +170,7 @@ class TestSantaloPoint:
 class TestLogRatio:
     def test_symmetric_chord_midpoint_ratio_one(self):
         Sq, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        assert san._log_ratio(Sq, [0.3], 0.0, 1) == pytest.approx(0.0, abs=1e-9)
+        assert san._log_ratio_probe(Sq, [0.3], 1)(0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_increasing_along_chord(self, rng):
         # empirical property; balanced_points brackets a sign change and
@@ -180,7 +180,7 @@ class TestLogRatio:
             c = geo.interior_point(K)
             bottom, top = geo.chord(K, c[:1], axis=1)
             vs = np.linspace(bottom, top, 12)[1:-1]
-            rhos = [san._log_ratio(K, c[:1], v, 1) for v in vs]
+            rhos = [san._log_ratio_probe(K, c[:1], 1)(v) for v in vs]
             assert all(b > a for a, b in zip(rhos, rhos[1:]))
 
     def test_limits_at_chord_ends(self, rng):
@@ -188,8 +188,8 @@ class TestLogRatio:
         c = geo.interior_point(K)
         bottom, top = geo.chord(K, c[:1], axis=1)
         eps = 1e-5 * (top - bottom)
-        assert san._log_ratio(K, c[:1], bottom + eps, 1) < math.log(1e-2)
-        assert san._log_ratio(K, c[:1], top - eps, 1) > math.log(1e2)
+        assert san._log_ratio_probe(K, c[:1], 1)(bottom + eps) < math.log(1e-2)
+        assert san._log_ratio_probe(K, c[:1], 1)(top - eps) > math.log(1e2)
 
 
 class TestBalancedPoints:
@@ -220,19 +220,19 @@ class TestBalancedPoints:
             lam_s = pol.half_volumes(K_s, np.array([c[0], a_s]), axis=1).ratio
             lam_t = pol.half_volumes(K_t, np.array([c[0], a_t]), axis=1).ratio
             assert lam_s == pytest.approx(lam_t, rel=2e-8)
-            rho = (san._log_ratio(K_s, c[:1], a_s, 1)
-                   - san._log_ratio(K_t, c[:1], a_t, 1))
+            rho = (san._log_ratio_probe(K_s, c[:1], 1)(a_s)
+                   - san._log_ratio_probe(K_t, c[:1], 1)(a_t))
             assert abs(rho) <= 1e-12
 
     def test_no_probe_repeats(self, rng, monkeypatch):
         probes = []
-        log_ratio = san._log_ratio
+        half_volume_probe = pol._half_volume_probe
 
-        def recording(K, C, v, axis):
-            probes.append((K.vertices.tobytes(), v))
-            return log_ratio(K, C, v, axis)
+        def recording(K, z, axis):
+            probe = half_volume_probe(K, z, axis)
+            return lambda v: probes.append((K.vertices.tobytes(), v)) or probe(v)
 
-        monkeypatch.setattr(san, "_log_ratio", recording)
+        monkeypatch.setattr(pol, "_half_volume_probe", recording)
         for d in (2, 3):
             system = self._system(rng, d)
             K_s, K_m, K_t = self._bodies(system)
@@ -240,6 +240,36 @@ class TestBalancedPoints:
             probes.clear()
             san.balanced_points(K_s, K_m, K_t, float(c[-1]), c[:-1], d - 1)
             assert probes and len(set(probes)) == len(probes)
+
+    def test_one_split_plan_fetch_per_body(self, rng, monkeypatch):
+        # each end body's probe reads its cached split plan once, not per probe
+        fetched = []
+        split_plan = pol._split_plan
+        monkeypatch.setattr(pol, "_split_plan", lambda K, fan, axis: (
+            fetched.append((id(K), axis)) or split_plan(K, fan, axis)))
+        for d in (2, 3, 2, 3):
+            system = self._system(rng, d)
+            K_s, K_m, K_t = self._bodies(system)
+            c = geo.interior_point(K_m)
+            fetched.clear()
+            san.balanced_points(K_s, K_m, K_t, float(c[-1]), c[:-1], d - 1)
+            assert sorted(fetched) == sorted([(id(K_s), d - 1), (id(K_t), d - 1)])
+
+    def test_matches_one_call_route(self, monkeypatch):
+        # the probes give the root bit for bit as one `half_volumes`-formula
+        # call per height did, on 20 seeded systems in d = 2, 3
+        rng = np.random.default_rng(11)
+        for d in (2, 3) * 10:
+            system = self._system(rng, d)
+            K_s, K_m, K_t = self._bodies(system)
+            z = san.santalo_point(K_m).point
+            args = (K_s, K_m, K_t, float(z[-1]), z[:-1], d - 1)
+            got = san.balanced_points(*args)
+            monkeypatch.setattr(san, "_log_ratio_probe", lambda K, C, axis: (
+                lambda v: one_call_log_ratio(K, C, v, axis)))
+            ref = san.balanced_points(*args)
+            monkeypatch.undo()
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
 
     def test_against_dense_scan(self, rng):
         # the Brent root lands where a dense scan of rho crosses zero
@@ -257,8 +287,8 @@ class TestBalancedPoints:
         vals = []
         for v in grid:
             try:
-                vals.append(san._log_ratio(K_s, C, v, 1)
-                            - san._log_ratio(K_t, C, 2 * a - v, 1))
+                vals.append(san._log_ratio_probe(K_s, C, 1)(v)
+                            - san._log_ratio_probe(K_t, C, 1)(2 * a - v))
             except BracketFailure:
                 vals.append(np.nan)
         vals = np.array(vals)
@@ -280,10 +310,10 @@ class TestBalancedPoints:
             lo = max(alpha_s, 2 * a - beta_t)
             hi = min(beta_s, 2 * a - alpha_t)
             w = hi - lo
-            rho_left = (san._log_ratio(K_s, C, lo + 1e-6 * w, 1)
-                        - san._log_ratio(K_t, C, 2 * a - lo - 1e-6 * w, 1))
-            rho_right = (san._log_ratio(K_s, C, hi - 1e-6 * w, 1)
-                         - san._log_ratio(K_t, C, 2 * a - hi + 1e-6 * w, 1))
+            rho_left = (san._log_ratio_probe(K_s, C, 1)(lo + 1e-6 * w)
+                        - san._log_ratio_probe(K_t, C, 1)(2 * a - lo - 1e-6 * w))
+            rho_right = (san._log_ratio_probe(K_s, C, 1)(hi - 1e-6 * w)
+                         - san._log_ratio_probe(K_t, C, 1)(2 * a - hi + 1e-6 * w))
             assert rho_left < 0 < rho_right
 
     def test_chord_endpoint_request_errors(self, rng):

@@ -229,17 +229,17 @@ def solved(monkeypatch):
 
 @pytest.fixture
 def cells(monkeypatch):
-    """(rows left, simplices, certificate mask) of each `_certified` call: a
-    cell opens at row len(grid) - rows left."""
+    """(rows left, simplices, certificate mask of the rows it certified) of
+    each cell's `_cell` call: a cell opens at row len(grid) - rows left."""
     calls = []
-    certified = sh._certified
+    cell = sh._cell
 
     def recording(P, tri):
-        out = certified(P, tri)
+        out = cell(P, tri)
         calls.append((len(P), tri, out[0]))
         return out
 
-    monkeypatch.setattr(sh, "_certified", recording)
+    monkeypatch.setattr(sh, "_cell", recording)
     return calls
 
 
@@ -298,8 +298,9 @@ class TestCarriedCells:
         assert n_carried > 5 * len(grid)  # most rows ran no Qhull at all
 
     def test_cells_end_where_the_row_certificate_fails(self, rng, cells, qhull_calls):
-        # the stacked certificate is the single-row one on every row, and the
-        # sweep runs as many Qhulls as one that goes row by row
+        # the chunked certificate is the single-row one on every row it
+        # certified, and the sweep runs as many Qhulls as one that goes row
+        # by row
         for d, k in ((2, 5), (3, 6), (4, 7)):
             for _ in range(10):
                 system = _system_with(d, k, rng)
@@ -312,10 +313,46 @@ class TestCarriedCells:
                 opened = [len(grid) - n for n, _, _ in cells]
                 for a, b, (_, tri, ok) in zip(opened, opened[1:] + [len(grid)], cells):
                     single = [sh._certified(system.points_at(t)[None], tri)[0][0]
-                              for t in grid[a:]]
+                              for t in grid[a:a + len(ok)]]
                     assert single == list(ok)
                     # rows a+1 .. b-1 carry row a's simplices, and row b does not
                     assert ok[1:b - a].all() and (b == len(grid) or not ok[b - a])
+
+    def test_certifies_at_most_a_chunk_past_each_cell(self, rng, monkeypatch):
+        # a cell's certificate stops at the chunk of 8 rows that holds its
+        # first failing row, so a 33-row sweep certifies at most 33 + 8 rows
+        # per cell
+        certified_rows, opened = [], []
+        certified, body = sh._certified, sh._body
+        monkeypatch.setattr(sh, "_certified", lambda P, tri: (
+            certified_rows.append(len(P)) or certified(P, tri)))
+        monkeypatch.setattr(sh, "_body", lambda system, t: (
+            opened.append(t) or body(system, t)))
+        for d, k in ((2, 5), (3, 6), (4, 7)):
+            for _ in range(10):
+                system = _system_with(d, k, rng)
+                certified_rows.clear()
+                opened.clear()
+                sh.sweep(system, np.linspace(*system.interval, 33))
+                assert sum(certified_rows) <= 33 + 8 * len(opened)
+
+    def test_chunks_match_one_pass(self, rng):
+        # every array of a chunked certificate is bitwise the one-pass one on
+        # the rows it certified, for a cell opened at each row; an affine
+        # family keeps its simplices on every row, so its last cells end in
+        # a lone last row
+        systems = [_system_with(d, k, rng) for d, k in ((3, 6), (4, 7))]
+        systems += [sh.affine_family(random_body(rng, d, extra=6), v=0.3, V=[0.1] * (d - 1),
+                                     u=0.05, interval=(-1.0, 1.0)) for d in (3, 4)]
+        for system in systems:
+            grid = np.linspace(*system.interval, 33)
+            pts = system.points_at(grid)
+            for a in range(len(grid)):
+                K, idx = sh._body(system, grid[a])
+                tri = idx[K.facet_simplices]
+                chunked, one = sh._cell(pts[a:], tri), sh._certified(pts[a:], tri)
+                for x, y in zip(chunked, one):
+                    assert np.array_equal(x, y[:len(x)])
 
     def test_sweep_evaluates_each_center_once(self, rng, slack_centers):
         # a cell's starts and first slacks come from its certificate, and a

@@ -149,6 +149,29 @@ class TestSliceProfile:
             value = prof(x)
             assert np.ndim(value) == 0 and value == gathered(prof, x)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_zero_outside_the_knots(self, degree, rng):
+        # below the first knot, above the last, at +-inf and at NaN the value
+        # is 0, for 0-d and n-d input alike; the profile is positive at both
+        # ends, so a piece evaluated there would not read 0
+        knots = np.cumsum(rng.uniform(0.2, 1.0, 5)) - 1.0
+        xs = np.append((knots[:-1, None] + np.diff(knots)[:, None]
+                        * ver._lobatto(degree)[:-1]).ravel(), knots[-1])
+        prof = ver.SliceProfile(xs, rng.uniform(0.5, 1.0, len(xs)), (knots[0], knots[-1]),
+                                degree)
+        outside = [knots[0] - 1.0, np.nextafter(knots[0], -np.inf),
+                   np.nextafter(knots[-1], np.inf), knots[-1] + 1.0, -np.inf, np.inf, np.nan]
+        for x in outside:
+            for arg in (x, np.float64(x), np.array(x)):
+                value = prof(arg)
+                assert np.ndim(value) == 0 and value == 0.0
+        grid = np.array(outside + [knots[0], knots[-1]] + outside[::-1]).reshape(2, 2, 4)
+        values = prof(grid)
+        assert values.shape == grid.shape
+        ends = [prof(knots[0]), prof(knots[-1])]
+        assert ends == pytest.approx([prof.ys[0], prof.ys[-1]], rel=1e-12)
+        assert values.ravel().tolist() == [0.0] * 7 + ends + [0.0] * 7
+
     def test_polar_profile_samples_are_section_volumes(self, rng):
         K, _ = geo.convex_hull(rng.normal(size=(7, 3)))
         z = geo.interior_point(K)
