@@ -94,26 +94,29 @@ class Hyperplane:
 class HPolytope:
     """Bounded full-dimensional intersection of halfspaces <n_i, x> <= b_i.
 
-    Normals are stored unit-length; rows are deduplicated within TAU_GEOM.
+    Normals are made unit-length and rows deduplicated within TAU_GEOM on the
+    first read of `normals` or `offsets`; a zero normal raises DegenerateInput there.
     """
 
     def __init__(self, normals, offsets):
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).ravel()
-        if normals.shape[0] != offsets.shape[0]:
+        self._given = np.array(normals, dtype=float, ndmin=2), np.ravel(offsets).astype(float)
+        if len(self._given[0]) != len(self._given[1]):
             raise ValueError("normals and offsets length mismatch")
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        normals, offsets = self._given
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms <= TAU_GEOM):
             raise DegenerateInput("zero facet normal")
-        normals = normals / norms[:, None]
-        offsets = offsets / norms
-        rows = _dedupe_rows(np.column_stack([normals, offsets]), TAU_GEOM)
-        self.normals = rows[:, :-1]
-        self.offsets = rows[:, -1]
+        return _dedupe_rows(np.column_stack([normals / norms[:, None], offsets / norms]), TAU_GEOM)
+
+    normals = property(lambda self: self._rows[:, :-1])
+    offsets = property(lambda self: self._rows[:, -1])
 
     @property
     def dim(self) -> int:
-        return self.normals.shape[1]
+        return self._given[0].shape[1]
 
     @property
     def n_facets(self) -> int:
@@ -298,8 +301,10 @@ def _cones(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _incidence(fan, n: int) -> np.ndarray:
-    """(R, f, n): how often each of n points is a corner of each fan simplex."""
-    return (fan[..., None] == np.arange(n)).sum(axis=2, dtype=float)
+    """(R, f, n): how often each of n points is a corner of each fan simplex (a bincount)."""
+    R, f, _ = fan.shape
+    slots = (fan + n * np.arange(R * f).reshape(R, f, 1)).ravel()
+    return np.bincount(slots, minlength=R * f * n).reshape(R, f, n).astype(float)
 
 
 def _fan_moments(y, cones, incidence):

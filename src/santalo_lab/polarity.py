@@ -142,11 +142,19 @@ def _same_signs(dets: np.ndarray) -> np.ndarray:
 
 
 def _cones(slack, fan, dets) -> np.ndarray:
-    """(R, f) volumes D_T / prod slack_F of the cones from R stacked centers
-    over their fans, from slacks (R, m), D_T (R, f) and fans (R, f, d) that
-    index `slack.ravel()`: facet F of row r is r * m + F, so one body's
-    cached fan indexes its own row as it is (or its unstacked slacks (m,))."""
-    return dets / slack.ravel()[fan].prod(axis=-1)
+    """(R, f) volumes D_T / prod slack_F (`_product`) of the cones from R
+    stacked centers over their fans, from slacks (R, m), D_T (R, f) and fans
+    (R, f, d) indexing `slack.ravel()`: facet F of row r is r * m + F, so a
+    body's cached fan indexes its own row as it is (or its slacks (m,))."""
+    return dets / _product(slack.ravel()[fan])
+
+
+def _product(a: np.ndarray) -> np.ndarray:
+    """a.prod(axis=-1) bit for bit, by columns: numpy reduces a short last axis per element."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out * a[..., k]
+    return out
 
 
 def polar(K: VPolytope, z) -> PolarBody:
@@ -243,7 +251,7 @@ def _share_above(heights: np.ndarray, plan: tuple) -> np.ndarray:
         factors = np.concatenate([(hp / gap).reshape(-1, p * (d - p)),
                                   (-hq / gap).reshape(-1, p * (d - p)),
                                   np.ones((len(rows), 1))], axis=1)
-        share[rows] = factors[:, _cut_terms(d, p)].prod(axis=2).sum(axis=1)
+        share[rows] = _product(factors[:, _cut_terms(d, p)]).sum(axis=1)
     return share
 
 

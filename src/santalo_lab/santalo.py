@@ -248,9 +248,13 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
     endpoint refinement (upstream tolerance breach).
     """
     C = geo.as_vector(C)
-    # The three bodies share their projection along the axis, so one
-    # interiority check (through K_m's chord) covers all of them.
-    alpha_m, beta_m = geo.chord(K_m, C, axis=axis)
+    # The three bodies share their projection along the axis; C is interior
+    # to it when K_m's chord there has length and no axis-parallel facet (wall) holds C.
+    alpha_m, beta_m = geo._vertical_extent(K_m, C, axis)
+    h = K_m.halfspaces
+    walls = h.slack(geo.embed_point(C, 0.0, axis))[np.abs(h.normals[:, axis]) <= geo.TAU_GEOM]
+    if min([beta_m - alpha_m, *walls]) <= geo.TAU_GEOM * K_m.scale():
+        raise geo.OutsideProjection("base point not interior to the projection")
     alpha_s, beta_s = geo._vertical_extent(K_s, C, axis)
     alpha_t, beta_t = geo._vertical_extent(K_t, C, axis)
     span = max(beta_m - alpha_m, geo.TAU_GEOM)

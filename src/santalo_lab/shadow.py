@@ -15,6 +15,7 @@ gives the cell's polar fans.  Qhull runs only where a cell or a fan starts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,7 +233,17 @@ class ConvexityVerdict:
     excluded: int = 0
 
 
+@functools.lru_cache(maxsize=16)
+def _triples(n: int) -> np.ndarray:
+    """Read-only rows (i, (i+j)/2, j) of a grid of n's midpoint triples, in (i, j) order."""
+    i, j = np.triu_indices(n, 2)
+    triples = np.array([i, (i + j) // 2, j])[:, (j - i) % 2 == 0]
+    triples.flags.writeable = False
+    return triples
+
+
 def _midpoint_verdict(ts, values, valid, tol_rel) -> ConvexityVerdict:
+    """Verdict over the valid triples of `_triples(n)`; the first worst triple is the witness."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(ts)
@@ -243,10 +254,7 @@ def _midpoint_verdict(ts, values, valid, tol_rel) -> ConvexityVerdict:
         raise InsufficientGrid("grid must be equally spaced")
     valid = np.asarray(valid, dtype=bool)
     scale = float(np.max(np.abs(values[valid]))) if np.any(valid) else 1.0
-    # triples (i, (i+j)/2, j) in (i, j) order: the first worst is the witness
-    i, j = np.triu_indices(n, 2)
-    i, j = i[(j - i) % 2 == 0], j[(j - i) % 2 == 0]
-    m = (i + j) // 2
+    i, m, j = _triples(n)
     viol = values[m] - 0.5 * (values[i] + values[j])
     (k,) = np.nonzero(valid[i] & valid[m] & valid[j] & (viol > -math.inf))
     if not len(k):

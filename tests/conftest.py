@@ -38,6 +38,18 @@ def vertices_match(P, expected, tol=1e-9):
     return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
 
 
+def eager_facets(normals, offsets):
+    """(normals, offsets) by the formula `HPolytope` ran at construction
+    before it built its rows on first read: unit normals, then rows
+    deduplicated within TAU_GEOM.  The reference the lazy rows must match."""
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    offsets = np.asarray(offsets, dtype=float).ravel()
+    norms = np.linalg.norm(normals, axis=1)
+    rows = geo._dedupe_rows(np.column_stack([normals / norms[:, None], offsets / norms]),
+                            geo.TAU_GEOM)
+    return rows[:, :-1], rows[:, -1]
+
+
 def hform_section(P, axis, level):
     """Reference section: vertex enumeration of P's sliced H-form."""
     h = P.halfspaces

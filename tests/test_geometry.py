@@ -5,10 +5,12 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
-from conftest import fan_bodies, hform_section, random_body, set_equal, vertices_match
+from conftest import (eager_facets, fan_bodies, hform_section, random_body, set_equal,
+                      vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
+from santalo_lab import santalo as san
 from santalo_lab.errors import (
     DegenerateInput,
     EmptySection,
@@ -248,6 +250,80 @@ class TestDedupeRows:
     def test_near_duplicate_with_a_row_sorted_between(self):
         rows = np.array([[0.0, 5.0], [1e-10, 3.0], [2e-10, 5.0]])
         assert len(geo._dedupe_rows(rows, 1e-9)) == 2
+
+
+class TestLazyFacets:
+    @staticmethod
+    def _qhull_rows(P):
+        if P.dim == 1:
+            lo, hi = P.vertices.min(), P.vertices.max()
+            return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
+        eq = ConvexHull(P.vertices).equations
+        return eq[:, :-1], -eq[:, -1]
+
+    def test_rows_match_the_eager_formula(self):
+        # unit normals, merged rows and their order, bit for bit, on the fan
+        # bodies (the cube's 12 Qhull rows merge into 6) and random 2D-6D bodies
+        rng = np.random.default_rng(21)
+        bodies = fan_bodies() + [random_body(rng, d, extra) for d in range(2, 7)
+                                 for extra in (1, 5, 12)]
+        for P in bodies:
+            normals, offsets = self._qhull_rows(P)
+            h = geo.HPolytope(normals, offsets)
+            want = eager_facets(normals, offsets)
+            assert np.array_equal(h.normals, want[0]) and np.array_equal(h.offsets, want[1])
+            assert h.dim == P.dim and h.n_facets == len(want[0])
+        assert (len(self._qhull_rows(bodies[0])[0]), bodies[0].halfspaces.n_facets) == (12, 6)
+
+    def test_degenerate_rows_raise_on_first_read(self):
+        h = geo.HPolytope([[0, 0]], [1])
+        assert h.dim == 2
+        with pytest.raises(DegenerateInput):
+            h.normals
+        with pytest.raises(DegenerateInput):
+            h.offsets
+        with pytest.raises(ValueError, match="length mismatch"):
+            geo.HPolytope([[1, 0], [0, 1]], [1])
+
+    def test_rejected_draws_build_no_rows(self, monkeypatch, qhull_calls):
+        # `random_polytope` reads no facets of the draws it rejects
+        deduped = []
+        dedupe_rows = geo._dedupe_rows
+        monkeypatch.setattr(geo, "_dedupe_rows", lambda rows, tol: deduped.append(rows)
+                            or dedupe_rows(rows, tol))
+        rng = np.random.default_rng(3)
+        for d, k in ((2, 5), (3, 6), (4, 7)) * 4:
+            mahler.random_polytope(d, k, rng)
+        assert len(qhull_calls) > 12  # some draws were rejected
+        assert deduped == []
+
+
+def compare_incidence(fan, n):
+    """`geometry._incidence` by comparing every corner with every point and
+    summing as float: the formula before its `np.bincount`."""
+    return (fan[..., None] == np.arange(n)).sum(axis=2, dtype=float)
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("R", [1, 33])
+    def test_random_fans(self, R):
+        rng = np.random.default_rng(R)
+        for d in range(1, 7):
+            n = int(rng.integers(d + 1, 40))
+            fan = rng.integers(0, n, size=(R, int(rng.integers(1, 60)), d))
+            got = geo._incidence(fan, n)
+            assert got.dtype == float
+            assert np.array_equal(got, compare_incidence(fan, n))
+
+    def test_padded_fans(self, rng):
+        # `santalo._joined` pads the smaller fans with simplices whose
+        # corners all repeat index 0
+        for d in (2, 3, 4):
+            stacks = [san._body_stack(random_body(rng, d, extra)) for extra in (1, 4, 9)]
+            N, _, fan, *_ = san._joined(stacks)
+            assert (fan == 0).all(axis=2).any()
+            assert np.array_equal(geo._incidence(fan, N.shape[1]),
+                                  compare_incidence(fan, N.shape[1]))
 
 
 def test_embed_point():

@@ -114,6 +114,29 @@ def qhull_polar_moments(K, z):
     return vols.sum(), vols @ sums / (d + 1) / vols.sum(), second / vols.sum()
 
 
+class TestProducts:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_cones_match_prod(self, d):
+        # one body's fan (R = 1) and a stacked pass's (R = 33) over slacks
+        # spanning many binades
+        rng = np.random.default_rng(d)
+        for R, m, f in ((1, 38, 40), (33, 41, 60)):
+            slack = np.exp(rng.uniform(-20, 5, size=(R, m)))
+            fan = rng.integers(0, m, size=(R, f, d)) + m * np.arange(R)[:, None, None]
+            dets = rng.uniform(0.0, 2.0, size=(R, f))
+            want = dets / slack.ravel()[fan].prod(axis=-1)
+            assert np.array_equal(pol._cones(slack, fan, dets), want)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_share_terms_match_prod(self, d):
+        # the crossing-weight products of `_share_above`, every p in 1..d-1
+        rng = np.random.default_rng(10 + d)
+        for p in range(1, d):
+            factors = rng.uniform(0.0, 1.0, size=(50, 2 * p * (d - p) + 1))
+            terms = factors[:, pol._cut_terms(d, p)]
+            assert np.array_equal(pol._product(terms), terms.prod(axis=-1))
+
+
 class TestPolarFan:
     @pytest.mark.parametrize("K", fan_bodies(),
                              ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",

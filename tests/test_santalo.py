@@ -14,7 +14,7 @@ from santalo_lab import santalo as san
 from santalo_lab import serialize as ser
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
-from santalo_lab.errors import BracketFailure
+from santalo_lab.errors import BracketFailure, OutsideProjection
 
 
 class TestSantaloPoint:
@@ -209,6 +209,22 @@ class TestBalancedPoints:
         assert a_s == pytest.approx(-0.5, abs=1e-6)
         assert a_t == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("points, C", [
+        ([[1, 1], [1, -1], [-1, 1], [-1, -1]], [1.0]),  # on an axis-parallel edge
+        ([[1, 1], [1, -1], [-1, 1], [-1, -1]], [1.5]),  # outside it
+        ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1.0]),  # on a vertex: a one-point chord
+        ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1.5]),  # outside a vertex
+        (np.vstack([np.eye(3), -np.eye(3)]), [0.5, 0.5]),  # on a slanted edge
+        (np.vstack([np.eye(3), -np.eye(3)]), [0.75, 0.75]),  # outside it
+    ], ids=["square-edge", "square-out", "diamond-vertex", "diamond-out",
+            "octahedron-edge", "octahedron-out"])
+    def test_base_point_off_the_projection_interior(self, points, C):
+        # a base point outside K_m's projection along the axis, or on its
+        # boundary, is refused before any height is looked at
+        K = geo.convex_hull(points)[0]
+        with pytest.raises(OutsideProjection):
+            san.balanced_points(K, K, K, 0.0, C, K.dim - 1)
+
     def test_ratio_agreement_and_midpoint(self, rng):
         for _ in range(10):
             system = self._system(rng)
@@ -338,9 +354,10 @@ class TestBalancedPoints:
         finally:
             del sys.modules[spec.name]
 
-    def test_one_projection_hull_and_unchanged_points(self, monkeypatch):
-        # chord's interiority check runs on K_m only; the K_s and K_t chords
-        # come straight from the H-form, bitwise as before
+    def test_no_hull_and_unchanged_points(self, monkeypatch, qhull_calls):
+        # K_m's facets decide whether C is interior to the projection, so
+        # once the bodies' polar fans are cached no Qhull runs; the points
+        # are bitwise those with every chord checked through `chord`
         class EveryChordChecked:
             """geometry as seen by santalo, with every chord through `chord`."""
 
@@ -351,24 +368,17 @@ class TestBalancedPoints:
             def _vertical_extent(P, X, axis):
                 return geo.chord(P, X, axis=axis)
 
-        chord_hulls = []
-        convex_hull = geo.convex_hull
-
-        def recording(points):
-            chord_hulls.append(sys._getframe(1).f_code.co_name == "chord")
-            return convex_hull(points)
-
         for system in self._chain_inputs(30):
             s, t = system.interval
             K_s, K_m, K_t = (sh.body_at(system, x) for x in (s, 0.5 * (s + t), t))
             z = san.santalo_point(K_m).point
             args = (K_s, K_m, K_t, float(z[system.axis]),
                     np.delete(z, system.axis), system.axis)
-            chord_hulls.clear()
-            monkeypatch.setattr(geo, "convex_hull", recording)
+            for K in (K_s, K_t):
+                pol._polar_fan(K)
+            qhull_calls.clear()
             got = san.balanced_points(*args)
-            monkeypatch.setattr(geo, "convex_hull", convex_hull)
-            assert sum(chord_hulls) == 1
+            assert qhull_calls == []
             monkeypatch.setattr(san, "geo", EveryChordChecked())
             ref = san.balanced_points(*args)
             monkeypatch.setattr(san, "geo", geo)

@@ -98,7 +98,82 @@ def _loop_verdict(ts, values, valid, tol_rel):
                                excluded=int(np.sum(~np.asarray(valid))))
 
 
+def uncached_midpoint_verdict(ts, values, valid, tol_rel):
+    """`shadow._midpoint_verdict` as it was before its triples were cached:
+    `np.triu_indices` and the even-gap filter on every call."""
+    ts = np.asarray(ts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = len(ts)
+    if n < 3:
+        raise InsufficientGrid("need at least 3 grid points")
+    steps = np.diff(ts)
+    if np.max(steps) - np.min(steps) > 1e-9 * (ts[-1] - ts[0]):
+        raise InsufficientGrid("grid must be equally spaced")
+    valid = np.asarray(valid, dtype=bool)
+    scale = float(np.max(np.abs(values[valid]))) if np.any(valid) else 1.0
+    i, j = np.triu_indices(n, 2)
+    i, j = i[(j - i) % 2 == 0], j[(j - i) % 2 == 0]
+    m = (i + j) // 2
+    viol = values[m] - 0.5 * (values[i] + values[j])
+    (k,) = np.nonzero(valid[i] & valid[m] & valid[j] & (viol > -math.inf))
+    if not len(k):
+        raise InsufficientGrid("no valid midpoint triple on the grid")
+    k = k[np.argmax(viol[k])]
+    return sh.ConvexityVerdict(bool(viol[k] <= tol_rel * scale), float(viol[k]),
+                               (float(ts[i[k]]), float(ts[m[k]]), float(ts[j[k]])),
+                               excluded=int(np.sum(~valid)))
+
+
 class TestSweepAndVerdicts:
+    def test_cached_triples_match_the_uncached_verdict(self):
+        # every grid length 3..40, twice each (the second call reads the
+        # cache), with invalid, NaN and infinite rows: the same verdict, bits
+        # and witness included, or the same raise
+        rng = np.random.default_rng(40)
+        raised = 0
+        for n in list(range(3, 41)) * 2:
+            for _ in range(6):
+                values = rng.normal(size=n)
+                values[rng.random(n) < 0.1] = rng.choice([math.nan, math.inf, -math.inf])
+                valid = rng.random(n) < rng.uniform(0.1, 1.0)
+                args = (np.linspace(-0.5, 0.5, n), values, valid, rng.choice([0.0, 1e-7]))
+                with np.errstate(all="ignore"):
+                    try:
+                        want = uncached_midpoint_verdict(*args)
+                    except InsufficientGrid as exc:
+                        with pytest.raises(InsufficientGrid, match=str(exc)):
+                            sh._midpoint_verdict(*args)
+                        raised += 1
+                        continue
+                    got = sh._midpoint_verdict(*args)
+                assert got.worst_violation.hex() == want.worst_violation.hex()
+                assert got == want
+        assert 0 < raised < 200
+
+    def test_cached_triples_are_read_only(self):
+        for a in sh._triples(33):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert sh._triples(33)[1][0] == 1
+
+    def test_unread_bodies_build_no_facet_rows(self, monkeypatch, rng):
+        # a (4,7) system's construction bodies and the bodies that open its
+        # sweep's cells are read only for their simplices: no facet rows
+        deduped = []
+        dedupe_rows = geo._dedupe_rows
+        monkeypatch.setattr(geo, "_dedupe_rows", lambda rows, tol: deduped.append(rows)
+                            or dedupe_rows(rows, tol))
+        opened = []
+        body = sh._body
+        monkeypatch.setattr(sh, "_body", lambda system, t: opened.append(t) or body(system, t))
+        system = _system_with(4, 7, rng)
+        assert len(opened) >= 3 and deduped == []
+        opened.clear()
+        rows = sh.sweep(system, np.linspace(*system.interval, 33))
+        assert all(r.converged for r in rows)
+        assert len(opened) >= 2  # cells
+        assert deduped == []
+
     def test_sweep_shape_and_flags(self, rng):
         system = sh.random_shadow_system(2, rng)
         grid = np.linspace(*system.interval, 9)
