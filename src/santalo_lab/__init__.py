@@ -16,12 +16,10 @@ from .errors import (
     TooManyVertices,
 )
 from .geometry import (
-    HPolytope,
     Hyperplane,
     VPolytope,
     apply_affine,
     centroid,
-    chord,
     convex_hull,
     interior_point,
     section,

@@ -1,9 +1,9 @@
 """Dimension-generic polytope substrate: hulls, volumes, sections, chords.
 
-Polytopes are plain immutable value objects over numpy arrays.  A point or
-direction ("Vector") is a 1-d float array of length d.  All operations are
-pure functions; nothing mutates its arguments.  Double precision throughout;
-the exact-rational 2D cross-check oracle lives in the test tree.
+A polytope is one immutable value type, `VPolytope`, owning its vertices
+and facets.  A point or direction ("Vector") is a 1-d float array of length
+d.  All operations are pure functions; nothing mutates its arguments.
+Double precision throughout; the exact 2D oracle lives in the test tree.
 
 Cuts by a coordinate hyperplane share one primitive, the staircase table
 `_staircase`, which `sections` and `polarity.half_volumes` both read.
@@ -91,60 +91,34 @@ class Hyperplane:
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
 
-class HPolytope:
-    """Bounded full-dimensional intersection of halfspaces <n_i, x> <= b_i.
-
-    Normals are made unit-length and rows deduplicated within TAU_GEOM on the
-    first read of `normals` or `offsets`; a zero normal raises DegenerateInput there.
-    """
-
-    def __init__(self, normals, offsets):
-        self._given = np.array(normals, dtype=float, ndmin=2), np.ravel(offsets).astype(float)
-        if len(self._given[0]) != len(self._given[1]):
-            raise ValueError("normals and offsets length mismatch")
-
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        normals, offsets = self._given
-        norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms <= TAU_GEOM):
-            raise DegenerateInput("zero facet normal")
-        return _dedupe_rows(np.column_stack([normals / norms[:, None], offsets / norms]), TAU_GEOM)
-
-    normals = property(lambda self: self._rows[:, :-1])
-    offsets = property(lambda self: self._rows[:, -1])
-
-    @property
-    def dim(self) -> int:
-        return self._given[0].shape[1]
-
-    @property
-    def n_facets(self) -> int:
-        return self.normals.shape[0]
-
-    def slack(self, x) -> np.ndarray:
-        """Per-facet slack b_i - <n_i, x>; all positive iff x is interior."""
-        return self.offsets - self.normals @ as_vector(x)
-
-    def contains(self, x, tol: float = TAU_GEOM) -> bool:
-        return bool(np.min(self.slack(x)) >= -tol)
+def _facet_rows(normals, offsets) -> np.ndarray:
+    """Rows [n_i | b_i] of the facets <n_i, x> <= b_i: unit normals, then rows
+    deduplicated within TAU_GEOM; a zero normal raises DegenerateInput."""
+    normals, offsets = np.array(normals, dtype=float, ndmin=2), np.ravel(offsets).astype(float)
+    if len(normals) != len(offsets):
+        raise ValueError("normals and offsets length mismatch")
+    norms = np.linalg.norm(normals, axis=1)
+    if np.any(norms <= TAU_GEOM):
+        raise DegenerateInput("zero facet normal")
+    return _dedupe_rows(np.column_stack([normals / norms[:, None], offsets / norms]), TAU_GEOM)
 
 
 class VPolytope:
     """Convex polytope given by its (pruned) vertex list.
 
     Use `convex_hull` to build one from raw points; the direct constructor
-    trusts its input (internal fast path for affine images, polars, ...).
-    Facets, a facet triangulation, the coordinate scale, the polar fan
-    with its determinants and split plans (see `polarity`) are computed
-    lazily and cached; `vertices` never changes.
+    trusts its input, with `facets` a raw (normals, offsets) pair (internal
+    fast path for affine images, polars, ...).  Facet rows (`_facet_rows`,
+    from that pair or one hull), a facet triangulation, the coordinate
+    scale, the polar fan with its determinants and split plans (see
+    `polarity`) are computed lazily and cached; `vertices` never changes.
     """
 
-    def __init__(self, vertices, halfspaces: HPolytope | None = None, simplices=None):
+    def __init__(self, vertices, facets=None, simplices=None):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        self._halfspaces = halfspaces
+        self._facets = facets
         self._simplices = simplices
-        self._polar_fan = self._fan_dets = self._scale = None
+        self._fan = self._scale = None
         self._split_plans = {}
         if not np.all(np.isfinite(self.vertices)):
             raise DegenerateInput("non-finite vertex coordinates")
@@ -159,17 +133,28 @@ class VPolytope:
 
     def _hull(self):
         """Fill whichever of facets and triangulation is missing (one hull)."""
-        _, h, simplices = _hull_of(self.vertices)
-        if self._halfspaces is None:
-            self._halfspaces = h
+        _, facets, simplices = _hull_of(self.vertices)
+        if self._facets is None:
+            self._facets = facets
         if self._simplices is None:
             self._simplices = simplices
 
-    @property
-    def halfspaces(self) -> HPolytope:
-        if self._halfspaces is None:
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        if self._facets is None:
             self._hull()
-        return self._halfspaces
+        return _facet_rows(*self._facets)
+
+    normals = property(lambda self: self._rows[:, :-1])
+    offsets = property(lambda self: self._rows[:, -1])
+
+    @property
+    def n_facets(self) -> int:
+        return self.normals.shape[0]
+
+    def slack(self, x) -> np.ndarray:
+        """Per-facet slack b_i - <n_i, x>; all positive iff x is interior."""
+        return self.offsets - self.normals @ as_vector(x)
 
     @property
     def facet_simplices(self) -> np.ndarray:
@@ -177,9 +162,6 @@ class VPolytope:
         if self._simplices is None:
             self._hull()
         return self._simplices
-
-    def contains(self, x, tol: float = TAU_GEOM) -> bool:
-        return self.halfspaces.contains(x, tol)
 
     def scale(self) -> float:
         """Coordinate scale of the vertex cloud (for relative tolerances)."""
@@ -189,7 +171,7 @@ class VPolytope:
 
 
 def _hull_of(points: np.ndarray):
-    """Raw hull: (vertex indices, facet HPolytope, simplices).
+    """Raw hull: (vertex indices, raw facets (normals, offsets), simplices).
 
     Simplices triangulate the boundary and index into `points` directly.
     """
@@ -199,8 +181,7 @@ def _hull_of(points: np.ndarray):
         lo, hi = float(points[i_lo, 0]), float(points[i_hi, 0])
         if hi - lo <= TAU_GEOM * max(1.0, abs(lo), abs(hi)):
             raise DegenerateInput("1-d point set has no extent")
-        h = HPolytope([[1.0], [-1.0]], [hi, -lo])
-        return np.array([i_lo, i_hi]), h, np.array([[i_lo], [i_hi]])
+        return np.array([i_lo, i_hi]), ([[1.0], [-1.0]], [hi, -lo]), np.array([[i_lo], [i_hi]])
     if d > MAX_DIM:
         raise DegenerateInput(f"dimension {d} exceeds supported cap {MAX_DIM}")
     if points.shape[0] < d + 1:
@@ -210,8 +191,7 @@ def _hull_of(points: np.ndarray):
     except QhullError as exc:
         raise DegenerateInput(f"point set is degenerate: {exc}") from exc
     # Qhull equations are <n, x> + c <= 0 with outward unit normals.
-    h = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1])
-    return hull.vertices, h, hull_simplices(hull)
+    return hull.vertices, (hull.equations[:, :-1], -hull.equations[:, -1]), hull_simplices(hull)
 
 
 def hull_simplices(hull: ConvexHull, min_dim: int = 5) -> np.ndarray:
@@ -252,23 +232,24 @@ def _fan_matches(hull: ConvexHull, simplices: np.ndarray) -> bool:
     return abs(fan - hull.volume) <= 1e-12 * hull.volume
 
 
-def convex_hull(points) -> tuple[VPolytope, HPolytope]:
-    """Convex hull of a point set: pruned vertices and irredundant facets.
+def convex_hull(points) -> tuple[VPolytope, np.ndarray]:
+    """Convex hull of a point set: pruned vertices and irredundant facets,
+    and the index in `points` of each vertex.
 
     Raises DegenerateInput when the points lie in a lower-dimensional flat.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateInput("non-finite input point")
-    vert_idx, h, simplices = _hull_of(pts)
+    vert_idx, facets, simplices = _hull_of(pts)
     remap = -np.ones(pts.shape[0], dtype=int)
     remap[vert_idx] = np.arange(len(vert_idx))
-    return VPolytope(pts[vert_idx], h, remap[simplices]), h
+    return VPolytope(pts[vert_idx], facets, remap[simplices]), vert_idx
 
 
 def volume(P: VPolytope) -> float:
     """d-volume by fanning the facet triangulation from the vertex mean."""
-    return float(_cones(P)[1].sum()) / math.factorial(P.dim)
+    return float(_mean_fan(P)[1].sum()) / math.factorial(P.dim)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
@@ -282,7 +263,7 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
     The second moment is the normalized inertia about the origin,
     int_P x x^T dx / |P|; every moment is exact for a polytope.
     """
-    apex, dets = _cones(P)
+    apex, dets = _mean_fan(P)
     vol, cen, second = _fan_moments((P.vertices - apex)[None], dets[None],
                                     _incidence(P.facet_simplices[None], P.n_vertices))
     c, shift = cen[0], np.outer(apex, cen[0])
@@ -290,7 +271,7 @@ def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
             second[0] + shift + shift.T + np.outer(apex, apex))
 
 
-def _cones(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
+def _mean_fan(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(apex, dets): the vertex mean and |det| of the cone from it over each
     boundary simplex (d! x its volume)."""
     apex = P.vertices.mean(axis=0)
@@ -328,42 +309,48 @@ def _fan_moments(y, cones, incidence):
     return volume, centroid, second
 
 
-def interior_point(P: VPolytope | HPolytope) -> np.ndarray:
+def interior_point(P: VPolytope) -> np.ndarray:
     """Chebyshev center: the center of the largest inscribed ball (via LP)."""
-    h = P.halfspaces if isinstance(P, VPolytope) else P
-    d = h.dim
+    return _chebyshev_center(P.normals, P.offsets)
+
+
+def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """`interior_point` of {x : <n_i, x> <= b_i} from unit facet rows."""
+    d = normals.shape[1]
     # Variables (x, r): maximize r s.t. <n_i, x> + r <= b_i (unit normals).
     c = np.zeros(d + 1)
     c[-1] = -1.0
-    A = np.column_stack([h.normals, np.ones(h.n_facets)])
-    res = linprog(c, A_ub=A, b_ub=h.offsets,
+    A = np.column_stack([normals, np.ones(len(normals))])
+    res = linprog(c, A_ub=A, b_ub=offsets,
                   bounds=[(None, None)] * d + [(0, None)], method="highs")
     if not res.success or res.x[-1] <= TAU_GEOM:
         raise DegenerateInput("no interior: Chebyshev LP infeasible or flat")
     return res.x[:-1]
 
 
-def vertex_enumeration(h: HPolytope) -> VPolytope:
-    """Vertices of a bounded H-polytope.
+def vertex_enumeration(normals, offsets) -> VPolytope:
+    """Vertices of the bounded polytope {x : <n_i, x> <= b_i} (`_facet_rows`).
 
     Runs the hull machinery in the dual: after translating the Chebyshev
     center to the origin and scaling facets to offset one, hull facets of the
     scaled normals correspond one-to-one to vertices of the original body.
     """
-    d = h.dim
-    interior = interior_point(h)
-    b = h.slack(interior)
+    rows = _facet_rows(normals, offsets)
+    normals, offsets = rows[:, :-1], rows[:, -1]
+    d = normals.shape[1]
+    interior = _chebyshev_center(normals, offsets)
+    b = offsets - normals @ interior
     if np.min(b) <= TAU_GEOM:
         raise DegenerateInput("interior point has non-positive facet slack")
     if d == 1:
-        pos = h.normals[:, 0] > 0
-        neg = h.normals[:, 0] < 0
+        pos = normals[:, 0] > 0
+        neg = normals[:, 0] < 0
         if not (np.any(pos) and np.any(neg)):
             raise DegenerateInput("1-d H-polytope is unbounded")
-        hi = float(np.min(h.offsets[pos] / h.normals[pos, 0]))
-        lo = float(np.max(h.offsets[neg] / h.normals[neg, 0]))
+        hi = float(np.min(offsets[pos] / normals[pos, 0]))
+        lo = float(np.max(offsets[neg] / normals[neg, 0]))
         return VPolytope(np.array([[lo], [hi]]))
-    dual_pts = h.normals / b[:, None]
+    dual_pts = normals / b[:, None]
     try:
         dual = ConvexHull(dual_pts)
     except QhullError as exc:
@@ -460,30 +447,12 @@ def sections(P: VPolytope, axis: int, levels) -> np.ndarray:
     return np.array([part.sum() for part in np.split(dets, ends)]) / math.factorial(d - 1)
 
 
-def chord(P: VPolytope, X, axis: int = -1) -> tuple[float, float]:
-    """Closed interval {x : (X, x) in P} along `axis`, X over the other axes.
-
-    X must lie in the interior of the orthogonal projection of P; boundary
-    base points raise OutsideProjection (degenerate chords are excluded).
-    """
-    d = P.dim
-    axis = range(d)[axis]
-    X = as_vector(X)
-    keep = [i for i in range(d) if i != axis]
-    proj, _ = convex_hull(P.vertices[:, keep])
-    scale = proj.scale()
-    if np.min(proj.halfspaces.slack(X)) <= TAU_GEOM * scale:
-        raise OutsideProjection("base point not interior to the projection")
-    return _vertical_extent(P, X, axis)
-
-
 def _vertical_extent(P: VPolytope, X, axis: int) -> tuple[float, float]:
-    """Chord endpoints from the H-form; no interiority check (internal)."""
-    h = P.halfspaces
+    """Chord {x : (X, x) in P} from P's facets; no interiority check (internal)."""
     d = P.dim
     keep = [i for i in range(d) if i != axis]
-    na = h.normals[:, axis]
-    rest = h.offsets - h.normals[:, keep] @ np.asarray(X, dtype=float)
+    na = P.normals[:, axis]
+    rest = P.offsets - P.normals[:, keep] @ np.asarray(X, dtype=float)
     scale = P.scale()
     pos = na > TAU_GEOM
     neg = na < -TAU_GEOM

@@ -226,7 +226,7 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     x0 = verts[0]
     rest = verts[1:]
     scale = K.scale()
-    R, h_rest = geo.convex_hull(rest)
+    R, _ = geo.convex_hull(rest)
     # Near x0 (outside R) |conv(R u {y})| is |R| plus the cones from y over the
     # simplices of R's boundary that y sees.  Its gradient sums area x outward
     # unit normal / d over them: cone volume from c x polar vertex A about c.
@@ -253,8 +253,8 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     # Slide until the moving vertex first crosses any facet hyperplane of
     # conv(rest): the volume stays constant exactly while the vertex keeps
     # its side of every such hyperplane.
-    along = h_rest.normals @ v
-    dist = h_rest.offsets - h_rest.normals @ x0
+    along = R.normals @ v
+    dist = R.offsets - R.normals @ x0
     moving = np.abs(along) > 1e-12
     if np.any(np.abs(dist) <= geo.TAU_GEOM * max(1.0, scale)):
         raise GeometryInconsistent("vertex already on a non-adjacent facet plane")

@@ -9,8 +9,8 @@ run per body and cached on it, serves every center.  With it are cached the
 facet-normal determinants D_T = |det N_T| / d! of its simplices T, and after
 that first call a polar is closed-form: the cone from the center over T has
 volume D_T / prod_{F in T} slack_F(z).  A sweep's rows share fans too
-(`_fans`).  The polar's H-form, one facet per vertex of K, is attached only
-where it is read (`bipolar`).
+(`_fans`).  A polar carries its facets from construction, one per vertex
+of K, in closed form (`_polar_body`), so reading them runs no hull.
 The half-volumes split by a coordinate hyperplane through the center are
 closed-form too: sums over the same fan of cones from the center, each cut
 by the staircase triangulation of `geometry._staircase`, in an order
@@ -82,7 +82,7 @@ def _slack(normals, offsets, z) -> np.ndarray:
 def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
     """z and K's facet slacks at z; raises unless z is strictly interior."""
     z = geo.as_vector(z)
-    slack = _slack(K.halfspaces.normals, K.halfspaces.offsets, z)
+    slack = _slack(K.normals, K.offsets, z)
     if np.min(slack) <= geo.TAU_GEOM * K.scale():
         raise CenterNotInterior("polarity center too close to the boundary")
     return z, slack
@@ -98,17 +98,16 @@ def _polar_fan(K: VPolytope, z=None, slack=None) -> tuple[np.ndarray, np.ndarray
     every center; it is cached on K.  A caller that has K's facet slacks at
     a center z passes both, and when z is z0 they are not computed again.
     """
-    if K._polar_fan is None and K.dim == 1:  # each facet is its own simplex
-        K._polar_fan = np.array([[0], [1]])
-    h = K.halfspaces
-    if K._polar_fan is None:
-        z0 = K.vertices.mean(axis=0)
-        if slack is None or not np.array_equal(z, z0):
-            slack = _slack(h.normals, h.offsets, z0)
-        K._polar_fan = _hull_fan(h.normals / slack[:, None])
-    if K._fan_dets is None:
-        K._fan_dets = np.abs(np.linalg.det(h.normals[K._polar_fan])) / math.factorial(K.dim)
-    return K._polar_fan, K._fan_dets
+    if K._fan is None:
+        if K.dim == 1:  # each facet is its own simplex
+            fan = np.array([[0], [1]])
+        else:
+            z0 = K.vertices.mean(axis=0)
+            if slack is None or not np.array_equal(z, z0):
+                slack = _slack(K.normals, K.offsets, z0)
+            fan = _hull_fan(K.normals / slack[:, None])
+        K._fan = fan, np.abs(np.linalg.det(K.normals[fan])) / math.factorial(K.dim)
+    return K._fan
 
 
 def _hull_fan(y: np.ndarray) -> np.ndarray:
@@ -161,23 +160,21 @@ def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z, slack = _check_interior(K, z)
     fan, dets = _polar_fan(K, z, slack)
-    y = K.halfspaces.normals / slack[:, None]
+    y = K.normals / slack[:, None]
     volume, centroid, second = geo._fan_moments(
         y[None], _cones(slack[None], fan[None], dets[None]), geo._incidence(fan[None], len(y)))
-    return PolarBody(K, z, VPolytope(y, simplices=fan), float(volume[0]),
-                     centroid[0], second[0])
+    return PolarBody(K, z, _polar_body(K, z, y, fan), float(volume[0]), centroid[0], second[0])
+
+
+def _polar_body(K: VPolytope, z, y, fan) -> VPolytope:
+    """K^{*z} in its own frame from its vertices y and boundary fan, with its
+    facets {y : <y, v - z> <= 1}, one per vertex v of K and none redundant."""
+    return VPolytope(y, (K.vertices - z, np.ones(K.n_vertices)), fan)
 
 
 def bipolar(pb: PolarBody) -> VPolytope:
-    """Polar of the polar about the origin, translated back by the center.
-
-    The polar's facets are {y : <y, v - z> <= 1}, one per vertex v of K and
-    none redundant; they are attached here, where they are first read, so no
-    hull of the polar's vertices is run.
-    """
-    if pb.polar._halfspaces is None:
-        v = pb.base.vertices - pb.center
-        pb.polar._halfspaces = geo.HPolytope(v, np.ones(len(v)))
+    """Polar of the polar about the origin, translated back by the center;
+    the polar's own facets serve, so no hull of its vertices is run."""
     inner = polar(pb.polar, np.zeros(pb.polar.dim))
     return geo.translate(inner.polar, pb.center)
 
@@ -228,7 +225,7 @@ def _split_plan(K: VPolytope, fan: np.ndarray, axis: int) -> tuple:
     if plan is None:
         corners = np.concatenate([fan, fan])
         signs = np.repeat([1.0, -1.0], len(fan))[:, None]
-        above = signs * K.halfspaces.normals[corners, axis] > 0
+        above = signs * K.normals[corners, axis] > 0
         n_above = above.sum(axis=1)
         corners = np.take_along_axis(corners, np.argsort(~above, axis=1, kind="stable"), axis=1)
         groups = [(p, rows, corners[rows], signs[rows]) for p in range(1, K.dim)
@@ -258,8 +255,7 @@ def _share_above(heights: np.ndarray, plan: tuple) -> np.ndarray:
 def _half_volume_probe(K: VPolytope, z: np.ndarray, axis: int):
     """v -> (B_+, B_-) of K about z with its `axis` coordinate set to v in
     place; K's facets, cached fan, D_T and split plan are fetched once."""
-    h = K.halfspaces
-    normals, offsets, n_axis = h.normals, h.offsets, h.normals[:, axis]
+    normals, offsets, n_axis = K.normals, K.offsets, K.normals[:, axis]
     tau, z = geo.TAU_GEOM * K.scale(), z.copy()
     fan, dets = _polar_fan(K)
     plan = _split_plan(K, fan, axis)

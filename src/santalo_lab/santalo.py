@@ -69,8 +69,8 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
     return [SantaloResult(out.point[r], float(out.polar_volume[r]), float(out.residual[r]),
                           int(out.iterations[r]), bool(out.converged[r]),
                           pol.PolarBody(K, out.point[r],
-                                        VPolytope(out.y[r, :K.halfspaces.n_facets],
-                                                  simplices=fan[0]),
+                                        pol._polar_body(K, out.point[r],
+                                                        out.y[r, :K.n_facets], fan[0]),
                                         float(out.polar_volume[r]), out.centroid[r],
                                         out.second[r]))
             for r, (K, (_, _, fan, *_)) in enumerate(zip(bodies, stacks))]
@@ -80,8 +80,7 @@ def _body_stack(K: VPolytope, start=None) -> tuple:
     """K as a solver stack of one row (N, b, fan, D, tau, z, s), from `start`
     if it is strictly interior, else from the vertex mean; no fan is built
     when that is not interior either."""
-    h = K.halfspaces
-    N, b, tau = h.normals[None], h.offsets[None], geo.TAU_GEOM * np.array([K.scale()])
+    N, b, tau = K.normals[None], K.offsets[None], geo.TAU_GEOM * np.array([K.scale()])
     mean = K.vertices.mean(axis=0)[None]
     z = mean if start is None else geo.as_vector(start)[None]
     s = pol._slack(N, b, z)
@@ -251,8 +250,7 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
     # The three bodies share their projection along the axis; C is interior
     # to it when K_m's chord there has length and no axis-parallel facet (wall) holds C.
     alpha_m, beta_m = geo._vertical_extent(K_m, C, axis)
-    h = K_m.halfspaces
-    walls = h.slack(geo.embed_point(C, 0.0, axis))[np.abs(h.normals[:, axis]) <= geo.TAU_GEOM]
+    walls = K_m.slack(geo.embed_point(C, 0.0, axis))[np.abs(K_m.normals[:, axis]) <= geo.TAU_GEOM]
     if min([beta_m - alpha_m, *walls]) <= geo.TAU_GEOM * K_m.scale():
         raise geo.OutsideProjection("base point not interior to the projection")
     alpha_s, beta_s = geo._vertical_extent(K_s, C, axis)

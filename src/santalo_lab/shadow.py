@@ -96,7 +96,7 @@ def body_at(system: ShadowSystem, t: float) -> VPolytope:
 
 
 def _body(system: ShadowSystem, t: float):
-    """(K_t, the base-point index of each vertex): cached or built by Qhull."""
+    """(K_t, the base-point index of each vertex): cached or `convex_hull`'s."""
     t = float(t)
     if t in system._bodies:
         return system._bodies[t]
@@ -106,11 +106,9 @@ def _body(system: ShadowSystem, t: float):
         raise ValueError(f"t={t} outside interval [{lo}, {hi}]")
     pts = system.points_at(t)
     try:
-        P, _ = geo.convex_hull(pts)
+        return geo.convex_hull(pts)
     except DegenerateInput as exc:
         raise DegenerateAt(t, f"degenerate hull at t={t}: {exc}") from exc
-    # The vertices are bitwise copies of rows of `pts`.
-    return P, np.argmax((P.vertices[:, None] == pts).all(axis=2), axis=1)
 
 
 def _certified(P: np.ndarray, tri: np.ndarray):
@@ -123,8 +121,9 @@ def _certified(P: np.ndarray, tri: np.ndarray):
     Row r is certified when every point off a simplex has slack
     > tau[r] = TAU_GEOM * scale for it, since a closed pseudomanifold of
     strictly supporting simplices is the whole boundary; coplanar or
-    non-simplicial hulls never pass, nor do two facets that `HPolytope`
-    would merge.  volume[r] is the fan from c[r], as `geometry.volume`.
+    non-simplicial hulls never pass, nor do two facets that
+    `geometry._facet_rows` would merge.  volume[r] is the fan from c[r],
+    as `geometry.volume`.
     """
     m, d = tri.shape
     c = P[:, np.unique(tri)].mean(axis=1)
@@ -138,9 +137,8 @@ def _certified(P: np.ndarray, tri: np.ndarray):
     slack[:, tri, np.arange(m)[:, None]] = np.inf
     # Facets within TAU_GEOM of each other have normals at cosine ~1.
     rows = np.concatenate([A, 1.0 + A @ c[..., None]], axis=2) / norm[..., None]
-    r, j, k = np.nonzero(np.triu(rows[..., :-1] @ rows[..., :-1].transpose(0, 2, 1)
-                                 > 1 - 1e-12, 1))
-    bad[r[np.abs(rows[r, j] - rows[r, k]).max(axis=1) <= geo.TAU_GEOM]] = True
+    r, j, k = np.nonzero(rows[..., :-1] @ rows[..., :-1].transpose(0, 2, 1) > 1 - 1e-12)
+    bad[r[(j < k) & (np.abs(rows[r, j] - rows[r, k]).max(axis=1) <= geo.TAU_GEOM)]] = True
     tau = geo.TAU_GEOM * np.maximum(1e-30, np.abs(P).max(axis=(1, 2)))
     ok = ~bad & (slack.min(axis=(1, 2)) > tau)
     return (ok, c, rows[..., :-1], rows[..., -1], 1.0 / norm, tau,
@@ -391,13 +389,6 @@ def steiner_symmetral(K: VPolytope, H: Hyperplane) -> VPolytope:
     return body_at(steiner_system(K, H), 0.0)
 
 
-def reflect(K: VPolytope, H: Hyperplane) -> VPolytope:
-    """Mirror image of K about the hyperplane H."""
-    n, off = H.normal, H.offset
-    verts = K.vertices - 2.0 * np.outer(K.vertices @ n - off, n)
-    return VPolytope(verts)
-
-
 def brunn_midpoint_check(K: VPolytope, tol: float = 1e-6) -> bool:
     """Do chord midpoints lie in a hyperplane, for a family of directions?
 
@@ -436,83 +427,6 @@ def brunn_midpoint_check(K: VPolytope, tol: float = 1e-6) -> bool:
         if residual > tol * diam:
             return False
     return True
-
-
-@dataclass
-class AffineFamilyFit:
-    """Result of testing whether a system is (close to) an affine family.
-
-    The converse direction (affine sweeps imply an affine family) is not
-    decidable from samples; this is a falsification harness.  When both
-    sweeps are affine within tolerance, the family parameters (v, V, u) are
-    fitted by least squares on the vertex trajectories and the fitted map
-    is checked against the actual bodies.  A failed reproduction is flagged
-    as a converse witness candidate for manual inspection, never reported
-    as a refutation.
-    """
-
-    sweeps_affine: bool
-    v: float = 0.0
-    V: np.ndarray | None = None
-    u: float = 0.0
-    fit_residual: float = math.nan
-    reproduces: bool = False
-    body_mismatch: float = math.nan
-    verdict: str = ""
-
-
-def fit_affine_family(system: ShadowSystem) -> AffineFamilyFit:
-    """Fit (v, V, u) to a system whose sweeps look affine; verify the map."""
-    if system.axis != system.dim - 1:
-        raise ValueError("fit expects the direction on the last axis")
-    lo, hi = system.interval
-    mid = 0.5 * (lo + hi)
-    ts = np.linspace(lo, hi, 9)
-    rows = sweep(system, ts)
-    vols = np.array([r.volume for r in rows])
-    inv = np.array([1.0 / r.polar_volume for r in rows])
-    lin = (ts - lo) / (hi - lo)
-    dev_v = np.max(np.abs(vols - (vols[0] + (vols[-1] - vols[0]) * lin)))
-    dev_i = np.max(np.abs(inv - (inv[0] + (inv[-1] - inv[0]) * lin)))
-    affine = bool(dev_v <= TAU_CONV * vols.max() and dev_i <= TAU_CONV * inv.max())
-    if not affine:
-        return AffineFamilyFit(False, verdict="sweeps not affine; family "
-                                              "characterization not applicable")
-    # vertex positions at the middle parameter carry the speed field
-    pts_mid = system.points_at(mid)
-    X = pts_mid[:, :-1]
-    x = pts_mid[:, -1]
-    design = np.column_stack([x, X, np.ones(len(x))])
-    coef, *_ = np.linalg.lstsq(design, system.speeds, rcond=None)
-    v, V, u = float(coef[0]), coef[1:-1], float(coef[-1])
-    resid = float(np.max(np.abs(design @ coef - system.speeds)))
-    K_mid = body_at(system, mid)
-    mismatch = 0.0
-    d = system.dim
-    for t in (lo, 0.5 * (lo + mid), 0.75 * mid + 0.25 * hi, hi):
-        s = t - mid
-        A = np.eye(d)
-        A[-1, -1] = v * s + 1.0
-        A[-1, :-1] = s * V
-        shift = np.zeros(d)
-        shift[-1] = s * u
-        try:
-            image = geo.apply_affine(K_mid, A, shift)
-        except geo.SingularMap:
-            mismatch = math.inf
-            break
-        actual = body_at(system, t)
-        m1 = max(max(-actual.halfspaces.slack(p).min(), 0.0)
-                 for p in image.vertices)
-        m2 = max(max(-image.halfspaces.slack(p).min(), 0.0)
-                 for p in actual.vertices)
-        mismatch = max(mismatch, m1, m2)
-    scale = float(np.max(np.abs(K_mid.vertices)))
-    reproduces = bool(mismatch <= 1e-7 * max(1.0, scale))
-    verdict = ("affine family confirmed" if reproduces
-               else "converse witness candidate: affine sweeps but the fitted "
-                    "map does not reproduce the bodies (manual inspection)")
-    return AffineFamilyFit(True, v, V, u, resid, reproduces, mismatch, verdict)
 
 
 def random_shadow_system(d: int, rng, n_points: int | None = None) -> ShadowSystem:

@@ -333,14 +333,6 @@ def in_cone(f: SliceProfile) -> bool:
     return bool(np.all(np.diff(slopes) <= 10 * TOL_EXACT * scale / (f.xs[-1] - f.xs[0])))
 
 
-def tent(a: float, alpha: float = 0.0, beta: float = 1.0,
-         height_scale: float = 1.0) -> SliceProfile:
-    """Extreme ray min((1-a)x, a(1-x)), 0 < a < 1, on [alpha, beta] rescaled."""
-    xs = np.array([alpha, alpha + a * (beta - alpha), beta])
-    ys = np.array([0.0, height_scale * a * (1 - a), 0.0])
-    return SliceProfile(xs, ys, (alpha, beta))
-
-
 def extreme_ray_decompose(f: SliceProfile, a: float) -> tuple[SliceProfile, SliceProfile]:
     """Split degree-1 f = g + h inside the cone, g affine past the breakpoint a.
 

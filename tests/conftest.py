@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
-from santalo_lab.errors import BracketFailure, DegenerateInput
+from santalo_lab.errors import BracketFailure, DegenerateInput, OutsideProjection
 
 
 def random_body(rng, d, extra=4):
@@ -24,8 +24,8 @@ def simplex(d):
 
 def set_equal(A, B, tol=1e-8):
     """Two polytopes describe the same set (mutual facet containment)."""
-    v1 = max(max(-B.halfspaces.slack(v).min(), 0.0) for v in A.vertices)
-    v2 = max(max(-A.halfspaces.slack(v).min(), 0.0) for v in B.vertices)
+    v1 = max(max(-B.slack(v).min(), 0.0) for v in A.vertices)
+    v2 = max(max(-A.slack(v).min(), 0.0) for v in B.vertices)
     return max(v1, v2) <= tol
 
 
@@ -39,9 +39,10 @@ def vertices_match(P, expected, tol=1e-9):
 
 
 def eager_facets(normals, offsets):
-    """(normals, offsets) by the formula `HPolytope` ran at construction
-    before it built its rows on first read: unit normals, then rows
-    deduplicated within TAU_GEOM.  The reference the lazy rows must match."""
+    """(normals, offsets) by the formula facets were built with at
+    construction, before a body built its rows on first read: unit normals,
+    then rows deduplicated within TAU_GEOM.  The reference the lazy rows
+    must match."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float).ravel()
     norms = np.linalg.norm(normals, axis=1)
@@ -52,12 +53,29 @@ def eager_facets(normals, offsets):
 
 def hform_section(P, axis, level):
     """Reference section: vertex enumeration of P's sliced H-form."""
-    h = P.halfspaces
     keep = [i for i in range(P.dim) if i != axis]
-    A = h.normals[:, keep]
-    b = h.offsets - h.normals[:, axis] * level
+    A = P.normals[:, keep]
+    b = P.offsets - P.normals[:, axis] * level
     sliced = np.linalg.norm(A, axis=1) > geo.TAU_GEOM
-    return geo.vertex_enumeration(geo.HPolytope(A[sliced], b[sliced]))
+    return geo.vertex_enumeration(A[sliced], b[sliced])
+
+
+def chord(P, X, axis=-1):
+    """Closed interval {x : (X, x) in P} along `axis`, X over the other axes.
+
+    X must lie in the interior of the orthogonal projection of P, checked
+    on the projection's own hull; boundary base points raise
+    OutsideProjection (degenerate chords are excluded).  The reference for
+    `geometry._vertical_extent`, which skips that check.
+    """
+    d = P.dim
+    axis = range(d)[axis]
+    X = geo.as_vector(X)
+    keep = [i for i in range(d) if i != axis]
+    proj, _ = geo.convex_hull(P.vertices[:, keep])
+    if np.min(proj.slack(X)) <= geo.TAU_GEOM * proj.scale():
+        raise OutsideProjection("base point not interior to the projection")
+    return geo._vertical_extent(P, X, axis)
 
 
 def fan_bodies():
@@ -79,7 +97,7 @@ def one_call_half_volumes(K, z, axis):
     shares.  The reference the probe must match bit for bit."""
     z, slack = pol._check_interior(K, z)
     axis = range(K.dim)[axis]
-    heights = K.halfspaces.normals[:, axis] / slack
+    heights = K.normals[:, axis] / slack
     if heights.max() <= pol.TAU_VOL or heights.min() >= -pol.TAU_VOL:
         raise DegenerateInput("polar does not straddle the split hyperplane")
     fan, dets = pol._polar_fan(K, z, slack)

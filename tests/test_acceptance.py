@@ -227,7 +227,7 @@ def test_criterion_10_rational_oracle_equivalence():
             continue
         zf = K.vertices.mean(axis=0)
         z = np.array([round(zf[0] * 1024) / 1024, round(zf[1] * 1024) / 1024])
-        if np.min(K.halfspaces.slack(z)) < 1e-3:
+        if np.min(K.slack(z)) < 1e-3:
             continue
         done += 1
         pb = pol.polar(K, z)
@@ -287,7 +287,7 @@ def test_criterion_11_santalo_solver():
     points = []
     for _ in range(10):
         seed_pt = c + rng.uniform(-0.2, 0.2, size=2)
-        if np.min(K.halfspaces.slack(seed_pt)) < 1e-3:
+        if np.min(K.slack(seed_pt)) < 1e-3:
             seed_pt = c
         points.append(san.santalo_point(K, start=seed_pt).point)
     points = np.array(points)

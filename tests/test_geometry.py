@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
-from conftest import (eager_facets, fan_bodies, hform_section, random_body, set_equal,
+from conftest import (chord, eager_facets, fan_bodies, hform_section, random_body, set_equal,
                       vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
@@ -21,9 +21,9 @@ from santalo_lab.errors import (
 
 class TestConvexHull:
     def test_square_from_corners(self):
-        P, H = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        P, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         assert P.n_vertices == 4
-        assert H.n_facets == 4
+        assert P.n_facets == 4
 
     def test_interior_point_pruned(self):
         P, _ = geo.convex_hull([[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]])
@@ -43,15 +43,25 @@ class TestConvexHull:
             M = np.vstack([tet.T, np.ones(4)])
             bary = np.linalg.solve(M, np.append(inner, 1.0))
             assert np.all(bary > 0)  # oracle: strictly inside
-            P, H = geo.convex_hull(np.vstack([tet, inner]))
+            P, _ = geo.convex_hull(np.vstack([tet, inner]))
             assert P.n_vertices == 4
-            assert H.n_facets == 4
+            assert P.n_facets == 4
 
     def test_inputs_satisfy_facets(self, rng):
         pts = rng.normal(size=(12, 3))
-        _, H = geo.convex_hull(pts)
+        P, _ = geo.convex_hull(pts)
         for p in pts:
-            assert H.contains(p, tol=1e-9)
+            assert np.min(P.slack(p)) >= -1e-9
+
+    def test_vertex_indices_point_at_the_input_rows(self, rng):
+        # the second value indexes the input rows that are P's vertices, bit
+        # for bit, also when the input repeats points
+        for d in (1, 2, 3, 4, 6):
+            pts = rng.normal(size=(d + 6, d))
+            for points in (pts, np.vstack([pts, pts[::2]]), np.repeat(pts, 3, axis=0)):
+                P, idx = geo.convex_hull(points)
+                assert len(idx) == P.n_vertices
+                assert np.array_equal(points[idx], P.vertices)
 
     def test_flat_input_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -81,7 +91,7 @@ class TestConvexHull:
         for d in (2, 3, 4):
             for _ in range(8):
                 P = random_body(rng, d)
-                V2 = geo.vertex_enumeration(P.halfspaces)
+                V2 = geo.vertex_enumeration(P.normals, P.offsets)
                 assert set_equal(P, V2, tol=1e-9 * P.scale())
 
     def test_roundtrip_reproduces_facet_set(self, rng):
@@ -90,10 +100,9 @@ class TestConvexHull:
         for d in (2, 3, 4):
             for _ in range(5):
                 P = random_body(rng, d)
-                V2 = geo.vertex_enumeration(P.halfspaces)
-                _, H2 = geo.convex_hull(V2.vertices)
-                rows1 = np.column_stack([P.halfspaces.normals,
-                                         P.halfspaces.offsets])
+                V2 = geo.vertex_enumeration(P.normals, P.offsets)
+                H2, _ = geo.convex_hull(V2.vertices)
+                rows1 = np.column_stack([P.normals, P.offsets])
                 rows2 = np.column_stack([H2.normals, H2.offsets])
                 assert len(rows1) == len(rows2)
                 dist = np.abs(rows1[:, None, :] - rows2[None, :, :]).max(axis=2)
@@ -160,7 +169,7 @@ class TestInteriorPoint:
         c = geo.interior_point(P)
         r = 1 - math.sqrt(2) / 2
         assert np.allclose(c, [r, r], atol=1e-8)
-        slack = P.halfspaces.slack(c)
+        slack = P.slack(c)
         assert np.max(slack) - np.min(slack) < 1e-8  # equal slack on all facets
 
     def test_translation_equivariance(self):
@@ -174,7 +183,7 @@ class TestInteriorPoint:
         for d in (2, 3, 4):
             P = random_body(rng, d)
             c = geo.interior_point(P)
-            assert np.min(P.halfspaces.slack(c)) > geo.TAU_GEOM
+            assert np.min(P.slack(c)) > geo.TAU_GEOM
 
 
 class TestCentroid:
@@ -240,7 +249,7 @@ class TestVPolytope:
         pts = [[0, 0], [1, 0], [0, 1], [.2, .2]]
         P = geo.VPolytope(pts)
         assert P.n_vertices == 4
-        P.halfspaces
+        P.normals
         P.facet_simplices
         assert P.n_vertices == 4
         assert np.array_equal(P.vertices, np.asarray(pts, dtype=float))
@@ -269,21 +278,23 @@ class TestLazyFacets:
                                  for extra in (1, 5, 12)]
         for P in bodies:
             normals, offsets = self._qhull_rows(P)
-            h = geo.HPolytope(normals, offsets)
+            h = geo.VPolytope(P.vertices, (normals, offsets))
             want = eager_facets(normals, offsets)
             assert np.array_equal(h.normals, want[0]) and np.array_equal(h.offsets, want[1])
             assert h.dim == P.dim and h.n_facets == len(want[0])
-        assert (len(self._qhull_rows(bodies[0])[0]), bodies[0].halfspaces.n_facets) == (12, 6)
+        assert (len(self._qhull_rows(bodies[0])[0]), bodies[0].n_facets) == (12, 6)
 
     def test_degenerate_rows_raise_on_first_read(self):
-        h = geo.HPolytope([[0, 0]], [1])
+        triangle = [[0, 0], [1, 0], [0, 1]]
+        h = geo.VPolytope(triangle, ([[0, 0]], [1]))
         assert h.dim == 2
         with pytest.raises(DegenerateInput):
             h.normals
         with pytest.raises(DegenerateInput):
             h.offsets
+        mismatch = geo.VPolytope(triangle, ([[1, 0], [0, 1]], [1]))
         with pytest.raises(ValueError, match="length mismatch"):
-            geo.HPolytope([[1, 0], [0, 1]], [1])
+            mismatch.normals
 
     def test_rejected_draws_build_no_rows(self, monkeypatch, qhull_calls):
         # `random_polytope` reads no facets of the draws it rejects
@@ -329,7 +340,7 @@ class TestIncidence:
 def test_embed_point():
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 1), [1.0, 7.0, 2.0])
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, 2), [1.0, 2.0, 7.0])
-    # a negative axis counts in the result, as `half_volumes` and `chord` count it
+    # a negative axis counts in the result, as `half_volumes` counts it
     assert np.array_equal(geo.embed_point([1.0, 2.0], 7.0, -1), [1.0, 2.0, 7.0])
     with pytest.raises(IndexError):
         geo.embed_point([1.0, 2.0], 7.0, 3)
@@ -440,20 +451,20 @@ class TestChord:
     def test_cube_center_chord(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1, 1.0)
                                 for y in (-1, 1.0) for z in (-1, 1.0)])
-        lo, hi = geo.chord(C, [0.0, 0.0])
+        lo, hi = chord(C, [0.0, 0.0])
         assert (lo, hi) == pytest.approx((-1.0, 1.0), abs=1e-12)
 
     def test_simplex_hand_computed(self):
         S, _ = geo.convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        lo, hi = geo.chord(S, [0.25, 0.25])
+        lo, hi = chord(S, [0.25, 0.25])
         assert (lo, hi) == pytest.approx((0.0, 0.5), abs=1e-12)
 
     def test_boundary_base_point_errors(self):
         S, _ = geo.convex_hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(OutsideProjection):
-            geo.chord(S, [0.5, 0.5])  # on the projection's boundary
+            chord(S, [0.5, 0.5])  # on the projection's boundary
         with pytest.raises(OutsideProjection):
-            geo.chord(S, [2.0, 2.0])
+            chord(S, [2.0, 2.0])
 
     def test_endpoint_convexity_concavity(self, rng):
         # a(X) is convex and b(X) concave: midpoint checks on random pairs
@@ -466,9 +477,9 @@ class TestChord:
                 lam = rng.uniform(0, 0.8, size=2)
                 X1 = c + lam[0] * (proj.vertices[0] - c)
                 X2 = c + lam[1] * (proj.vertices[-1] - c)
-                a1, b1 = geo.chord(P, X1)
-                a2, b2 = geo.chord(P, X2)
-                am, bm = geo.chord(P, 0.5 * (X1 + X2))
+                a1, b1 = chord(P, X1)
+                a2, b2 = chord(P, X2)
+                am, bm = chord(P, 0.5 * (X1 + X2))
                 assert am <= 0.5 * (a1 + a2) + 1e-9
                 assert bm >= 0.5 * (b1 + b2) - 1e-9
 

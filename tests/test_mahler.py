@@ -549,7 +549,7 @@ class TestDescentMonotonicity:
             x2 = np.append(xbar2 + s2 * w, h2)
             # segment [x1, x2] crosses z=0 at xbar2 + offset; keep it inside F
             cross = x1[:2] + (h1 / (h1 + h2)) * (x2[:2] - x1[:2])
-            if np.min(base2d.halfspaces.slack(cross)) < 0.05:
+            if np.min(base2d.slack(cross)) < 0.05:
                 continue
             try:
                 K, _ = geo.convex_hull(np.vstack([F, x1, x2]))

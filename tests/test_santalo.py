@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import one_call_log_ratio, random_body
+from conftest import chord, one_call_log_ratio, random_body
 from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
@@ -66,7 +66,7 @@ class TestSantaloPoint:
         c = geo.interior_point(K)
         for _ in range(50):
             z = c + rng.uniform(-0.3, 0.3, size=2)
-            if np.min(K.halfspaces.slack(z)) < 1e-6:
+            if np.min(K.slack(z)) < 1e-6:
                 continue
             probe = pol.polar(K, z).polar_volume
             assert res.polar_volume <= probe * (1 + 1e-9)
@@ -89,7 +89,7 @@ class TestSantaloPoint:
         points = []
         for _ in range(10):
             seed = c + rng.uniform(-0.2, 0.2, size=2)
-            if np.min(K.halfspaces.slack(seed)) < 1e-3:
+            if np.min(K.slack(seed)) < 1e-3:
                 seed = c
             res = san.santalo_point(K, start=seed)
             assert res.converged
@@ -144,7 +144,7 @@ class TestSantaloPoint:
         bodies = [random_body(rng, 3, extra) for extra in (1, 4, 8)]
         starts = [geo.centroid(bodies[0]), None, bodies[2].vertices[0] * 3]
         stacked = san.santalo_points(bodies, starts)
-        assert len({K.halfspaces.n_facets for K in bodies}) == 3
+        assert len({K.n_facets for K in bodies}) == 3
         for K, res in zip(bodies, stacked):
             alone = san.santalo_point(K)
             assert res.converged
@@ -178,7 +178,7 @@ class TestLogRatio:
         for _ in range(50):
             K = random_body(rng, 2)
             c = geo.interior_point(K)
-            bottom, top = geo.chord(K, c[:1], axis=1)
+            bottom, top = chord(K, c[:1], axis=1)
             vs = np.linspace(bottom, top, 12)[1:-1]
             rhos = [san._log_ratio_probe(K, c[:1], 1)(v) for v in vs]
             assert all(b > a for a, b in zip(rhos, rhos[1:]))
@@ -186,7 +186,7 @@ class TestLogRatio:
     def test_limits_at_chord_ends(self, rng):
         K = random_body(rng, 2)
         c = geo.interior_point(K)
-        bottom, top = geo.chord(K, c[:1], axis=1)
+        bottom, top = chord(K, c[:1], axis=1)
         eps = 1e-5 * (top - bottom)
         assert san._log_ratio_probe(K, c[:1], 1)(bottom + eps) < math.log(1e-2)
         assert san._log_ratio_probe(K, c[:1], 1)(top - eps) > math.log(1e2)
@@ -295,8 +295,8 @@ class TestBalancedPoints:
         a = float(c[1])
         C = c[:1]
         a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, C, 1)
-        alpha_s, beta_s = geo.chord(K_s, C, axis=1)
-        alpha_t, beta_t = geo.chord(K_t, C, axis=1)
+        alpha_s, beta_s = chord(K_s, C, axis=1)
+        alpha_t, beta_t = chord(K_t, C, axis=1)
         lo = max(alpha_s, 2 * a - beta_t)
         hi = min(beta_s, 2 * a - alpha_t)
         grid = np.linspace(lo + 1e-4 * (hi - lo), hi - 1e-4 * (hi - lo), 2000)
@@ -321,8 +321,8 @@ class TestBalancedPoints:
             c = geo.interior_point(K_m)
             a = float(c[1])
             C = c[:1]
-            alpha_s, beta_s = geo.chord(K_s, C, axis=1)
-            alpha_t, beta_t = geo.chord(K_t, C, axis=1)
+            alpha_s, beta_s = chord(K_s, C, axis=1)
+            alpha_t, beta_t = chord(K_t, C, axis=1)
             lo = max(alpha_s, 2 * a - beta_t)
             hi = min(beta_s, 2 * a - alpha_t)
             w = hi - lo
@@ -336,7 +336,7 @@ class TestBalancedPoints:
         system = self._system(rng)
         K_s, K_m, K_t = self._bodies(system)
         c = geo.interior_point(K_m)
-        _, beta_m = geo.chord(K_m, c[:1], axis=1)
+        _, beta_m = chord(K_m, c[:1], axis=1)
         with pytest.raises(ValueError):
             san.balanced_points(K_s, K_m, K_t, beta_m, c[:1], 1)
 
@@ -366,7 +366,7 @@ class TestBalancedPoints:
 
             @staticmethod
             def _vertical_extent(P, X, axis):
-                return geo.chord(P, X, axis=axis)
+                return chord(P, X, axis=axis)
 
         for system in self._chain_inputs(30):
             s, t = system.interval

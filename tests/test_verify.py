@@ -15,6 +15,14 @@ def tent_template(x):
     return min(3.0 * x, 1.2 * (1.0 - x))
 
 
+def tent(a: float, alpha: float = 0.0, beta: float = 1.0,
+         height_scale: float = 1.0) -> ver.SliceProfile:
+    """Extreme ray min((1-a)x, a(1-x)), 0 < a < 1, on [alpha, beta] rescaled."""
+    xs = np.array([alpha, alpha + a * (beta - alpha), beta])
+    ys = np.array([0.0, height_scale * a * (1 - a), 0.0])
+    return ver.SliceProfile(xs, ys, (alpha, beta))
+
+
 def with_breakpoint(f, a):
     """Degree-1 profile f with a node added at a."""
     xs = np.union1d(f.xs, a)
@@ -359,7 +367,7 @@ class TestMidpointChain:
 
 class TestExtremeRayDecomposition:
     def test_tent_decomposes_proportionally(self):
-        f = ver.tent(0.35)
+        f = tent(0.35)
         g, h = ver.extreme_ray_decompose(f, 0.35)
         base = with_breakpoint(f, 0.35)
         ratio = g.ys[1] / base.ys[1]
@@ -367,7 +375,7 @@ class TestExtremeRayDecomposition:
         assert np.allclose(h.ys, (1 - ratio) * base.ys, atol=1e-12)
 
     def test_two_piece_degenerates_at_any_point(self):
-        f = ver.tent(0.6, height_scale=2.0)
+        f = tent(0.6, height_scale=2.0)
         g, h = ver.extreme_ray_decompose(f, 0.3)
         base = with_breakpoint(f, 0.3)
         nz = base.ys[1:-1] != 0
@@ -400,7 +408,7 @@ class TestExtremeRayDecomposition:
         # leave a negative value behind
         for _ in range(200):
             alpha, beta = np.sort(rng.normal(size=2))
-            f = ver.tent(rng.uniform(0.05, 0.95), alpha, beta, rng.uniform(0.1, 3.0))
+            f = tent(rng.uniform(0.05, 0.95), alpha, beta, rng.uniform(0.1, 3.0))
             g, h = ver.extreme_ray_decompose(f, rng.uniform(alpha, beta))
             assert ver.in_cone(g) and ver.in_cone(h)
             assert np.allclose(g.ys + h.ys, f(g.xs), rtol=0, atol=1e-15)
@@ -417,9 +425,9 @@ class TestExtremeRayDecomposition:
         nonzero_end = ver.SliceProfile([0.0, 0.5, 1.0], [0.0, 0.4, 0.3], (0.0, 1.0))
         with pytest.raises(NotInCone):
             ver.extreme_ray_decompose(nonzero_end, 0.5)
-        f = ver.tent(0.5)
+        f = tent(0.5)
         with pytest.raises(NotInCone):
             ver.extreme_ray_decompose(f, 1.0)
         for a in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                ver.tent(a)
+                tent(a)
