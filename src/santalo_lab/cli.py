@@ -101,14 +101,12 @@ def cmd_polar(args, out) -> int:
     K = _load(args.input, ser.polytope_from_dict)
     tols = _tol_overrides(args, "tol_sant")
     if args.center is not None:
-        center = _vector_flag(args.center, "center", K.dim)
+        pb = pol.polar(K, _vector_flag(args.center, "center", K.dim))
     else:
-        center = san.santalo_point(
-            K, tol_sant=tols.get("tol_sant", san.TOL_SANT)).point
-    pb = pol.polar(K, center)
+        pb = san.santalo_point(K, tol_sant=tols.get("tol_sant", san.TOL_SANT)).polar
     report = {
         "config": _config_header(args, tols),
-        "center": center.tolist(),
+        "center": pb.center.tolist(),
         "volume": geo.volume(K),
         "polar_volume": pb.polar_volume,
         "volume_product": geo.volume(K) * pb.polar_volume,

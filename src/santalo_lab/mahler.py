@@ -212,15 +212,14 @@ def pyramid_factorization_check(F: VPolytope, apex) -> PyramidReport:
 @dataclass
 class DescentMove:
     system: sh.ShadowSystem
-    t_range: tuple[float, float]
-    terminal_description: str
     label: CaseLabel
     volume_behavior: str = "constant"  # or "affine"
     expected_slope: float = 0.0
 
 
 def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
-    """Simplicial cases: slide vertex 0 in its volume-level hyperplane."""
+    """Simplicial cases: slide vertex 0 in its volume-level hyperplane until it
+    reaches a non-adjacent facet hyperplane; endpoints are pyramids or simplices."""
     verts = K.vertices
     d = K.dim
     x0 = verts[0]
@@ -268,30 +267,36 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     speeds = np.zeros(len(verts))
     speeds[0] = 1.0
     system = sh.ShadowSystem(verts.copy(), speeds, v, (tau1, tau2))
-    return DescentMove(system, (tau1, tau2),
-                       "sliding vertex reaches a non-adjacent facet hyperplane; "
-                       "endpoint bodies are pyramids or simplices", label)
+    return DescentMove(system, label)
+
+
+def _apex_line_move(K: VPolytope, cfg: _Config, speed1: float, speed2: float,
+                    interval: tuple[float, float], **law) -> DescentMove:
+    """Apex pair cfg.off = (i1, i2) along the unit vector of x_i2 - x_i1 at speeds
+    (speed1, speed2) * |x_i2 - x_i1|; `law` is a non-constant volume law."""
+    i1, i2 = cfg.off
+    v = K.vertices[i2] - K.vertices[i1]
+    vn = float(np.linalg.norm(v))
+    speeds = np.zeros(K.n_vertices)
+    speeds[i1], speeds[i2] = speed1 * vn, speed2 * vn
+    return DescentMove(sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, interval),
+                       cfg.label, **law)
 
 
 def _double_pyramid_move(K: VPolytope, cfg: _Config) -> DescentMove:
-    i1, i2 = cfg.off
+    """Apex segment shifted along its line at speeds (1, 1); endpoint bodies are
+    pyramids over the fixed base."""
     xi1, xi2 = cfg.xi  # xi1 < 0 < xi2
-    x1, x2 = K.vertices[i1], K.vertices[i2]
-    v = x2 - x1
-    vn = float(np.linalg.norm(v))
-    speeds = np.zeros(K.n_vertices)
-    speeds[i1] = speeds[i2] = vn
     tau1 = -xi2 / (xi2 - xi1)
     tau2 = -xi1 / (xi2 - xi1)
     if not tau1 < 0 < tau2:
         raise GeometryInconsistent("double-pyramid range does not straddle 0")
-    system = sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, (tau1, tau2))
-    return DescentMove(system, (tau1, tau2),
-                       "apex segment shifted along its line; endpoint bodies "
-                       "are pyramids over the fixed base", cfg.label)
+    return _apex_line_move(K, cfg, 1.0, 1.0, (tau1, tau2))
 
 
 def _skew_move(K: VPolytope, cfg: _Config) -> DescentMove:
+    """Apex pair slides along its joint line at speeds (1, V1/V2); at one end the
+    lower apex lands in the base plane, at the other the apexes merge."""
     i1, i2 = cfg.off
     coords = geo.to_frame(K.vertices, cfg.hyperplane)
     xi1, xi2 = cfg.xi  # 0 < xi1 < xi2
@@ -306,30 +311,20 @@ def _skew_move(K: VPolytope, cfg: _Config) -> DescentMove:
     V1 = V2 - geo.volume(F_hull)
     if V1 <= 0 or V2 - V1 <= 0:
         raise GeometryInconsistent("degenerate base areas in the skew move")
-    x1, x2 = K.vertices[i1], K.vertices[i2]
-    v = x2 - x1
-    vn = float(np.linalg.norm(v))
-    speeds = np.zeros(K.n_vertices)
-    speeds[i1] = vn
-    speeds[i2] = (V1 / V2) * vn
-    tau2 = V2 / (V2 - V1)
-    system = sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, (tau1, tau2))
-    return DescentMove(system, (tau1, tau2),
-                       "apex pair slides along its joint line at speeds "
-                       "(1, V1/V2); at one end the lower apex lands in the "
-                       "base plane, at the other the apexes merge", cfg.label)
+    return _apex_line_move(K, cfg, 1.0, V1 / V2, (tau1, V2 / (V2 - V1)))
 
 
 def _parallel_move(K: VPolytope, cfg: _Config) -> DescentMove:
+    """Single apex stretches along the line parallel to the base plane, speeds
+    (0, 1); t=-1 merges the apexes (pyramid), large t approximates the
+    projective pyramid limit.  The volume is affine in t."""
     i1, i2 = cfg.off
     coords = geo.to_frame(K.vertices, cfg.hyperplane)
     xi = cfg.xi[0]
     d = K.dim
     X = coords[:, :-1]
     F_idx = list(cfg.coplanar)
-    x1, x2 = K.vertices[i1], K.vertices[i2]
-    v = x2 - x1
-    vn = float(np.linalg.norm(v))
+    vn = float(np.linalg.norm(K.vertices[i2] - K.vertices[i1]))
     w = (X[i2] - X[i1]) / np.linalg.norm(X[i2] - X[i1])
     # (d-2)-volume of the base's shadow orthogonal to the apex line
     _, _, vt = np.linalg.svd(w.reshape(1, -1))
@@ -340,21 +335,13 @@ def _parallel_move(K: VPolytope, cfg: _Config) -> DescentMove:
         pl_hull, _ = geo.convex_hull(proj)
         pl = geo.volume(pl_hull)
     slope = xi * vn * pl / (d * (d - 1))
-    speeds = np.zeros(K.n_vertices)
-    speeds[i2] = vn
-    system = sh.ShadowSystem(K.vertices.copy(), speeds, v / vn, (-1.0, PARALLEL_T_MAX))
-    return DescentMove(system, (-1.0, PARALLEL_T_MAX),
-                       "single apex stretches along the line parallel to the "
-                       "base plane; t=-1 merges the apexes (pyramid), large t "
-                       "approximates the projective pyramid limit",
-                       cfg.label, volume_behavior="affine", expected_slope=slope)
+    return _apex_line_move(K, cfg, 0.0, 1.0, (-1.0, PARALLEL_T_MAX),
+                           volume_behavior="affine", expected_slope=slope)
 
 
-def descent_move(K: VPolytope, label: CaseLabel | None = None) -> DescentMove:
+def descent_move(K: VPolytope) -> DescentMove:
     """The volume-preserving (or volume-affine) move for a non-pyramid case."""
     cfg = _configuration(K)
-    if label is not None and label != cfg.label:
-        raise ValueError(f"label {label} does not match configuration {cfg.label}")
     label = cfg.label
     if label in (CaseLabel.SIMPLEX, CaseLabel.PYRAMID_Ia, CaseLabel.PYRAMID_IIa):
         raise ValueError(f"{label} has no descent move; pyramids factorize "
@@ -387,8 +374,7 @@ def verify_descent_monotonicity(move: DescentMove, n_grid: int = 33) -> Monotoni
     convex, which together forbid an interior strict minimum.  Measured by
     one `shadow.sweep`; a row it records as failed raises DegenerateAt.
     """
-    t1, t2 = move.t_range
-    ts = np.linspace(t1, t2, n_grid)
+    ts = np.linspace(*move.system.interval, n_grid)
     rows = sh.sweep(move.system, ts)
     for r in rows:
         if r.note:

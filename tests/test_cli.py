@@ -85,6 +85,18 @@ class TestPolarCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_default_center_matches_the_printed_center(self, pentagon_file, tmp_path):
+        # the Santalo solve's own polar, printed, equals a fresh polar about S(K)
+        rng = np.random.default_rng(6)
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps(ser.polytope_to_dict(mah.random_polytope(3, 6, rng))))
+        for path in (pentagon_file, str(body)):
+            rc1, out1 = run_cli(["polar", path])
+            center = json.dumps(json.loads(out1)["center"])
+            rc2, out2 = run_cli(["polar", path, "--center", center])
+            assert rc1 == rc2 == 0
+            assert out1 == out2
+
 
 class TestSantaloCommand:
     def test_reports_residual_and_iterations(self, simplex_file):

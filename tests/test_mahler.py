@@ -415,12 +415,12 @@ class TestDescentMoves:
         P, _ = geo.convex_hull(np.vstack([QUAD_BASE,
                                           [0.2, 0.1, 1.3], [-0.1, 0.2, -1.1]]))
         mv = mah.descent_move(P)
-        K1 = sh.body_at(mv.system, mv.t_range[0])
-        K2 = sh.body_at(mv.system, mv.t_range[1])
+        K1 = sh.body_at(mv.system, mv.system.interval[0])
+        K2 = sh.body_at(mv.system, mv.system.interval[1])
         assert mah.classify(K1) is CaseLabel.PYRAMID_Ia
         assert mah.classify(K2) is CaseLabel.PYRAMID_Ia
         vols = [geo.volume(sh.body_at(mv.system, t))
-                for t in np.linspace(*mv.t_range, 9)]
+                for t in np.linspace(*mv.system.interval, 9)]
         assert (max(vols) - min(vols)) / max(vols) < 1e-9
 
     def test_skew_volume_cancellation(self):
@@ -428,10 +428,10 @@ class TestDescentMoves:
                                           [2.5, 0.2, 0.8], [0.3, 0.1, 1.9]]))
         mv = mah.descent_move(P)
         vols = [geo.volume(sh.body_at(mv.system, t))
-                for t in np.linspace(*mv.t_range, 9)]
+                for t in np.linspace(*mv.system.interval, 9)]
         assert (max(vols) - min(vols)) / max(vols) < 1e-9
-        K1 = sh.body_at(mv.system, mv.t_range[0])
-        K2 = sh.body_at(mv.system, mv.t_range[1])
+        K1 = sh.body_at(mv.system, mv.system.interval[0])
+        K2 = sh.body_at(mv.system, mv.system.interval[1])
         assert mah.classify(K1) is CaseLabel.PYRAMID_IIa
         assert mah.classify(K2) is CaseLabel.PYRAMID_Ia
 
@@ -459,7 +459,7 @@ class TestDescentMoves:
             seen += 1
             mv = mah.descent_move(K)
             vols = [geo.volume(sh.body_at(mv.system, t))
-                    for t in np.linspace(*mv.t_range, 7)]
+                    for t in np.linspace(*mv.system.interval, 7)]
             assert (max(vols) - min(vols)) / max(vols) < 1e-9
 
     def test_slide_direction_keeps_finite_difference_volume(self, rng):
@@ -491,7 +491,7 @@ class TestDescentMonotonicity:
         # constant volume product: endpoints trivially minimal
         K = random_body(rng, 2)
         fam = sh.affine_family(K, v=0.3, V=[0.1], u=0.0, interval=(-1.0, 1.0))
-        mv = mah.DescentMove(fam, (-1.0, 1.0), "affine family", CaseLabel.SIMPLICIAL_Ib)
+        mv = mah.DescentMove(fam, CaseLabel.SIMPLICIAL_Ib)
         rep = mah.verify_descent_monotonicity(mv, n_grid=9)
         assert rep.endpoint_minimal
         pis = rep.volume_products
@@ -501,7 +501,7 @@ class TestDescentMonotonicity:
         # the apex crosses the base line at t = 0, an interior grid point
         system = sh.ShadowSystem([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]],
                                  [0.0, 0.0, 1.0], [0.0, 1.0], (-1.0, 0.5))
-        mv = mah.DescentMove(system, (-1.0, 0.5), "flat at 0", CaseLabel.SIMPLICIAL_Ib)
+        mv = mah.DescentMove(system, CaseLabel.SIMPLICIAL_Ib)
         with pytest.raises(DegenerateAt) as err:
             mah.verify_descent_monotonicity(mv, n_grid=7)
         assert err.value.t == 0.0
@@ -531,7 +531,7 @@ class TestDescentMonotonicity:
         P, _ = geo.convex_hull(np.vstack([QUAD_BASE,
                                           [0.8, 0.4, 1.2], [-0.5, -0.3, 1.2]]))
         mv = mah.descent_move(P)
-        rows = sh.sweep(mv.system, np.linspace(*mv.t_range, 25))
+        rows = sh.sweep(mv.system, np.linspace(*mv.system.interval, 25))
         assert all(r.converged for r in rows)
         assert max(r.iterations for r in rows) < 20
 

@@ -8,7 +8,7 @@ from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
-from santalo_lab.errors import NotInCone
+from santalo_lab.errors import BracketFailure, NotInCone
 
 
 def tent_template(x):
@@ -363,6 +363,17 @@ class TestMidpointChain:
             calls.clear()
             assert ver.midpoint_bound_check(system, *system.interval).passed
             assert calls == [3]  # K_s, K_mid and K_t in one stack
+
+    @pytest.mark.xfail(raises=BracketFailure, strict=True,
+                       reason="half volumes are floored by the absolute TAU_VOL, "
+                              "so a 3-d system scaled by 1e5 underflows")
+    def test_scaled_system_passes(self):
+        # the chain's verdict is affine invariant; scaling must not change it
+        system = sh.random_shadow_system(3, np.random.default_rng(5))
+        assert ver.midpoint_bound_check(system, *system.interval).passed
+        scaled = sh.ShadowSystem(1e5 * system.base_points, 1e5 * system.speeds,
+                                 system.direction, system.interval)
+        assert ver.midpoint_bound_check(scaled, *scaled.interval).passed
 
 
 class TestExtremeRayDecomposition:
