@@ -54,18 +54,18 @@ def _vector_flag(text: str, name: str, dim: int) -> np.ndarray:
         v = np.asarray(json.loads(text), dtype=float)
     except (TypeError, ValueError) as exc:
         raise _MalformedInput(f"bad --{name} {text!r}: {exc}") from exc
-    if v.shape != (dim,):
-        raise _MalformedInput(f"--{name} must be a list of {dim} numbers, got {text!r}")
+    if v.shape != (dim,) or not np.all(np.isfinite(v)):
+        raise _MalformedInput(f"--{name} must be a list of {dim} finite numbers, got {text!r}")
     return v
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
-        return int(text)
-    return integer
+def _number(kind=float, low=-np.inf):
+    """argparse type: a finite `kind` (int or float) >= low."""
+    def number(text: str):
+        if not np.isfinite(value := kind(text)) or value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not a finite {kind.__name__} >= {low}")
+        return value
+    return number
 
 
 def _tol_overrides(args, known: str) -> dict:
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("shadow", help="sweep a shadow system; CSV + verdicts")
     sp.add_argument("input", help="shadow-system JSON file or -")
-    sp.add_argument("--grid", type=_int_at_least(3), default=33)
+    sp.add_argument("--grid", type=_number(int, 3), default=33)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
     tol_flag(sp, "tau_conv")
     sp.set_defaults(func=cmd_shadow)
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="randomized few-vertex campaign")
     sp.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--trials", type=_int_at_least(1), default=1000)
-    sp.add_argument("--seed", type=int, required=True,
+    sp.add_argument("--trials", type=_number(int, 1), default=1000)
+    sp.add_argument("--seed", type=_number(int, 0), required=True,
                     help="RNG seed (required for reproducibility)")
     tol_flag(sp, "campaign")
     sp.set_defaults(func=cmd_search)
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symmetrize", help="Steiner symmetral about a hyperplane")
     sp.add_argument("input")
     sp.add_argument("--normal", required=True, help="JSON list")
-    sp.add_argument("--offset", type=float, default=0.0)
+    sp.add_argument("--offset", type=_number(), default=0.0)
     sp.set_defaults(func=cmd_symmetrize)
 
     sp = sub.add_parser("verify", help="midpoint-convexity chain on a system")

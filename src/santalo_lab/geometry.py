@@ -31,7 +31,7 @@ from .errors import (
     SingularMap,
 )
 
-# Coplanarity / facet-slack tolerance for the whole float pipeline.
+# Coplanarity / facet-slack tolerance, relative to the scale of what it measures.
 TAU_GEOM = 1e-9
 
 MAX_DIM = 6
@@ -93,12 +93,12 @@ class Hyperplane:
 
 def _facet_rows(normals, offsets) -> np.ndarray:
     """Rows [n_i | b_i] of the facets <n_i, x> <= b_i: unit normals, then rows
-    deduplicated within TAU_GEOM; a zero normal raises DegenerateInput."""
+    deduplicated within TAU_GEOM; a normal ~0 beside the longest raises DegenerateInput."""
     normals, offsets = np.array(normals, dtype=float, ndmin=2), np.ravel(offsets).astype(float)
     if len(normals) != len(offsets):
         raise ValueError("normals and offsets length mismatch")
     norms = np.linalg.norm(normals, axis=1)
-    if np.any(norms <= TAU_GEOM):
+    if np.any(norms <= TAU_GEOM * norms.max()):
         raise DegenerateInput("zero facet normal")
     return _dedupe_rows(np.column_stack([normals / norms[:, None], offsets / norms]), TAU_GEOM)
 
@@ -179,7 +179,7 @@ def _hull_of(points: np.ndarray):
     if d == 1:
         i_lo, i_hi = int(np.argmin(points[:, 0])), int(np.argmax(points[:, 0]))
         lo, hi = float(points[i_lo, 0]), float(points[i_hi, 0])
-        if hi - lo <= TAU_GEOM * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= TAU_GEOM * max(abs(lo), abs(hi)):
             raise DegenerateInput("1-d point set has no extent")
         return np.array([i_lo, i_hi]), ([[1.0], [-1.0]], [hi, -lo]), np.array([[i_lo], [i_hi]])
     if d > MAX_DIM:
@@ -208,7 +208,7 @@ def hull_simplices(hull: ConvexHull, min_dim: int = 5) -> np.ndarray:
     if d < min_dim or _fan_matches(hull, hull.simplices):
         return hull.simplices
     verts = hull.vertices
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+    tol = 1e-12 * float(np.max(np.abs(pts)))
     facets = {frozenset(verts[np.abs(pts[verts] @ eq[:-1] + eq[-1]) <= tol])
               for eq in hull.equations}
     pieces = []
@@ -382,7 +382,7 @@ def _open_range(P: VPolytope, axis: int) -> tuple[float, float]:
     """Open interval of the levels strictly inside P's range along `axis`."""
     heights = P.vertices[:, axis]
     lo, hi = float(heights.min()), float(heights.max())
-    margin = TAU_GEOM * max(1.0, abs(lo), abs(hi))
+    margin = TAU_GEOM * max(abs(lo), abs(hi))
     return lo + margin, hi - margin
 
 
@@ -417,7 +417,7 @@ def sections(P: VPolytope, axis: int, levels) -> np.ndarray:
         return np.concatenate([np.zeros(0)] + [sections(P, axis, levels[i:i + step])
                                                for i in range(0, len(levels), step)])
     rel = P.vertices[:, axis] - levels[:, None]
-    tol = TAU_GEOM * np.maximum(np.maximum(1.0, np.abs(levels)), np.abs(rel).max(axis=1))
+    tol = TAU_GEOM * np.maximum(np.abs(levels), np.abs(rel).max(axis=1))
     rel[np.abs(rel) <= tol[:, None]] = 0.0
     rest = np.delete(P.vertices, axis, axis=1)
     above = rel[:, tri] >= 0
@@ -453,11 +453,10 @@ def _vertical_extent(P: VPolytope, X, axis: int) -> tuple[float, float]:
     keep = [i for i in range(d) if i != axis]
     na = P.normals[:, axis]
     rest = P.offsets - P.normals[:, keep] @ np.asarray(X, dtype=float)
-    scale = P.scale()
     pos = na > TAU_GEOM
     neg = na < -TAU_GEOM
     flat = ~(pos | neg)
-    if np.any(rest[flat] < -TAU_GEOM * max(1.0, scale)):
+    if np.any(rest[flat] < -TAU_GEOM * P.scale()):
         raise OutsideProjection("base point outside an axis-parallel facet")
     hi = float(np.min(rest[pos] / na[pos])) if np.any(pos) else math.inf
     lo = float(np.max(rest[neg] / na[neg])) if np.any(neg) else -math.inf
@@ -475,7 +474,7 @@ def apply_affine(P: VPolytope, linear, shift=None) -> VPolytope:
     d = P.dim
     if A.shape != (d, d):
         raise ValueError("linear part has wrong shape")
-    if abs(np.linalg.det(A)) <= 1e-12 * max(1.0, np.linalg.norm(A) ** d):
+    if abs(np.linalg.det(A)) <= 1e-12 * np.linalg.norm(A) ** d:
         raise SingularMap("linear part is (numerically) singular")
     shift = np.zeros(d) if shift is None else as_vector(shift)
     return VPolytope(P.vertices @ A.T + shift)

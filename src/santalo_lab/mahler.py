@@ -82,15 +82,14 @@ def _configuration(K: VPolytope) -> _Config:
         raise DegenerateInput("fewer than d+1 vertices")
     if n > d + 3:
         raise TooManyVertices(f"{n} vertices exceeds d+3 = {d + 3}")
-    scale = K.scale()
-    tau_on = geo.TAU_GEOM * max(1.0, scale)
+    tau_on = geo.TAU_GEOM * K.scale()
     if n == d + 1:
         return _Config(CaseLabel.SIMPLEX, margin_ok=True)
 
     points = verts[list(itertools.combinations(range(n), d))]  # (m, d, d)
     centers = points.mean(axis=1)
     _, s, vt = np.linalg.svd(points - centers[:, None, :], full_matrices=True)
-    independent = s[:, -2] > 1e-7 * np.maximum(1.0, np.max(np.abs(points), axis=(1, 2)))
+    independent = s[:, -2] > 1e-7 * np.max(np.abs(points), axis=(1, 2))
     normals = vt[:, -1]
     dist = np.abs(normals @ verts.T - np.einsum("ij,ij->i", normals, centers)[:, None])
     on = (dist <= tau_on) & independent[:, None]
@@ -180,7 +179,7 @@ def pyramid_factorization_check(F: VPolytope, apex) -> PyramidReport:
     d = F.dim + 1
     if apex.size != d:
         raise ValueError("apex dimension mismatch")
-    if abs(apex[-1]) <= geo.TAU_GEOM * max(1.0, F.scale()):
+    if abs(apex[-1]) <= geo.TAU_GEOM * F.scale():
         raise DegenerateInput("apex lies in the base hyperplane")
     K, _ = geo.convex_hull(np.vstack([geo.embed_point(F.vertices, 0.0, F.dim), apex]))
     res_K, res_F = san.santalo_point(K), san.santalo_point(F)
@@ -235,10 +234,10 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     seen = A @ (x0 - c) > 1.0
     grad = np.abs(np.linalg.det(corners[seen])) @ A[seen] / math.factorial(d)
     gn = np.linalg.norm(grad)
-    if gn <= 1e-12:
+    if gn <= 1e-12 * scale ** (d - 1):  # an area
         raise GeometryInconsistent("volume gradient vanished at the vertex")
     grad /= gn
-    # deterministic direction in the level hyperplane of the volume gradient
+    # direction in the gradient's level hyperplane; some axis projects to >= 1/sqrt(2)
     candidates = [np.eye(d)[i] for i in range(d)] + [x0 - rest.mean(axis=0)]
     best, best_norm = None, 0.0
     for c in candidates:
@@ -246,8 +245,6 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
         npn = float(np.linalg.norm(p))
         if npn > best_norm:
             best, best_norm = p, npn
-    if best_norm <= 1e-9 * max(1.0, scale):
-        raise GeometryInconsistent("no direction available in the level plane")
     v = best / best_norm
     # Slide until the moving vertex first crosses any facet hyperplane of
     # conv(rest): the volume stays constant exactly while the vertex keeps
@@ -255,7 +252,7 @@ def _slide_move(K: VPolytope, label: CaseLabel) -> DescentMove:
     along = R.normals @ v
     dist = R.offsets - R.normals @ x0
     moving = np.abs(along) > 1e-12
-    if np.any(np.abs(dist) <= geo.TAU_GEOM * max(1.0, scale)):
+    if np.any(np.abs(dist) <= geo.TAU_GEOM * scale):
         raise GeometryInconsistent("vertex already on a non-adjacent facet plane")
     times = dist[moving] / along[moving]
     pos_t = times[times > 0]

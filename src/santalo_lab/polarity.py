@@ -31,7 +31,7 @@ from . import geometry as geo
 from .errors import CenterNotInterior, DegenerateInput
 from .geometry import VPolytope
 
-# Below this absolute half-volume, a ratio is reported as a tagged divergence.
+# Relative zero of polar heights and half-volumes: times the largest of the kind.
 TAU_VOL = 1e-12
 
 
@@ -57,21 +57,15 @@ class HalfVolumes:
     """Polar volume split by the coordinate hyperplane through the center.
 
     "Above" (b_plus) means positive coordinate along the split axis in the
-    polar's own frame.  `ratio` is b_plus/b_minus; when b_minus falls below
-    TAU_VOL the ratio is a tagged divergence (`diverged` set, value +inf).
+    polar's own frame.  `ratio` is b_plus/b_minus.
     """
 
     b_plus: float
     b_minus: float
     ratio: float = field(init=False)
-    diverged: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        if self.b_minus < TAU_VOL:
-            self.ratio = math.inf
-            self.diverged = True
-        else:
-            self.ratio = self.b_plus / self.b_minus
+        self.ratio = self.b_plus / self.b_minus
 
 
 def _slack(normals, offsets, z) -> np.ndarray:
@@ -266,7 +260,7 @@ def _half_volume_probe(K: VPolytope, z: np.ndarray, axis: int):
         if slack.min() <= tau:
             raise CenterNotInterior("polarity center too close to the boundary")
         heights = n_axis / slack
-        if heights.max() <= TAU_VOL or heights.min() >= -TAU_VOL:
+        if min(heights.max(), -heights.min()) <= TAU_VOL * np.abs(heights).max():
             raise DegenerateInput("polar does not straddle the split hyperplane")
         cones, share = _cones(slack, fan, dets), _share_above(heights, plan)
         return float(cones @ share[:len(fan)]), float(cones @ share[len(fan):])

@@ -226,7 +226,7 @@ def _log_ratio_probe(K: VPolytope, C, axis: int):
 
     def log_ratio(v: float) -> float:
         b_plus, b_minus = probe(v)
-        if b_minus < pol.TAU_VOL or b_plus < pol.TAU_VOL:
+        if min(b_plus, b_minus) < pol.TAU_VOL * (b_plus + b_minus):
             raise BracketFailure("half volume underflow at an interior probe")
         return math.log(b_plus) - math.log(b_minus)
 
@@ -255,7 +255,7 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
         raise geo.OutsideProjection("base point not interior to the projection")
     alpha_s, beta_s = geo._vertical_extent(K_s, C, axis)
     alpha_t, beta_t = geo._vertical_extent(K_t, C, axis)
-    span = max(beta_m - alpha_m, geo.TAU_GEOM)
+    span = beta_m - alpha_m
     if not (alpha_m + geo.TAU_GEOM * span < a < beta_m - geo.TAU_GEOM * span):
         raise ValueError("a must be strictly inside the mid-body chord")
     lo = max(alpha_s, 2 * a - beta_t)

@@ -367,9 +367,9 @@ def steiner_system(K: VPolytope, H: Hyperplane) -> ShadowSystem:
         seg = lambda faces: samples[np.unique(edges[faces].reshape(-1, 2), axis=0)]
         crossings = _segment_crossings_2d(seg(up > geo.TAU_GEOM),
                                           seg(up < -geo.TAU_GEOM),
-                                          1e-14 * max(1.0, scale) ** 2)
+                                          1e-14 * scale ** 2)
         samples = np.vstack([samples, crossings])
-    X_arr = geo._dedupe_rows(samples, 1e-12 * max(1.0, scale))
+    X_arr = geo._dedupe_rows(samples, 1e-12 * scale)
     base, speeds = [], []
     for X in X_arr:
         lo, hi = geo._vertical_extent(Kf, X, d - 1)
@@ -377,7 +377,7 @@ def steiner_system(K: VPolytope, H: Hyperplane) -> ShadowSystem:
         mid = 0.5 * (hi + lo)
         base.append(np.append(X, half))
         speeds.append(-mid)
-        if half > 1e-13 * max(1.0, scale):
+        if half > 1e-13 * scale:
             base.append(np.append(X, -half))
             speeds.append(-mid)
     base_world = geo.from_frame(np.array(base), H)

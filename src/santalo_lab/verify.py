@@ -108,7 +108,7 @@ def _extreme_face_volume(P: VPolytope, axis: int, top: bool) -> float:
     """(d-1)-volume of P's boundary simplices in the extreme plane (0 if none)."""
     heights = P.vertices[:, axis]
     level = heights.max() if top else heights.min()
-    on = np.abs(heights - level) <= 1e-9 * max(1.0, P.scale())
+    on = np.abs(heights - level) <= geo.TAU_GEOM * P.scale()
     flat = P.facet_simplices[np.all(on[P.facet_simplices], axis=1)]
     pts = np.delete(P.vertices, axis, axis=1)[flat]
     edges = pts[:, 1:] - pts[:, :1]

@@ -98,7 +98,7 @@ def one_call_half_volumes(K, z, axis):
     z, slack = pol._check_interior(K, z)
     axis = range(K.dim)[axis]
     heights = K.normals[:, axis] / slack
-    if heights.max() <= pol.TAU_VOL or heights.min() >= -pol.TAU_VOL:
+    if min(heights.max(), -heights.min()) <= pol.TAU_VOL * np.abs(heights).max():
         raise DegenerateInput("polar does not straddle the split hyperplane")
     fan, dets = pol._polar_fan(K, z, slack)
     cones = pol._cones(slack[None], fan[None], dets[None])[0]
@@ -122,7 +122,7 @@ def one_call_log_ratio(K, C, v, axis):
     `one_call_half_volumes` per height: the route `balanced_points` took
     before its probes."""
     b_plus, b_minus = one_call_half_volumes(K, np.insert(C, axis, v), axis)
-    if b_minus < pol.TAU_VOL or b_plus < pol.TAU_VOL:
+    if min(b_plus, b_minus) < pol.TAU_VOL * (b_plus + b_minus):
         raise BracketFailure("half volume underflow at an interior probe")
     return math.log(b_plus) - math.log(b_minus)
 

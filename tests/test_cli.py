@@ -193,6 +193,22 @@ class TestSymmetrizeCommand:
         assert rep["symmetral_volume"] == pytest.approx(rep["volume"], rel=1e-9)
         assert rep["symmetral_volume_product"] >= rep["volume_product"] - 1e-7
 
+    def test_tiny_body_keeps_volume_and_product(self, tmp_path):
+        # tolerances are relative: a body scaled by 1e-8 gets the same symmetral
+        K = mah.random_polytope(3, 6, np.random.default_rng(5))
+        reports = []
+        for factor in (1.0, 1e-8):
+            path = tmp_path / f"body-{factor}.json"
+            path.write_text(json.dumps({"dim": 3, "vertices": (factor * K.vertices).tolist()}))
+            rc, out = run_cli(["symmetrize", str(path), "--normal", "[1, 2, 3]",
+                               "--offset", repr(0.1 * factor)])
+            assert rc == 0
+            reports.append(json.loads(out))
+        unit, tiny = reports
+        assert tiny["symmetral_volume"] == pytest.approx(tiny["volume"], rel=1e-9)
+        assert tiny["symmetral_volume_product"] == pytest.approx(
+            unit["symmetral_volume_product"], rel=1e-9)
+
 
 class TestRejectedFlags:
     @pytest.mark.parametrize("command", ["polar", "santalo", "vp", "shadow",
@@ -241,6 +257,17 @@ class TestVerifyCommand:
         rc2, out2 = run_cli(["verify", system_file])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_large_system_passes(self, tmp_path):
+        # the chain's tolerances are relative, so a system scaled by 1e6 passes
+        system = sh.random_shadow_system(3, np.random.default_rng(5))
+        doc = ser.system_to_dict(sh.ShadowSystem(1e6 * system.base_points, 1e6 * system.speeds,
+                                                 system.direction, system.interval))
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc) + "\n")
+        rc, out = run_cli(["verify", str(path)])
+        assert rc == 0
+        assert json.loads(out)["passed"]
 
 
 class TestMalformedInput:
@@ -293,6 +320,11 @@ class TestMalformedInput:
         ["symmetrize", "{square}", "--normal", "[1, 0"],
         ["symmetrize", "{square}", "--normal", '{{"a": 1}}'],
         ["symmetrize", "{square}", "--normal", "[1, 0, 0]"],
+        ["polar", "{square}", "--center", "[NaN, 0]"],
+        ["symmetrize", "{square}", "--normal", "[NaN, 0]"],
+        ["symmetrize", "{square}", "--normal", "[1, 0]", "--offset", "nan"],
+        ["symmetrize", "{square}", "--normal", "[1, 0]", "--offset", "inf"],
+        ["search", "--d", "2", "--k", "4", "--seed", "-1"],
         ["search", "--d", "2", "--k", "4", "--trials", "-2", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "0", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "many", "--seed", "1"],
@@ -312,7 +344,8 @@ class TestMalformedInput:
         ["verify", "{system}", "--s", "0.2", "--t", "0.2"],
         ["verify", "{system}", "--s", "0.3", "--t", "-0.3"],
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
-            "normal-bad-json", "normal-dict", "normal-3d", "trials-negative",
+            "normal-bad-json", "normal-dict", "normal-3d", "center-nan", "normal-nan",
+            "offset-nan", "offset-inf", "seed-negative", "trials-negative",
             "trials-zero", "trials-word", "d-5", "d-0", "k-above-d+3-in-2d",
             "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
             "s-nan", "t-nan", "t-inf", "s-minus-inf", "s-below-interval",

@@ -29,7 +29,7 @@ def _reference_hyperplane_of(points):
         raise ValueError("need exactly d points")
     center = points.mean(axis=0)
     _, s, vt = np.linalg.svd(points - center, full_matrices=True)
-    scale = max(1.0, float(np.max(np.abs(points))))
+    scale = float(np.max(np.abs(points)))
     if s[-2] <= 1e-7 * scale:  # affinely dependent subset: ambiguous normal
         return None
     normal = vt[-1]
@@ -44,7 +44,7 @@ def _reference_configuration(K):
     if n > d + 3:
         raise TooManyVertices(f"{n} vertices exceeds d+3 = {d + 3}")
     scale = K.scale()
-    tau_on = geo.TAU_GEOM * max(1.0, scale)
+    tau_on = geo.TAU_GEOM * scale
     if n == d + 1:
         return mah._Config(CaseLabel.SIMPLEX, margin_ok=True)
 
@@ -239,7 +239,7 @@ class TestClassify:
     def test_stacked_pass_raises_the_loop_errors(self):
         rng = np.random.default_rng(5)
         too_few = geo.VPolytope([[0.0, 0.0], [1.0, 0.0]])
-        all_dependent = geo.VPolytope(1e-9 * rng.normal(size=(4, 2)))
+        all_dependent = geo.VPolytope(1.0 + 1e-9 * rng.normal(size=(4, 2)))
         too_many = geo.VPolytope(rng.normal(size=(6, 2)))
         for K, error in ((too_few, DegenerateInput), (all_dependent, DegenerateInput),
                          (too_many, TooManyVertices)):

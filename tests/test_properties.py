@@ -1,12 +1,14 @@
 """Property tests: affine equivariance of the Santalo point and of polar
-volumes, the bipolar identity, and section volumes, on random few-vertex
-bodies.
+volumes, the bipolar identity, section volumes, and scale equivariance of
+every answer, on random few-vertex bodies.
 
 Hypothesis draws the body seed, an affine map and a center, or an axis and
-a level; `derandomize` keeps every run on the same examples.
+a level; `derandomize` keeps every run on the same examples.  The scale
+test runs on seeded bodies.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,8 @@ from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
+from santalo_lab import shadow as sh
+from santalo_lab import verify as ver
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -109,3 +113,31 @@ def test_section_matches_hform_volume(case):
     P, axis, level = case
     ref = geo.volume(hform_section(P, axis, level))
     assert abs(geo.section(P, axis, level) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e8])
+@pytest.mark.parametrize("d, k", [(2, 5), (3, 5), (3, 6), (4, 7)])
+def test_answers_are_scale_equivariant(d, k, factor):
+    # Every tolerance is relative to the scale of what it measures, so a body
+    # scaled by `factor` gets the same label, volume product and descent
+    # verdict, and its volumes scale by factor**d.
+    rng = np.random.default_rng(7)
+    H = geo.Hyperplane(np.arange(1.0, d + 1), 0.1)
+    moves = 0
+    for _ in range(6):
+        K = mah.random_polytope(d, k, rng)
+        label, vp = mah.classify(K), pol.volume_product(K)
+        Kf, _ = geo.convex_hull(factor * K.vertices)
+        assert mah.classify(Kf) is label
+        assert pol.volume_product(Kf) == pytest.approx(vp, rel=1e-9)
+        if d <= 3:
+            volume = factor ** d * geo.volume(K)
+            assert ver.slice_profile(Kf).integral() == pytest.approx(volume, rel=1e-9)
+            KH = sh.steiner_symmetral(Kf, geo.Hyperplane(H.normal, factor * H.offset))
+            assert geo.volume(KH) == pytest.approx(volume, rel=1e-9)
+        if moves < 2 and label not in (mah.CaseLabel.SIMPLEX, mah.CaseLabel.PYRAMID_Ia,
+                                       mah.CaseLabel.PYRAMID_IIa):
+            moves += 1
+            rep = mah.verify_descent_monotonicity(mah.descent_move(Kf), n_grid=9)
+            assert rep.endpoint_minimal and rep.volume_behavior_ok
+    assert moves == 2
