@@ -7,6 +7,13 @@ Exit codes: 0 success, 2 malformed input, 3 geometric precondition failure,
 The randomized command (search) requires --seed; identical (command, seed,
 config) reruns are byte-identical.  Subcommands that read a tolerance take
 --tol NAME=VALUE for that one name; any other name is malformed input.
+
+Report contract: every command ends its stdout with one JSON report line
+whose `config` header holds `seed` and `tolerances`.  search streams progress
+lines with that header first; shadow writes its CSV first when --out is
+absent.  Each cmd_*(args, tol, out, line) gets its tolerance (None if it reads
+none), the stdout stream and line(fields), the report-line writer; it returns
+(report fields, exit code) and `main` prints the report line.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,17 +77,17 @@ def _number(kind=float, low=-np.inf):
     return number
 
 
-def _tol_overrides(args, known: str) -> dict:
-    """Parse repeated --tol name=value; `known` is the one name read."""
+def _tolerances(args) -> dict:
+    """Parse repeated --tol name=value; args.tol_name is the one name read."""
     out = {}
     for item in args.tol or []:
         if "=" not in item:
             raise _MalformedInput(f"--tol expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
-        if name != known:
+        if name != args.tol_name:
             raise _MalformedInput(f"unknown tolerance {name!r}; "
-                                  f"{args.command} reads only {known!r}")
+                                  f"{args.command} reads only {args.tol_name!r}")
         try:
             out[name] = float(value)
         except ValueError as exc:
@@ -86,141 +95,86 @@ def _tol_overrides(args, known: str) -> dict:
     return out
 
 
-def _config_header(args, tols) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "tolerances": tols,
-    }
-
-
-def _print(line: str, out) -> None:
-    out.write(line + "\n")
-
-
-def cmd_polar(args, out) -> int:
+def cmd_polar(args, tol, out, line) -> tuple[dict, int]:
     K = _load(args.input, ser.polytope_from_dict)
-    tols = _tol_overrides(args, "tol_sant")
     if args.center is not None:
         pb = pol.polar(K, _vector_flag(args.center, "center", K.dim))
     else:
-        pb = san.santalo_point(K, tol_sant=tols.get("tol_sant", san.TOL_SANT)).polar
-    report = {
-        "config": _config_header(args, tols),
+        pb = san.santalo_point(K, tol_sant=tol).polar
+    volume = geo.volume(K)
+    return {
         "center": pb.center.tolist(),
-        "volume": geo.volume(K),
+        "volume": volume,
         "polar_volume": pb.polar_volume,
-        "volume_product": geo.volume(K) * pb.polar_volume,
+        "volume_product": volume * pb.polar_volume,
         "base": ser.polytope_to_dict(pb.base),
         "polar": ser.polytope_to_dict(pb.polar),
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_santalo(args, out) -> int:
-    K = _load(args.input, ser.polytope_from_dict)
-    tols = _tol_overrides(args, "tol_sant")
-    res = san.santalo_point(K, tol_sant=tols.get("tol_sant", san.TOL_SANT))
-    report = {
-        "config": _config_header(args, tols),
+def cmd_santalo(args, tol, out, line) -> tuple[dict, int]:
+    res = san.santalo_point(_load(args.input, ser.polytope_from_dict), tol_sant=tol)
+    return {
         "point": res.point.tolist(),
         "polar_volume": res.polar_volume,
         "residual": res.centroid_residual,
         "iterations": res.iterations,
         "converged": res.converged,
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_vp(args, out) -> int:
+def cmd_vp(args, tol, out, line) -> tuple[dict, int]:
     K = _load(args.input, ser.polytope_from_dict)
-    tols = _tol_overrides(args, "tol_sant")
-    report = {
-        "config": _config_header(args, tols),
+    return {
         "volume": geo.volume(K),
-        "volume_product": pol.volume_product(K, tol_sant=tols.get("tol_sant")),
+        "volume_product": pol.volume_product(K, tol_sant=tol),
         "dim": K.dim,
         "n_vertices": K.n_vertices,
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_shadow(args, out) -> int:
+def cmd_shadow(args, tol, out, line) -> tuple[dict, int]:
     system = _load(args.input, ser.system_from_dict)
-    tols = _tol_overrides(args, "tau_conv")
     lo, hi = system.interval
-    grid = np.linspace(lo, hi, args.grid)
-    records = sh.sweep(system, grid)
-    csv_text = ser.sweep_to_csv(records, system.dim)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        out.write(csv_text)
-    tol_conv = tols.get("tau_conv", sh.TAU_CONV)
-    vol_v = sh.check_volume_convexity(records, tol_rel=tol_conv)
-    pol_v = sh.check_polar_convexity(records, tol_rel=tol_conv)
-    report = {
-        "config": _config_header(args, tols),
-        "grid": args.grid,
-        "volume_convexity": _verdict_dict(vol_v),
-        "polar_convexity": _verdict_dict(pol_v),
-        "csv": args.out or "-",
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK
-
-
-def _verdict_dict(v: sh.ConvexityVerdict) -> dict:
+    records = sh.sweep(system, np.linspace(lo, hi, args.grid))
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as fh:
+        fh.write(ser.sweep_to_csv(records, system.dim))
     return {
-        "is_midpoint_convex": v.is_midpoint_convex,
-        "worst_violation": v.worst_violation,
-        "witness_triple": list(v.witness_triple) if v.witness_triple else None,
-        "excluded": v.excluded,
-    }
+        "grid": args.grid,
+        "volume_convexity": asdict(sh.check_volume_convexity(records, tol_rel=tol)),
+        "polar_convexity": asdict(sh.check_polar_convexity(records, tol_rel=tol)),
+        "csv": args.out or "-",
+    }, EXIT_OK
 
 
-def cmd_search(args, out) -> int:
+def cmd_search(args, tol, out, line) -> tuple[dict, int]:
     if not args.d < args.k <= args.d + 3:
         raise _MalformedInput(f"--k must be in {args.d + 1}..{args.d + 3} for --d {args.d}, "
                               f"got {args.k}")
-    tols = _tol_overrides(args, "campaign")
-    tol = tols.get("campaign", mah.CAMPAIGN_TOL)
-    header = _config_header(args, tols)
 
     def progress(done, rep):
-        _print(ser.dumps({"config": header, "done": done,
-                          "min_vp": rep.min_vp,
-                          "violations": len(rep.violations)}), out)
+        line({"done": done, "min_vp": rep.min_vp, "violations": len(rep.violations)})
 
     report = mah.few_vertex_campaign(args.d, args.k, args.trials, seed=args.seed,
-                                  tol=tol, progress=progress)
-    final = report.as_dict()
-    final["config"] = header
-    final["bound_margin"] = report.min_vp - report.bound
-    _print(ser.dumps(final), out)
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+                                     tol=tol, progress=progress)
+    return ({**report.as_dict(), "bound_margin": report.min_vp - report.bound},
+            EXIT_VIOLATION if report.violations else EXIT_OK)
 
 
-def cmd_symmetrize(args, out) -> int:
+def cmd_symmetrize(args, tol, out, line) -> tuple[dict, int]:
     K = _load(args.input, ser.polytope_from_dict)
     H = geo.Hyperplane(_vector_flag(args.normal, "normal", K.dim), args.offset)
     KH = sh.steiner_symmetral(K, H)
-    report = {
-        "config": _config_header(args, {}),
+    return {
         "volume": geo.volume(K),
         "symmetral_volume": geo.volume(KH),
         "volume_product": pol.volume_product(K),
         "symmetral_volume_product": pol.volume_product(KH),
         "symmetral": ser.polytope_to_dict(KH),
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, tol, out, line) -> tuple[dict, int]:
     system = _load(args.input, ser.system_from_dict)
     lo, hi = system.interval
     s = args.s if args.s is not None else lo
@@ -228,8 +182,7 @@ def cmd_verify(args, out) -> int:
     if not lo <= s < t <= hi:  # false for NaN too
         raise _MalformedInput(f"need {lo} <= --s < --t <= {hi}, got --s {s} --t {t}")
     rep = ver.midpoint_bound_check(system, s, t)
-    report = {
-        "config": _config_header(args, {}),
+    return {
         "s": s, "t": t,
         "hypothesis": {"status": rep.hypothesis.status,
                        "worst_slack": rep.hypothesis.worst_slack,
@@ -242,9 +195,11 @@ def cmd_verify(args, out) -> int:
         "santalo_slack": rep.santalo_slack,
         "balanced_points": list(rep.balanced),
         "passed": rep.passed,
-    }
-    _print(ser.dumps(report), out)
-    return EXIT_OK if rep.passed else EXIT_VIOLATION
+    }, EXIT_OK if rep.passed else EXIT_VIOLATION
+
+
+# The tolerance a command may override with --tol, and its default.
+_TOL_DEFAULTS = {"tol_sant": san.TOL_SANT, "tau_conv": sh.TAU_CONV, "campaign": mah.CAMPAIGN_TOL}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,62 +209,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "shadow-system experiments for convex polytopes.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def tol_flag(sp, name):
-        sp.add_argument("--tol", action="append", metavar=f"{name}=VALUE",
-                        help=f"override the {name} tolerance")
+    def command(func, help, tol_name=None, input_help=None):
+        """The subparser running func: its `input` (none when input_help is
+        False) and defaults.  --tol is added below, after the command's own
+        flags, so that usage lines list it last."""
+        sp = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        if input_help is not False:
+            sp.add_argument("input", help=input_help)
+        sp.set_defaults(func=func, tol_name=tol_name, tol=None)
+        return sp
 
-    sp = sub.add_parser("polar", help="polar body about a center (default: Santalo point)")
-    sp.add_argument("input", help="polytope JSON file or - for stdin")
+    sp = command(cmd_polar, "polar body about a center (default: Santalo point)",
+                 "tol_sant", "polytope JSON file or - for stdin")
     sp.add_argument("--center", help="JSON list, e.g. '[0.1, 0.2]'")
-    tol_flag(sp, "tol_sant")
-    sp.set_defaults(func=cmd_polar)
-
-    sp = sub.add_parser("santalo", help="Santalo point, polar volume, residual")
-    sp.add_argument("input")
-    tol_flag(sp, "tol_sant")
-    sp.set_defaults(func=cmd_santalo)
-
-    sp = sub.add_parser("vp", help="volume product about the Santalo point")
-    sp.add_argument("input")
-    tol_flag(sp, "tol_sant")
-    sp.set_defaults(func=cmd_vp)
-
-    sp = sub.add_parser("shadow", help="sweep a shadow system; CSV + verdicts")
-    sp.add_argument("input", help="shadow-system JSON file or -")
+    command(cmd_santalo, "Santalo point, polar volume, residual", "tol_sant")
+    command(cmd_vp, "volume product about the Santalo point", "tol_sant")
+    sp = command(cmd_shadow, "sweep a shadow system; CSV + verdicts",
+                 "tau_conv", "shadow-system JSON file or -")
     sp.add_argument("--grid", type=_number(int, 3), default=33)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
-    tol_flag(sp, "tau_conv")
-    sp.set_defaults(func=cmd_shadow)
-
-    sp = sub.add_parser("search", help="randomized few-vertex campaign")
+    sp = command(cmd_search, "randomized few-vertex campaign", "campaign", input_help=False)
     sp.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=_number(int, 1), default=1000)
     sp.add_argument("--seed", type=_number(int, 0), required=True,
                     help="RNG seed (required for reproducibility)")
-    tol_flag(sp, "campaign")
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("symmetrize", help="Steiner symmetral about a hyperplane")
-    sp.add_argument("input")
+    sp = command(cmd_symmetrize, "Steiner symmetral about a hyperplane")
     sp.add_argument("--normal", required=True, help="JSON list")
     sp.add_argument("--offset", type=_number(), default=0.0)
-    sp.set_defaults(func=cmd_symmetrize)
-
-    sp = sub.add_parser("verify", help="midpoint-convexity chain on a system")
-    sp.add_argument("input")
+    sp = command(cmd_verify, "midpoint-convexity chain on a system")
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--t", type=float, default=None)
-    sp.set_defaults(func=cmd_verify)
+    for sp in sub.choices.values():
+        if name := sp.get_default("tol_name"):
+            sp.add_argument("--tol", action="append", metavar=f"{name}=VALUE",
+                            help=f"override the {name} tolerance")
     return p
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command; print its report line, headed by `config`, to out."""
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        tols = _tolerances(args)
+        header = {"seed": getattr(args, "seed", None), "tolerances": tols}
+
+        def line(fields):
+            out.write(ser.dumps({"config": header, **fields}) + "\n")
+
+        tol = tols.get(args.tol_name, _TOL_DEFAULTS.get(args.tol_name))
+        fields, code = args.func(args, tol, out, line)
+        line(fields)
+        return code
     except _MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -270,28 +270,28 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
         return ratio_s(v) - ratio_t(2 * a - v)
 
     width = hi - lo
-    v_lo = v_hi = None
-    delta = 1e-3
+    # delta grows on underflow, shrinks on same-sign ends, never turns back
+    delta, step = 1e-3, None
     while delta > 1e-13:
         lo_probe, hi_probe = lo + delta * width, hi - delta * width
         try:
             r_lo, r_hi = rho(lo_probe), rho(hi_probe)
         except BracketFailure:
-            delta *= 10
+            if step == 0.1:
+                break
+            delta, step = delta * 10, 10
             if delta >= 0.5:
                 raise
             continue
         if r_lo < 0 < r_hi:
-            v_lo, v_hi = lo_probe, hi_probe
-            break
+            xtol = 1e-15 * max(1.0, abs(lo_probe), abs(hi_probe))
+            v = brentq(rho, lo_probe, hi_probe, xtol=xtol, disp=False)
+            return v, 2 * a - v
         if r_lo >= 0 and r_hi > 0 or r_lo < 0 and r_hi <= 0:
-            delta *= 0.1
+            if step == 10:
+                break
+            delta, step = delta * 0.1, 0.1
             continue
         raise BracketFailure("rho has inverted signs at the interval ends")
-    if v_lo is None:
-        raise BracketFailure("no sign change after endpoint refinement")
-
-    xtol = 1e-15 * max(1.0, abs(v_lo), abs(v_hi))
-    v = brentq(rho, v_lo, v_hi, xtol=xtol, disp=False)
-    return v, 2 * a - v
+    raise BracketFailure("no sign change after endpoint refinement")
 

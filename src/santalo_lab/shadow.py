@@ -419,7 +419,7 @@ def brunn_midpoint_check(K: VPolytope, tol: float = 1e-6) -> bool:
                 X = (1 - lam) * c + lam * w if lam > 0 else c
                 lo, hi = geo._vertical_extent(Kf, X, d - 1)
                 mids.append(np.append(X, 0.5 * (lo + hi)))
-        mids = np.unique(np.round(np.array(mids), 12), axis=0)
+        mids = geo._dedupe_rows(np.array(mids), 1e-12 * Kf.scale())
         center = mids.mean(axis=0)
         _, _, vt = np.linalg.svd(mids - center, full_matrices=False)
         normal = vt[-1]

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,13 @@ class TestRejectedFlags:
         assert out == ""
         assert repr(known) in capsys.readouterr().err
 
+    def test_tolerance_checked_before_the_input_is_read(self, tmp_path, capsys):
+        # a flat body would exit 3, but the unknown --tol name is found first
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1]]}))
+        assert run_cli(["vp", str(flat), "--tol", "bad=1"]) == (2, "")
+        assert "unknown tolerance 'bad'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_chain_passes(self, system_file):
@@ -355,3 +366,58 @@ class TestMalformedInput:
         argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]
         assert self._run(argv, capsys) == (2, "")
         assert not csv.exists()
+
+
+class TestReportContract:
+    """Every command ends with one JSON report line headed by `config`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["polar", "{square}"],
+        ["santalo", "{square}"],
+        ["vp", "{square}"],
+        ["shadow", "{system}", "--grid", "5"],
+        ["search", "--d", "2", "--k", "4", "--trials", "120", "--seed", "3"],
+        ["symmetrize", "{square}", "--normal", "[1, 0]"],
+        ["verify", "{system}"],
+    ], ids=lambda argv: argv[0])
+    def test_last_line_is_the_headed_report(self, argv, square_file, system_file):
+        argv = [a.format(square=square_file, system=system_file) for a in argv]
+        rc, out = run_cli(argv)
+        assert rc == 0
+        lines = out.splitlines()
+        config = json.loads(lines[-1])["config"]
+        assert set(config) == {"seed", "tolerances"}
+        if argv[0] == "search":
+            # progress lines stream first, each under the same header
+            assert len(lines) == 2
+            assert json.loads(lines[0])["config"] == config
+        elif argv[0] == "shadow":
+            # without --out the CSV (header + 5 rows) comes before the report
+            assert lines[0].startswith("t,volume,polar_volume")
+            assert len(lines) == 7
+        else:
+            assert len(lines) == 1
+
+
+class TestProcessEntry:
+    """`python -m santalo_lab.cli` exits with main's code and prints its output."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "santalo_lab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_square_volume_product(self, square_file):
+        proc = self._run("vp", square_file)
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(["vp", square_file])[1]
+
+    def test_flat_body_exits_3(self, tmp_path):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1]]}))
+        proc = self._run("vp", str(flat))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

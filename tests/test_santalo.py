@@ -209,6 +209,33 @@ class TestBalancedPoints:
         assert a_s == pytest.approx(-0.5, abs=1e-6)
         assert a_t == pytest.approx(0.5, abs=1e-6)
 
+    def test_bracket_search_never_revisits_a_delta(self, monkeypatch):
+        # half volumes underflow at the first probes (delta = 1e-3) and rho has
+        # one sign at delta = 1e-2: the search grows delta once, then must
+        # give up rather than shrink back to 1e-3 and loop forever
+        sq = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+        system = sh.ShadowSystem(sq, np.ones(4), [0.0, 1.0], (-1.0, 1.0))
+        K_s, K_m, K_t = [sh.body_at(system, x) for x in (-0.5, 0.0, 0.5)]
+        calls = []
+
+        def fake_probe(K, C, axis):
+            alpha, beta = geo._vertical_extent(K, C, axis)
+
+            def log_ratio(v):
+                calls.append(v)
+                if len(calls) > 1000:
+                    pytest.fail("bracket search did not stop")
+                if min(v - alpha, beta - v) < 5e-3 * (beta - alpha):
+                    raise BracketFailure("half volume underflow at an interior probe")
+                return 1.0 if K is K_s else -1.0
+
+            return log_ratio
+
+        monkeypatch.setattr(san, "_log_ratio_probe", fake_probe)
+        with pytest.raises(BracketFailure, match="no sign change"):
+            san.balanced_points(K_s, K_m, K_t, 0.0, [0.0], system.axis)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("points, C", [
         ([[1, 1], [1, -1], [-1, 1], [-1, -1]], [1.0]),  # on an axis-parallel edge
         ([[1, 1], [1, -1], [-1, 1], [-1, -1]], [1.5]),  # outside it

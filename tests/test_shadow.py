@@ -763,6 +763,14 @@ class TestBrunnMidpointCheck:
         E, _ = geo.convex_hull(np.column_stack([2.0 * np.cos(ang), np.sin(ang)]))
         assert sh.brunn_midpoint_check(E, tol=2e-3)
 
+    @pytest.mark.parametrize("factor", [1.0, 1e8, 1e-8])
+    def test_fine_ellipse_polygon_passes_at_every_scale(self, factor):
+        # midpoints are deduplicated relative to the body's scale, so a tiny
+        # copy keeps every distinct midpoint of the unit one
+        ang = 2 * math.pi * np.arange(400) / 400
+        E, _ = geo.convex_hull(factor * np.column_stack([2.0 * np.cos(ang), np.sin(ang)]))
+        assert sh.brunn_midpoint_check(E, tol=1e-5)
+
     def test_triangle_fails(self):
         T, _ = geo.convex_hull([[0, 0], [1, 0], [0, 1]])
         assert not sh.brunn_midpoint_check(T, tol=1e-6)
