@@ -10,7 +10,6 @@ from .errors import (
     GeometryError,
     GeometryInconsistent,
     InsufficientGrid,
-    NotInCone,
     OutsideProjection,
     SingularMap,
     TooManyVertices,
@@ -51,7 +50,6 @@ from .shadow import (
     SweepRecord,
     affine_family,
     body_at,
-    brunn_midpoint_check,
     check_polar_convexity,
     check_volume_convexity,
     steiner_symmetral,
@@ -60,7 +58,6 @@ from .shadow import (
 )
 from .verify import (
     SliceProfile,
-    extreme_ray_decompose,
     half_volume_inequality_check,
     harmonic_conclusion_check,
     harmonic_hypothesis_check,

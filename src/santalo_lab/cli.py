@@ -89,8 +89,8 @@ def _tolerances(args) -> dict:
             raise _MalformedInput(f"unknown tolerance {name!r}; "
                                   f"{args.command} reads only {args.tol_name!r}")
         try:
-            out[name] = float(value)
-        except ValueError as exc:
+            out[name] = _number(float, 0)(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _MalformedInput(f"bad tolerance value in {item!r}") from exc
     return out
 

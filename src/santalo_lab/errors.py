@@ -51,7 +51,3 @@ class TooManyVertices(GeometryError):
 
 class GeometryInconsistent(GeometryError):
     """A constructed parameter range is empty; upstream tolerance breach."""
-
-
-class NotInCone(GeometryError):
-    """Function fails the concave/endpoint conditions of the decomposition cone."""

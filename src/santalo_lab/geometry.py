@@ -480,17 +480,6 @@ def apply_affine(P: VPolytope, linear, shift=None) -> VPolytope:
     return VPolytope(P.vertices @ A.T + shift)
 
 
-def translate(P: VPolytope, shift) -> VPolytope:
-    return VPolytope(P.vertices + as_vector(shift))
-
-
-def diameter(P: VPolytope) -> float:
-    """Exact vertex-pair diameter (fine at desk scale)."""
-    v = P.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2).max()))
-
-
 def hyperplane_frame(H: Hyperplane) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal map splitting R^d as (hyperplane coords, signed height).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -33,6 +33,8 @@ from .geometry import VPolytope
 
 # Relative zero of polar heights and half-volumes: times the largest of the kind.
 TAU_VOL = 1e-12
+# Message of every CenterNotInterior, and a stacked solve's note on such a row.
+NOT_INTERIOR = "polarity center too close to the boundary"
 
 
 @dataclass
@@ -57,15 +59,11 @@ class HalfVolumes:
     """Polar volume split by the coordinate hyperplane through the center.
 
     "Above" (b_plus) means positive coordinate along the split axis in the
-    polar's own frame.  `ratio` is b_plus/b_minus.
+    polar's own frame.
     """
 
     b_plus: float
     b_minus: float
-    ratio: float = field(init=False)
-
-    def __post_init__(self):
-        self.ratio = self.b_plus / self.b_minus
 
 
 def _slack(normals, offsets, z) -> np.ndarray:
@@ -78,7 +76,7 @@ def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
     z = geo.as_vector(z)
     slack = _slack(K.normals, K.offsets, z)
     if np.min(slack) <= geo.TAU_GEOM * K.scale():
-        raise CenterNotInterior("polarity center too close to the boundary")
+        raise CenterNotInterior(NOT_INTERIOR)
     return z, slack
 
 
@@ -166,13 +164,6 @@ def _polar_body(K: VPolytope, z, y, fan) -> VPolytope:
     return VPolytope(y, (K.vertices - z, np.ones(K.n_vertices)), fan)
 
 
-def bipolar(pb: PolarBody) -> VPolytope:
-    """Polar of the polar about the origin, translated back by the center;
-    the polar's own facets serve, so no hull of its vertices is run."""
-    inner = polar(pb.polar, np.zeros(pb.polar.dim))
-    return geo.translate(inner.polar, pb.center)
-
-
 def volume_product(K: VPolytope, tol_sant: float | None = None) -> float:
     """Affine invariant |K| * |K^{*S(K)}| with S(K) the Santalo point."""
     from .santalo import TOL_SANT, santalo_point  # late import, module cycle
@@ -258,7 +249,7 @@ def _half_volume_probe(K: VPolytope, z: np.ndarray, axis: int):
         z[axis] = v
         slack = _slack(normals, offsets, z)
         if slack.min() <= tau:
-            raise CenterNotInterior("polarity center too close to the boundary")
+            raise CenterNotInterior(NOT_INTERIOR)
         heights = n_axis / slack
         if min(heights.max(), -heights.min()) <= TAU_VOL * np.abs(heights).max():
             raise DegenerateInput("polar does not straddle the split hyperplane")

@@ -29,7 +29,6 @@ from .geometry import VPolytope
 
 TOL_SANT = 1e-8
 MAX_ITERATIONS = 500
-NOT_INTERIOR = "polarity center too close to the boundary"
 
 
 @dataclass
@@ -65,7 +64,7 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
               for r, K in enumerate(bodies)]
     out = santalo_stack(*_joined(stacks), tol_sant, max_iterations)
     if any(out.note):
-        raise pol.CenterNotInterior(NOT_INTERIOR)
+        raise pol.CenterNotInterior(pol.NOT_INTERIOR)
     return [SantaloResult(out.point[r], float(out.polar_volume[r]), float(out.residual[r]),
                           int(out.iterations[r]), bool(out.converged[r]),
                           pol.PolarBody(K, out.point[r],
@@ -132,7 +131,7 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
     """
     R, d = z.shape
     interior = s.min(axis=1) > tau
-    note = ["" if ok else NOT_INTERIOR for ok in interior]
+    note = ["" if ok else pol.NOT_INTERIOR for ok in interior]
     body = np.flatnonzero(interior)  # the row of each working row
     out = None if len(body) == R else _unsolved(z, N.shape[1], note)  # else made when needed
     if not len(body):

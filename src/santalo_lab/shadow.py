@@ -389,46 +389,6 @@ def steiner_symmetral(K: VPolytope, H: Hyperplane) -> VPolytope:
     return body_at(steiner_system(K, H), 0.0)
 
 
-def brunn_midpoint_check(K: VPolytope, tol: float = 1e-6) -> bool:
-    """Do chord midpoints lie in a hyperplane, for a family of directions?
-
-    For each of 16 random chord directions (seed 0), the midpoints of
-    chords of K parallel to the direction are sampled at interior points of
-    the projection and fitted with a hyperplane; the check passes when every
-    direction's fit residual is at most tol * diameter(K).  Ellipsoid-like
-    bodies pass for all directions; note that a polygonal approximation of
-    an ellipse carries a midpoint residual on the scale of its own
-    approximation error, so `tol` must be chosen accordingly.
-    """
-    rng = np.random.default_rng(0)
-    d = K.dim
-    if d not in (2, 3):
-        raise DegenerateInput("midpoint check supports d = 2 or 3")
-    diam = geo.diameter(K)
-    for _ in range(16):
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        H = Hyperplane(u, 0.0)
-        coords = geo.to_frame(K.vertices, H)
-        Kf = VPolytope(coords)
-        proj, _ = geo.convex_hull(coords[:, :-1])
-        c = proj.vertices.mean(axis=0)
-        mids = []
-        for lam in (0.0, 0.35, 0.7, 0.92):
-            for w in proj.vertices:
-                X = (1 - lam) * c + lam * w if lam > 0 else c
-                lo, hi = geo._vertical_extent(Kf, X, d - 1)
-                mids.append(np.append(X, 0.5 * (lo + hi)))
-        mids = geo._dedupe_rows(np.array(mids), 1e-12 * Kf.scale())
-        center = mids.mean(axis=0)
-        _, _, vt = np.linalg.svd(mids - center, full_matrices=False)
-        normal = vt[-1]
-        residual = float(np.max(np.abs((mids - center) @ normal)))
-        if residual > tol * diam:
-            return False
-    return True
-
-
 def random_shadow_system(d: int, rng, n_points: int | None = None) -> ShadowSystem:
     """Random system on [-0.5, 0.5]: ball-sampled hull points, N(0, 0.6) speeds."""
     n = n_points or (d + 3)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import concave_cone as cone
 import rational_oracle as oracle
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
@@ -203,8 +204,8 @@ def test_criterion_9_functional_inequality_pipeline():
         failures += not rep.passed
         worst_hyp = min(worst_hyp, rep.hypothesis.worst_slack)
         worst_conc = min(worst_conc, rep.conclusion.worst_slack)
-    f, g, h = ver.equality_family(lambda x: min(3.0 * x, 1.2 * (1 - x)),
-                                  B=0.8, C=1.7)
+    f, g, h = cone.equality_family(lambda x: min(3.0 * x, 1.2 * (1 - x)),
+                                   B=0.8, C=1.7)
     eq = ver.harmonic_conclusion_check(f, g, h)
     hyp = ver.harmonic_hypothesis_check(f, g, h)
     ok = failures == 0 and eq.details["equality"] and hyp.passed

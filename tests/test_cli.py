@@ -354,13 +354,21 @@ class TestMalformedInput:
         ["verify", "{system}", "--t", "0.6"],
         ["verify", "{system}", "--s", "0.2", "--t", "0.2"],
         ["verify", "{system}", "--s", "0.3", "--t", "-0.3"],
+        ["search", "--d", "2", "--k", "4", "--trials", "5", "--seed", "1",
+         "--tol", "campaign=nan"],
+        ["search", "--d", "2", "--k", "4", "--trials", "5", "--seed", "1",
+         "--tol", "campaign=inf"],
+        ["shadow", "{system}", "--grid", "5", "--out", "{csv}", "--tol", "tau_conv=nan"],
+        ["santalo", "{square}", "--tol", "tol_sant=nan"],
+        ["santalo", "{square}", "--tol", "tol_sant=-1e-3"],
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
             "normal-bad-json", "normal-dict", "normal-3d", "center-nan", "normal-nan",
             "offset-nan", "offset-inf", "seed-negative", "trials-negative",
             "trials-zero", "trials-word", "d-5", "d-0", "k-above-d+3-in-2d",
             "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
             "s-nan", "t-nan", "t-inf", "s-minus-inf", "s-below-interval",
-            "t-above-interval", "s-equal-t", "s-above-t"])
+            "t-above-interval", "s-equal-t", "s-above-t", "tol-nan", "tol-inf",
+            "tau-conv-nan", "tol-sant-nan", "tol-sant-negative"])
     def test_bad_flags(self, argv, square_file, system_file, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]

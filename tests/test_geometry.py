@@ -143,7 +143,7 @@ class TestVolume:
 
     def test_translation_invariance(self, rng):
         P = random_body(rng, 3)
-        Q = geo.translate(P, [3.0, -1.0, 2.5])
+        Q = geo.apply_affine(P, np.eye(3), [3.0, -1.0, 2.5])
         assert geo.volume(Q) == pytest.approx(geo.volume(P), rel=1e-12)
 
     @pytest.mark.parametrize("d", range(1, 7))
@@ -175,7 +175,7 @@ class TestInteriorPoint:
     def test_translation_equivariance(self):
         P, _ = geo.convex_hull([[0, 0], [1, 0], [0, 1]])
         v = np.array([5.0, -2.0])
-        Q = geo.translate(P, v)
+        Q = geo.apply_affine(P, np.eye(2), v)
         assert np.allclose(geo.interior_point(Q), geo.interior_point(P) + v,
                            atol=1e-8)
 

@@ -85,7 +85,8 @@ def test_polar_volume_scales_by_inverse_determinant(case):
 @given(centered_bodies())
 def test_bipolar_round_trip(case):
     K, z = case
-    back = pol.bipolar(pol.polar(K, z))
+    inner = pol.polar(pol.polar(K, z).polar, np.zeros(K.dim))
+    back = geo.apply_affine(inner.polar, np.eye(K.dim), z)
     assert set_equal(K, back, tol=1e-9 * K.scale())
 
 

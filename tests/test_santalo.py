@@ -159,7 +159,7 @@ class TestSantaloPoint:
         flat = geo.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]])
         K = random_body(rng, 2)
         out = san.santalo_stack(*san._joined([san._body_stack(flat), san._body_stack(K)]))
-        assert out.note == [san.NOT_INTERIOR, ""] and list(out.converged) == [False, True]
+        assert out.note == [pol.NOT_INTERIOR, ""] and list(out.converged) == [False, True]
         assert math.isnan(out.polar_volume[0]) and out.iterations[0] == 0
         assert out.polar_volume[1] == pytest.approx(san.santalo_point(K).polar_volume,
                                                     rel=1e-12)
@@ -260,8 +260,9 @@ class TestBalancedPoints:
             a = float(c[1])
             a_s, a_t = san.balanced_points(K_s, K_m, K_t, a, c[:1], 1)
             assert 0.5 * (a_s + a_t) == pytest.approx(a, abs=1e-12)
-            lam_s = pol.half_volumes(K_s, np.array([c[0], a_s]), axis=1).ratio
-            lam_t = pol.half_volumes(K_t, np.array([c[0], a_t]), axis=1).ratio
+            hv_s = pol.half_volumes(K_s, np.array([c[0], a_s]), axis=1)
+            hv_t = pol.half_volumes(K_t, np.array([c[0], a_t]), axis=1)
+            lam_s, lam_t = hv_s.b_plus / hv_s.b_minus, hv_t.b_plus / hv_t.b_minus
             assert lam_s == pytest.approx(lam_t, rel=2e-8)
             rho = (san._log_ratio_probe(K_s, c[:1], 1)(a_s)
                    - san._log_ratio_probe(K_t, c[:1], 1)(a_t))

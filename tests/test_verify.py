@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import concave_cone as cone
 from conftest import random_body
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
@@ -8,7 +9,6 @@ from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
-from santalo_lab.errors import NotInCone
 
 
 def tent_template(x):
@@ -244,7 +244,7 @@ class TestHarmonicHypothesis:
         assert same_report(rep, ref) and rep.witness == (ys[a], ys[b])
 
     def test_nan_slack_is_a_violation(self):
-        f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
+        f, g, h = cone.equality_family(tent_template, B=0.7, C=1.9)
         ys = f.ys.copy()
         ys[100] = np.nan
         bad = ver.SliceProfile(f.xs, ys, f.support)
@@ -257,7 +257,7 @@ class TestHarmonicHypothesis:
         # as in np.argmin, the first NaN wins over every number, also over
         # the minimum of an earlier block; f's harmonic-mean arguments stay
         # below 2 y, so the first block holds no NaN
-        f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
+        f, g, h = cone.equality_family(tent_template, B=0.7, C=1.9)
         spiked = NanAbove(f.xs, f.ys, f.support)
         spiked.cut = 2.0 * ver._check_grid(g, ver.N_PROFILE_SAMPLES)[0][ver.BLOCK_ROWS - 1]
         ref = one_array_hypothesis(spiked, g, h, evaluate=lambda p, x: p(x))
@@ -268,7 +268,7 @@ class TestHarmonicHypothesis:
         assert same_report(rep, ref)
 
     def test_scaled_down_f_reports_violation_with_witness(self):
-        f, g, h = ver.equality_family(tent_template, B=0.7, C=1.9)
+        f, g, h = cone.equality_family(tent_template, B=0.7, C=1.9)
         bad = ver.SliceProfile(f.xs, 0.9 * f.ys, f.support)
         rep = ver.harmonic_hypothesis_check(bad, g, h)
         assert rep.status == "violation"
@@ -279,13 +279,13 @@ class TestHarmonicHypothesis:
 
 class TestHarmonicConclusion:
     def test_identical_profiles_equality(self):
-        f, _, _ = ver.equality_family(tent_template, B=1.0, C=1.0)
+        f, _, _ = cone.equality_family(tent_template, B=1.0, C=1.0)
         rep = ver.harmonic_conclusion_check(f, f, f)
         assert rep.status == "pass"
         assert rep.details["equality"]
 
     def test_equality_family(self):
-        f, g, h = ver.equality_family(tent_template, B=0.6, C=2.3)
+        f, g, h = cone.equality_family(tent_template, B=0.6, C=2.3)
         hyp = ver.harmonic_hypothesis_check(f, g, h)
         assert hyp.status == "pass"
         rep = ver.harmonic_conclusion_check(f, g, h)
@@ -379,7 +379,7 @@ class TestMidpointChain:
 class TestExtremeRayDecomposition:
     def test_tent_decomposes_proportionally(self):
         f = tent(0.35)
-        g, h = ver.extreme_ray_decompose(f, 0.35)
+        g, h = cone.extreme_ray_decompose(f, 0.35)
         base = with_breakpoint(f, 0.35)
         ratio = g.ys[1] / base.ys[1]
         assert np.allclose(g.ys, ratio * base.ys, atol=1e-12)
@@ -387,7 +387,7 @@ class TestExtremeRayDecomposition:
 
     def test_two_piece_degenerates_at_any_point(self):
         f = tent(0.6, height_scale=2.0)
-        g, h = ver.extreme_ray_decompose(f, 0.3)
+        g, h = cone.extreme_ray_decompose(f, 0.3)
         base = with_breakpoint(f, 0.3)
         nz = base.ys[1:-1] != 0
         ratios_g = g.ys[1:-1][nz] / base.ys[1:-1][nz]
@@ -395,9 +395,9 @@ class TestExtremeRayDecomposition:
 
     def test_three_piece_splits_into_cone_members(self):
         f = ver.SliceProfile([0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 0.6, 0.0], (0.0, 1.0))
-        g, h = ver.extreme_ray_decompose(f, 0.5)
-        assert ver.in_cone(g)
-        assert ver.in_cone(h)
+        g, h = cone.extreme_ray_decompose(f, 0.5)
+        assert cone.in_cone(g)
+        assert cone.in_cone(h)
         fb = with_breakpoint(f, 0.5)
         assert np.allclose(g.ys + h.ys, fb.ys, atol=1e-15)
         # neither piece proportional to f
@@ -409,8 +409,8 @@ class TestExtremeRayDecomposition:
 
     def test_general_interval_supported(self):
         f = ver.SliceProfile([-2.0, -0.5, 1.0], [0.0, 1.2, 0.0], (-2.0, 1.0))
-        g, h = ver.extreme_ray_decompose(f, 0.0)
-        assert ver.in_cone(g) and ver.in_cone(h)
+        g, h = cone.extreme_ray_decompose(f, 0.0)
+        assert cone.in_cone(g) and cone.in_cone(h)
         xs = np.linspace(-2, 1, 13)
         assert np.allclose(g(xs) + h(xs), f(xs), atol=1e-12)
 
@@ -420,8 +420,8 @@ class TestExtremeRayDecomposition:
         for _ in range(200):
             alpha, beta = np.sort(rng.normal(size=2))
             f = tent(rng.uniform(0.05, 0.95), alpha, beta, rng.uniform(0.1, 3.0))
-            g, h = ver.extreme_ray_decompose(f, rng.uniform(alpha, beta))
-            assert ver.in_cone(g) and ver.in_cone(h)
+            g, h = cone.extreme_ray_decompose(f, rng.uniform(alpha, beta))
+            assert cone.in_cone(g) and cone.in_cone(h)
             assert np.allclose(g.ys + h.ys, f(g.xs), rtol=0, atol=1e-15)
             assert min(np.max(g.ys), np.max(h.ys)) <= 1e-12 * np.max(f.ys)
 
@@ -431,14 +431,14 @@ class TestExtremeRayDecomposition:
             ver.SliceProfile([0.0, 0.5, 1.0], [0.0, -0.3, 0.0], (0.0, 1.0))
         not_concave = ver.SliceProfile([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.1, 0.0],
                                        (0.0, 1.0))
-        with pytest.raises(NotInCone):
-            ver.extreme_ray_decompose(not_concave, 0.5)
+        with pytest.raises(cone.NotInCone):
+            cone.extreme_ray_decompose(not_concave, 0.5)
         nonzero_end = ver.SliceProfile([0.0, 0.5, 1.0], [0.0, 0.4, 0.3], (0.0, 1.0))
-        with pytest.raises(NotInCone):
-            ver.extreme_ray_decompose(nonzero_end, 0.5)
+        with pytest.raises(cone.NotInCone):
+            cone.extreme_ray_decompose(nonzero_end, 0.5)
         f = tent(0.5)
-        with pytest.raises(NotInCone):
-            ver.extreme_ray_decompose(f, 1.0)
+        with pytest.raises(cone.NotInCone):
+            cone.extreme_ray_decompose(f, 1.0)
         for a in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 tent(a)
