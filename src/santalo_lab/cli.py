@@ -88,8 +88,10 @@ def _tolerances(args) -> dict:
         if name != args.tol_name:
             raise _MalformedInput(f"unknown tolerance {name!r}; "
                                   f"{args.command} reads only {args.tol_name!r}")
+        # tol_sant > 0: a residual <= 0 is met almost never, so the solve would run to its cap
+        low = np.nextafter(0.0, 1.0) if name == "tol_sant" else 0
         try:
-            out[name] = _number(float, 0)(value)
+            out[name] = _number(float, low)(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _MalformedInput(f"bad tolerance value in {item!r}") from exc
     return out

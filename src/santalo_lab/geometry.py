@@ -107,8 +107,8 @@ class VPolytope:
     """Convex polytope given by its (pruned) vertex list.
 
     Use `convex_hull` to build one from raw points; the direct constructor
-    trusts its input, with `facets` a raw (normals, offsets) pair (internal
-    fast path for affine images, polars, ...).  Facet rows (`_facet_rows`,
+    trusts its input (finite, with `facets` a raw (normals, offsets) pair:
+    the fast path for affine images, polars, ...).  Facet rows (`_facet_rows`,
     from that pair or one hull), a facet triangulation, the coordinate
     scale, the polar fan with its determinants and split plans (see
     `polarity`) are computed lazily and cached; `vertices` never changes.
@@ -120,8 +120,6 @@ class VPolytope:
         self._simplices = simplices
         self._fan = self._scale = None
         self._split_plans = {}
-        if not np.all(np.isfinite(self.vertices)):
-            raise DegenerateInput("non-finite vertex coordinates")
 
     @property
     def dim(self) -> int:
@@ -239,10 +237,10 @@ def convex_hull(points) -> tuple[VPolytope, np.ndarray]:
     Raises DegenerateInput when the points lie in a lower-dimensional flat.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():  # the one check: the vertices are some of these points
         raise DegenerateInput("non-finite input point")
     vert_idx, facets, simplices = _hull_of(pts)
-    remap = -np.ones(pts.shape[0], dtype=int)
+    remap = np.empty(len(pts), dtype=int)  # read only at vertices: every simplex corner is one
     remap[vert_idx] = np.arange(len(vert_idx))
     return VPolytope(pts[vert_idx], facets, remap[simplices]), vert_idx
 
@@ -301,10 +299,10 @@ def _fan_moments(y, cones, incidence):
     d = y.shape[-1]
     volume = cones.sum(axis=1)
     w = (cones / volume[:, None])[..., None]
-    u = incidence.transpose(0, 2, 1) @ w
+    yu = y * (incidence.transpose(0, 2, 1) @ w)
     sums = incidence @ y
-    centroid = (y * u).sum(axis=1) / (d + 1)
-    second = ((y * u).transpose(0, 2, 1) @ y
+    centroid = yu.sum(axis=1) / (d + 1)
+    second = (yu.transpose(0, 2, 1) @ y
               + (sums * w).transpose(0, 2, 1) @ sums) / ((d + 1) * (d + 2))
     return volume, centroid, second
 
@@ -477,7 +475,9 @@ def apply_affine(P: VPolytope, linear, shift=None) -> VPolytope:
     if abs(np.linalg.det(A)) <= 1e-12 * np.linalg.norm(A) ** d:
         raise SingularMap("linear part is (numerically) singular")
     shift = np.zeros(d) if shift is None else as_vector(shift)
-    return VPolytope(P.vertices @ A.T + shift)
+    if not np.isfinite(vertices := P.vertices @ A.T + shift).all():
+        raise DegenerateInput("non-finite vertex coordinates")
+    return VPolytope(vertices)
 
 
 def hyperplane_frame(H: Hyperplane) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
 (d+1)(d+2) int_{K^{*z}} y y^T dy, both moments of the polar.  The solver is
 damped Newton from the vertex mean, with Armijo backtracking and a step cap
 that keeps the iterate well inside the body, where the objective is finite.
-Newton steps are affine-invariant, so no preconditioning is needed.
-`santalo_stack` runs it on stacked arrays of facets, fans and starts, each
-row on its own steps, so a sweep's rows share every numpy call;
+Newton steps are affine-invariant, so no preconditioning is needed.  The
+trial a step takes is measured whole and is the next iterate.  `santalo_stack`
+runs it on stacked arrays of facets, fans and starts, the rows on one step
+count, each with its own line search, so a sweep's rows share every numpy call;
 `santalo_points` fills them from bodies.  Balanced points take one
 half-volume probe per end body (`polarity._half_volume_probe`).
 """
@@ -119,15 +120,16 @@ class StackSolve:
 
 def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
                   max_iterations: int = MAX_ITERATIONS) -> StackSolve:
-    """Damped Newton on stacked rows, each on its own steps.
+    """Damped Newton on stacked rows, each on its own line search.
 
     Row r is the polytope {x : N[r] x <= b[r]} with its polar fan fan[r]
     (facet indices) and D_T = D[r] (`polarity._polar_fan`), started at z[r],
-    where its facet slacks are s[r].  It steps until its residual is at most
-    `tol_sant`, or is non-converged at the iteration cap or a stalled line
-    search; trials evaluate only the polar volume.  A row whose start has a
-    slack at most tau[r] is not solved: it fails with a note, and never
-    raises, so one bad row cannot cost the others their solve.
+    where its facet slacks are s[r].  The rows step together; a row retires,
+    with the step count, once its residual is at most `tol_sant`, or
+    non-converged at the cap or a stalled line search.  Each trial measures
+    the polar whole, and a row that passes takes that measure as its iterate.
+    A row whose start has a slack at most tau[r] is not solved: it fails with a
+    note, and never raises, so one bad row cannot cost the others their solve.
     """
     R, d = z.shape
     interior = s.min(axis=1) > tau
@@ -152,53 +154,58 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
 
     corners = at(fan)
     y, vol, cen, second, res = measure(s)
-    iterations = np.zeros(len(z), dtype=int)
-    stalled = np.zeros(len(z), dtype=bool)
+    k, stalled = 0, np.zeros(len(z), dtype=bool)  # the working rows' common step count
     while True:
-        done = (res <= tol_sant) | (iterations == max_iterations) | stalled
+        done = (res <= tol_sant) | stalled | (k == max_iterations)
         if done.any():
             if out is None and done.all():  # every row at once: these arrays are the result
-                return StackSolve(z, y, vol, cen, second, res, iterations, res <= tol_sant, note)
+                return StackSolve(z, y, vol, cen, second, res, np.full(len(z), k),
+                                  res <= tol_sant, note)
             if out is None:
                 out = _unsolved(z, N.shape[1], note)
             rows = body[done]
             for name, a in (("point", z), ("y", y), ("polar_volume", vol), ("centroid", cen),
-                            ("second", second), ("residual", res), ("iterations", iterations)):
+                            ("second", second), ("residual", res)):
                 getattr(out, name)[rows] = a[done]
-            out.converged[rows] = res[done] <= tol_sant
+            out.iterations[rows], out.converged[rows] = k, res[done] <= tol_sant
             if done.all():
                 return out
             # only the rows that go on stay in the stack
-            N, b, tau, fan, D, incidence, body, iterations, z, s, y, vol, cen, second, res = (
-                a[~done] for a in (N, b, tau, fan, D, incidence, body, iterations,
+            N, b, tau, fan, D, incidence, body, stalled, z, s, y, vol, cen, second, res = (
+                a[~done] for a in (N, b, tau, fan, D, incidence, body, stalled,
                                    z, s, y, vol, cen, second, res))
             corners = at(fan)
-        iterations += 1
+        k += 1
         # Newton step -H^{-1} grad with grad = (d+1) f c, H = (d+1)(d+2) f M.
         step = np.linalg.solve(second, cen[..., None])[..., 0] / -(d + 2)
         slope = (d + 1) * vol * (cen * step).sum(axis=1)
-        # Armijo cannot see a decrease this small through f's rounding noise.
-        tiny = slope >= -1e-12 * vol
         # Cap the step so the iterate keeps facet slack >= 0.1 x current min.
         room = s - 0.1 * s.min(axis=1, keepdims=True)
         t = 1.0 / np.maximum(1.0, ((N @ step[..., None])[..., 0] / room).max(axis=1))
-        searching, armijo = np.ones(len(z), dtype=bool), 1e-4 * slope
+        searching, armijo = True, 1e-4 * slope  # a mask once some row fails a trial
         for _ in range(60):
             z_try = z + t[:, None] * step
             s_try = pol._slack(N, b, z_try)
             inside = searching & (s_try.min(axis=1) > tau)  # else halve
-            s_try = np.where(inside[:, None], s_try, s)
-            trial = pol._cones(s_try, corners, D).sum(axis=1)
-            ok = inside & (trial <= vol + t * armijo)  # Armijo
+            if not inside.all():
+                s_try = np.where(inside[:, None], s_try, s)
+            trial = measure(s_try)  # its volume is trial[1]; a row that passes takes it all
+            ok = inside & (trial[1] <= vol + t * armijo)  # Armijo
+            if ok.all():  # all pass at once, so none passed before: no masks
+                z, s, (y, vol, cen, second, res) = z_try, s_try, trial
+                break
+            if searching is True:  # tiny: a decrease Armijo cannot see through f's rounding
+                searching, tiny = np.ones(len(z), dtype=bool), slope >= -1e-12 * vol
             if tiny.any() and (late := inside & ~ok & tiny).any():
-                ok |= late & (measure(s_try)[-1] < res)  # it lowers the residual
-            z[ok], s[ok] = z_try[ok], s_try[ok]
+                ok |= late & (trial[-1] < res)  # it lowers the residual
+            for a, new in zip((z, s, y, vol, cen, second, res), (z_try, s_try, *trial)):
+                a[ok] = new[ok]
             searching &= ~ok
             if not searching.any():
                 break
             t[searching] *= 0.5
-        stalled = searching  # line search exhausted: the residual is the verdict
-        y, vol, cen, second, res = measure(s)  # stalled rows: as they were
+        else:  # line search exhausted: the residual is the verdict; stalled rows as they were
+            stalled, (y, vol, cen, second, res) = searching, measure(s)
 
 
 def _unsolved(z, n_facets: int, note: list) -> StackSolve:

@@ -246,6 +246,17 @@ class TestRejectedFlags:
         assert out == ""
         assert repr(known) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["shadow", "{system}", "--grid", "5", "--tol", "tau_conv=0"],
+        ["search", "--d", "2", "--k", "4", "--trials", "5", "--seed", "1",
+         "--tol", "campaign=0"],
+    ], ids=["tau-conv-zero", "campaign-zero"])
+    def test_zero_is_valid_for_the_other_tolerances(self, argv, system_file):
+        # only tol_sant must be strictly positive
+        rc, out = run_cli([a.format(system=system_file) for a in argv])
+        assert rc == 0
+        assert list(json.loads(out.splitlines()[-1])["config"]["tolerances"].values()) == [0.0]
+
     def test_tolerance_checked_before_the_input_is_read(self, tmp_path, capsys):
         # a flat body would exit 3, but the unknown --tol name is found first
         flat = tmp_path / "flat.json"
@@ -361,6 +372,7 @@ class TestMalformedInput:
         ["shadow", "{system}", "--grid", "5", "--out", "{csv}", "--tol", "tau_conv=nan"],
         ["santalo", "{square}", "--tol", "tol_sant=nan"],
         ["santalo", "{square}", "--tol", "tol_sant=-1e-3"],
+        ["santalo", "{square}", "--tol", "tol_sant=0"],
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
             "normal-bad-json", "normal-dict", "normal-3d", "center-nan", "normal-nan",
             "offset-nan", "offset-inf", "seed-negative", "trials-negative",
@@ -368,7 +380,7 @@ class TestMalformedInput:
             "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
             "s-nan", "t-nan", "t-inf", "s-minus-inf", "s-below-interval",
             "t-above-interval", "s-equal-t", "s-above-t", "tol-nan", "tol-inf",
-            "tau-conv-nan", "tol-sant-nan", "tol-sant-negative"])
+            "tau-conv-nan", "tol-sant-nan", "tol-sant-negative", "tol-sant-zero"])
     def test_bad_flags(self, argv, square_file, system_file, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         argv = [a.format(square=square_file, system=system_file, csv=csv) for a in argv]

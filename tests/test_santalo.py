@@ -127,9 +127,42 @@ class TestSantaloPoint:
     def test_iteration_cap_reports_nonconverged(self, rng):
         K = random_body(rng, 3)
         res = san.santalo_point(K, tol_sant=1e-15, max_iterations=3)
-        assert res.iterations >= 3
         if not res.converged:
+            assert res.iterations == 3
             assert math.isfinite(res.polar_volume)
+        else:
+            assert res.iterations <= 3
+
+    def test_one_measure_per_newton_step(self, rng, monkeypatch):
+        # a step's trial measures the whole polar and a passing trial is the
+        # next iterate, so a solve whose steps all pass at their first trial
+        # costs one `_cones` call per step plus one at the start
+        calls = []
+        cones = pol._cones
+        monkeypatch.setattr(pol, "_cones", lambda *a: calls.append(1) or cones(*a))
+        for d in (2, 3, 4):
+            calls.clear()
+            res = san.santalo_point(random_body(rng, d))
+            assert res.converged and res.iterations >= 3
+            assert len(calls) == res.iterations + 1
+
+    def test_stack_rows_retire_as_if_solved_alone(self, rng):
+        # pentagons (5 facets each, so no padding) that converge after three
+        # different step counts, stacked under a cap one below the largest:
+        # two rows retire converged at different steps, one at the cap
+        by_steps = {}
+        while len(by_steps) < 3:
+            K, _ = geo.convex_hull(rng.normal(size=(5, 2)))
+            if K.n_vertices == 5:
+                by_steps.setdefault(san.santalo_point(K).iterations, K)
+        cap = max(by_steps) - 1
+        stacked = san.santalo_points(list(by_steps.values()), max_iterations=cap)
+        assert [res.converged for res in stacked].count(False) == 1
+        for K, res in zip(by_steps.values(), stacked):
+            alone = san.santalo_point(K, max_iterations=cap)
+            assert (res.iterations, res.converged, res.centroid_residual) == (
+                alone.iterations, alone.converged, alone.centroid_residual)
+            assert res.polar_volume == pytest.approx(alone.polar_volume, rel=1e-12)
 
     def test_minimum_is_global_restart_agreement(self, rng):
         # objective is convex on the interior: cold and warm solves agree
