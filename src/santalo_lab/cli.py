@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=_number(int, 3), default=33)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
     sp = command(cmd_search, "randomized few-vertex campaign", "campaign", input_help=False)
-    sp.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
+    sp.add_argument("--d", type=int, choices=(2, 3, 4, 5), required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=_number(int, 1), default=1000)
     sp.add_argument("--seed", type=_number(int, 0), required=True,

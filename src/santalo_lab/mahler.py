@@ -6,6 +6,10 @@ comes with an explicit volume-preserving (or volume-affine) shadow system
 per case whose endpoint bodies are strictly simpler.  Sweeping the volume
 product along those moves and checking endpoint minimality turns the
 few-vertex lower bound into a falsifiable test battery.
+
+Sampling and classification share one pass over the d-subsets of a point
+set (`_subset_planes`), with no hull; only near-dependent subsets and a
+stored plane run an SVD.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .geometry import Hyperplane, VPolytope
 PARALLEL_T_MAX = 1e3  # far end of the parallel move, near its projective limit
 SAMPLE_TRIES, POLYGON_TRIES = 2000, 200  # draws before the samplers give up
 CAMPAIGN_TOL = 1e-6  # slack on either side of the campaigns' bounds
+# Subsets whose bound on s[-2] is below this share of the scale take an SVD:
+# above it, the cofactor normal's rounding stays far below TAU_GEOM.
+SVD_FLOOR = 1e-4
 POLYGON_NEAR, POLYGON_MAX_VERTICES = 1e-4, 12  # the 2D campaign's near band and sizes
 
 
@@ -60,64 +67,100 @@ class _Config:
     xi: tuple[float, float] = (0.0, 0.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _configuration(K: VPolytope) -> _Config:
-    """Coplanarity configuration of K's vertices, from all d-subsets at once.
+@functools.cache
+def _subset_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lexicographic d-subsets of range(n), the points outside each, minor columns."""
+    subsets = np.array(list(itertools.combinations(range(n), d))).reshape(-1, d)
+    outside = np.ones((len(subsets), n), dtype=bool)
+    np.put_along_axis(outside, subsets, False, axis=1)
+    return subsets, outside, np.array([[c for c in range(d) if c != j] for j in range(d)], int)
 
-    One stacked SVD of the centered d-subsets gives every candidate
-    hyperplane.  A subset whose second-smallest singular value is at most
-    1e-7 of its coordinate scale is affinely dependent: it counts no
-    vertices and voids the margin.  The plane with the most vertices within
-    TAU_GEOM (scaled) wins, the first in lexicographic subset order on a
-    tie.  A vertex at distance in (tau, 10 tau] of any independent plane,
-    or a skew apex-height gap in that band, voids the margin too.
 
-    Cached for the last body only: VPolytope hashes by identity and never
-    changes, so `classify` and `descent_move` on the body `random_polytope`
-    just returned reuse its margin check's pass.
+def _subset_planes(points: np.ndarray):
+    """(subsets, outside, unit normals, offsets, signed distances of every
+    point, independent) of the planes of all d-subsets, each through its
+    subset's mean; independent means s[-2] > 1e-7 max|subset|, s the
+    singular values of the centered subset M.  A normal is the cofactor
+    vector of the edges, of length sqrt(d) prod s[:-1], so s[-2] >= |n| /
+    (sqrt(d) ||M||_F^(d-2)), exactly in 2D; a subset with this bound at most
+    SVD_FLOOR of the points' scale takes its normal and test from an SVD.
     """
-    verts = K.vertices
+    n, d = points.shape
+    subsets, outside, columns = _subset_table(n, d)
+    P = points[subsets]  # (m, d, d)
+    centers = P.sum(axis=1) / d  # P.mean(axis=1), bit for bit
+    E = P[:, 1:] - P[:, :1]
+    normals = (E[:, 0, ::-1] * [1.0, -1.0] if d == 2 else
+               np.linalg.det(E[:, :, columns].swapaxes(1, 2)) * (-1.0) ** np.arange(d))
+    sq = np.einsum("ij,ij->i", normals, normals)
+    independent = np.ones(len(P), dtype=bool)
+    if d > 1:
+        M = P - centers[:, None]
+        frob_sq = np.einsum("ijk,ijk->i", M, M)
+        low = ~(sq > SVD_FLOOR ** 2 * d * np.max(np.abs(points)) ** 2 * frob_sq ** (d - 2))
+        if low.any():
+            _, s, vt = np.linalg.svd(M[low])
+            normals[low], sq[low] = vt[:, -1], 1.0
+            independent[low] = s[:, -2] > 1e-7 * np.abs(P[low]).max(axis=(1, 2))
+    normals /= np.sqrt(sq)[:, None]
+    offsets = np.einsum("ij,ij->i", normals, centers)
+    return subsets, outside, normals, offsets, normals @ points.T - offsets[:, None], independent
+
+
+_last_config = [(None, None)]  # the one slot: (body, its _Config), swapped whole
+
+
+def _configuration(K: VPolytope) -> _Config:
+    """Coplanarity configuration of K's vertices, read off `_subset_planes`.
+
+    A dependent subset counts no vertices and voids the margin.  The plane
+    with the most vertices within TAU_GEOM (scaled) wins, the first in
+    subset order on a tie.  A vertex at distance in (tau, 10 tau] of any
+    independent plane, or a skew apex-height gap in that band, voids the
+    margin too.  A stored plane, its coplanar set and apex heights come from
+    the winning subset's SVD.  Cached for the last body only (by identity).
+    """
+    body, config = _last_config[0]
+    if body is not K:
+        config = _config_of(K.vertices, geo.TAU_GEOM * K.scale())
+        _last_config[0] = K, config
+    return config
+
+
+def _config_of(verts: np.ndarray, tau_on: float, planes=None) -> _Config:
     n, d = verts.shape
     if n < d + 1:
         raise DegenerateInput("fewer than d+1 vertices")
     if n > d + 3:
         raise TooManyVertices(f"{n} vertices exceeds d+3 = {d + 3}")
-    tau_on = geo.TAU_GEOM * K.scale()
     if n == d + 1:
         return _Config(CaseLabel.SIMPLEX, margin_ok=True)
-
-    points = verts[list(itertools.combinations(range(n), d))]  # (m, d, d)
-    centers = points.mean(axis=1)
-    _, s, vt = np.linalg.svd(points - centers[:, None, :], full_matrices=True)
-    independent = s[:, -2] > 1e-7 * np.max(np.abs(points), axis=(1, 2))
-    normals = vt[:, -1]
-    dist = np.abs(normals @ verts.T - np.einsum("ij,ij->i", normals, centers)[:, None])
-    on = (dist <= tau_on) & independent[:, None]
-    counts = np.sum(on, axis=1)
+    subsets, _, _, _, dist, independent = planes or _subset_planes(verts)
+    dist = np.abs(dist)
+    counts = np.sum((dist <= tau_on) & independent[:, None], axis=1)
     best = int(np.argmax(counts))  # first subset with the most vertices
     best_count = int(counts[best])
     if best_count == 0:
         raise DegenerateInput("all defining subsets are affinely dependent")
     margin_ok = bool(np.all(independent)) and not np.any(
         (dist[independent] > tau_on) & (dist[independent] <= 10 * tau_on))
-    best_on = tuple(np.flatnonzero(on[best]))
-    off = tuple(i for i in range(n) if i not in best_on)
-    normal = normals[best]
-    offset = float(normal @ centers[best])
-
-    if n == d + 2:
-        if best_count >= d + 1:
-            return _Config(CaseLabel.PYRAMID_Ia, margin_ok, coplanar=best_on, off=off,
-                           hyperplane=Hyperplane(normal, offset))
+    if n == d + 2 and best_count < d + 1:
         return _Config(CaseLabel.SIMPLICIAL_Ib, margin_ok)
-
-    # n == d + 3
-    if best_count >= d + 2:
-        return _Config(CaseLabel.PYRAMID_IIa, margin_ok, coplanar=best_on, off=off,
-                       hyperplane=Hyperplane(normal, offset))
-    if best_count == d:
+    if n == d + 3 and best_count == d:
         return _Config(CaseLabel.SIMPLICIAL_IIc, margin_ok)
 
+    sub = verts[subsets[best]]
+    center = sub.mean(axis=0)
+    normal = np.linalg.svd(sub - center)[2][-1]
+    offset = float(normal @ center)
+    best_on = tuple(np.flatnonzero(np.abs(verts @ normal - offset) <= tau_on))
+    off = tuple(i for i in range(n) if i not in best_on)
+    if best_count >= n - 1:
+        label = CaseLabel.PYRAMID_Ia if n == d + 2 else CaseLabel.PYRAMID_IIa
+        return _Config(label, margin_ok, coplanar=best_on, off=off,
+                       hyperplane=Hyperplane(normal, offset))
+
+    # n == d + 3, d + 1 vertices on the plane
     heights = verts[list(off)] @ normal - offset
     if heights[0] * heights[1] < 0:
         # opposite sides: orient so xi_1 < 0 < xi_2
@@ -145,10 +188,10 @@ def _configuration(K: VPolytope) -> _Config:
 def classify(K: VPolytope) -> CaseLabel:
     """Vertex-configuration label for a polytope with at most d+3 vertices.
 
-    Reads `_configuration(K)`: one stacked SVD over all d-subsets, the first
-    subset with the most vertices on its plane winning a tie.  The config is
-    cached for the last body, so classifying a body that `random_polytope`
-    just returned costs no second pass.
+    Reads `_configuration(K)`: one `_subset_planes` pass over all d-subsets,
+    the first subset with the most vertices on its plane winning a tie.  The
+    config is cached for the last body, and `random_polytope` leaves its
+    body's there, so classifying a body it just returned runs no pass.
     """
     return _configuration(K).label
 
@@ -407,28 +450,31 @@ def _ball_points(rng, n: int, d: int) -> np.ndarray:
 
 
 def random_polytope(d: int, k: int, rng) -> VPolytope:
-    """k-vertex polytope from i.i.d. unit-ball points.
+    """k-vertex polytope from i.i.d. unit-ball points, vertices in draw order.
 
-    Rejection-sampled until all k points are vertices and the classification
-    margins are decisive (no near-coplanarity inside the ambiguous band).
-    The margin check leaves the body's config in `_configuration`'s cache.
+    One `_subset_planes` pass per draw, no hull; a draw is kept in general
+    position: every d-subset independent, no point within 10 TAU_GEOM
+    (scaled) of a plane of other points, and each point in a facet subset
+    (the rest strictly on one side), whose planes and simplices the body
+    takes.  So d+1 points on one plane (a pyramid) are rejected.  For
+    k <= d+3 the pass's config fills `_configuration`'s slot.
     """
+    if k <= d:
+        raise ValueError(f"a {d}-polytope needs more than {d} vertices, got k = {k}")
     for _ in range(SAMPLE_TRIES):
         pts = _ball_points(rng, k, d)
-        try:
-            P, _ = geo.convex_hull(pts)
-        except DegenerateInput:
+        planes = subsets, outside, normals, offsets, dist, independent = _subset_planes(pts)
+        ups = np.sum((dist > 0) & outside, axis=1)
+        facet = (ups == 0) | (ups == k - d)
+        tau = geo.TAU_GEOM * float(max(1e-30, np.max(np.abs(pts))))  # scaled as in _configuration
+        if (outside[facet].all(axis=0).any()  # a point in no facet subset
+                or not independent.all() or np.any(np.abs(dist[outside]) <= 10 * tau)):
             continue
-        if P.n_vertices != k:
-            continue
+        out = np.where(ups[facet] == 0, 1.0, -1.0)  # the outward sign
+        K = VPolytope(pts, (normals[facet] * out[:, None], offsets[facet] * out), subsets[facet])
         if k <= d + 3:
-            try:
-                cfg = _configuration(P)
-            except DegenerateInput:
-                continue
-            if not cfg.margin_ok:
-                continue
-        return P
+            _last_config[0] = K, _config_of(pts, tau, planes)
+        return K
     raise DegenerateInput(f"could not sample a clean {k}-vertex polytope in d={d}")
 
 
@@ -497,8 +543,8 @@ def few_vertex_campaign(d: int, k: int, trials: int, seed: int = 0,
                         tol: float = CAMPAIGN_TOL, progress=None) -> CampaignReport:
     """Campaign of `trials` clean k-vertex polytopes, labelled by `classify`,
     against simplex_bound(d); `_campaign` says what the report records."""
-    if d not in (2, 3, 4):
-        raise ValueError("campaigns cover d in {2, 3, 4}")
+    if d not in (2, 3, 4, 5):
+        raise ValueError("campaigns cover d in {2, 3, 4, 5}")
     if k <= d:
         raise ValueError(f"a {d}-polytope needs more than {d} vertices, got k = {k}")
     if k > d + 3:

@@ -187,6 +187,15 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             cli.main(["search", "--d", "2", "--k", "4", "--trials", "10"])
 
+    def test_runs_in_5d(self, capsys):
+        rc, out = run_cli(["search", "--d", "5", "--k", "8", "--trials", "5", "--seed", "1"])
+        assert rc == 0
+        final = json.loads(out.strip().splitlines()[-1])
+        assert (final["d"], final["k"], final["violations"]) == (5, 8, [])
+        with pytest.raises(SystemExit):
+            cli.main(["search", "--help"])
+        assert "{2,3,4,5}" in capsys.readouterr().out
+
 
 class TestSymmetrizeCommand:
     def test_volume_preserved(self, square_file):
@@ -350,8 +359,9 @@ class TestMalformedInput:
         ["search", "--d", "2", "--k", "4", "--trials", "-2", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "0", "--seed", "1"],
         ["search", "--d", "2", "--k", "4", "--trials", "many", "--seed", "1"],
-        ["search", "--d", "5", "--k", "7", "--seed", "1"],
+        ["search", "--d", "6", "--k", "9", "--seed", "1"],
         ["search", "--d", "0", "--k", "2", "--seed", "1"],
+        ["search", "--d", "5", "--k", "9", "--seed", "1"],
         ["search", "--d", "2", "--k", "6", "--seed", "1"],
         ["search", "--d", "4", "--k", "8", "--seed", "1"],
         ["search", "--d", "3", "--k", "3", "--seed", "1"],
@@ -376,8 +386,8 @@ class TestMalformedInput:
     ], ids=["center-bad-json", "center-dict", "center-3d", "center-scalar",
             "normal-bad-json", "normal-dict", "normal-3d", "center-nan", "normal-nan",
             "offset-nan", "offset-inf", "seed-negative", "trials-negative",
-            "trials-zero", "trials-word", "d-5", "d-0", "k-above-d+3-in-2d",
-            "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
+            "trials-zero", "trials-word", "d-6", "d-0", "k-above-d+3-in-5d",
+            "k-above-d+3-in-2d", "k-above-d+3-in-4d", "k-equal-d", "k-below-d", "grid-2",
             "s-nan", "t-nan", "t-inf", "s-minus-inf", "s-below-interval",
             "t-above-interval", "s-equal-t", "s-above-t", "tol-nan", "tol-inf",
             "tau-conv-nan", "tol-sant-nan", "tol-sant-negative", "tol-sant-zero"])

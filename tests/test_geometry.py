@@ -297,16 +297,19 @@ class TestLazyFacets:
             mismatch.normals
 
     def test_rejected_draws_build_no_rows(self, monkeypatch, qhull_calls):
-        # `random_polytope` reads no facets of the draws it rejects
-        deduped = []
-        dedupe_rows = geo._dedupe_rows
+        # `random_polytope` reads no facets of the draws it rejects, and
+        # samples with no hull at all
+        deduped, draws = [], []
+        dedupe_rows, ball_points = geo._dedupe_rows, mahler._ball_points
         monkeypatch.setattr(geo, "_dedupe_rows", lambda rows, tol: deduped.append(rows)
                             or dedupe_rows(rows, tol))
+        monkeypatch.setattr(mahler, "_ball_points", lambda *args: draws.append(args)
+                            or ball_points(*args))
         rng = np.random.default_rng(3)
         for d, k in ((2, 5), (3, 6), (4, 7)) * 4:
             mahler.random_polytope(d, k, rng)
-        assert len(qhull_calls) > 12  # some draws were rejected
-        assert deduped == []
+        assert len(draws) > 12  # some draws were rejected
+        assert deduped == [] and qhull_calls == []
 
 
 def compare_incidence(fan, n):

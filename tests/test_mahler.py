@@ -193,10 +193,14 @@ class TestClassify:
         with pytest.raises(TooManyVertices):
             mah.classify(P)
 
-    def test_stacked_pass_matches_loop_reference(self):
+    def test_stacked_pass_matches_loop_reference(self, monkeypatch):
         # bitwise-equal configs on clean and near-degenerate bodies
         rng = np.random.default_rng(314)
         seen = []
+        svd = np.linalg.svd
+        stacked = []  # the floor path: one stacked SVD of the near-dependent subsets
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            stacked.append(np.ndim(a) == 3) or svd(a, *args, **kwargs)))
         for d, k in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7), (5, 7), (5, 8)):
             for i in range(330):
                 try:
@@ -211,15 +215,18 @@ class TestClassify:
                     with pytest.raises(DegenerateInput, match=str(exc)):
                         mah._configuration(K)
                     continue
+                stacked.clear()
                 got = mah._configuration(K)
                 assert _config_bits(got) == _config_bits(ref), (d, k, i)
-                seen.append((got.label, got.margin_ok, i % 6))
+                seen.append((got.label, got.margin_ok, i % 6, any(stacked)))
         assert len(seen) >= 2000
+        # every body with a near-dependent pair took the SVD floor path
+        assert all(floor for _, _, j, floor in seen if j == 3)
         # the margin band, the dependent-subset branch and every few-vertex
         # label that random points reach are exercised
-        assert sum(not ok and j == 0 for _, ok, j in seen) >= 100
-        assert sum(not ok and j == 3 for _, ok, j in seen) >= 20
-        labels = {label for label, _, _ in seen}
+        assert sum(not ok and j == 0 for _, ok, j, _ in seen) >= 100
+        assert sum(not ok and j == 3 for _, ok, j, _ in seen) >= 20
+        labels = {label for label, _, _, _ in seen}
         assert labels >= {CaseLabel.SIMPLICIAL_Ib, CaseLabel.SIMPLICIAL_IIc,
                           CaseLabel.PYRAMID_Ia, CaseLabel.DOUBLE_PYR_IIb1,
                           CaseLabel.SKEW_IIb2}
@@ -287,62 +294,110 @@ class TestClassify:
                     assert label is CaseLabel.SIMPLEX
 
 
+def _recording(monkeypatch, module, name):
+    """The positional arguments of every call of module.name, in call order."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args)
+                        or fn(*args, **kwargs))
+    return calls
+
+
 class TestConfigurationCache:
-    @staticmethod
-    def _record_svd(monkeypatch):
-        """Copies of every stacked (m, d, d) array handed to np.linalg.svd."""
-        stacks = []
-        svd = np.linalg.svd
-
-        def recording(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                stacks.append(np.array(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
-        return stacks
-
     def test_one_pass_per_accepted_body(self, monkeypatch):
-        stacks = self._record_svd(monkeypatch)
-        accepted = []
-        random_polytope = mah.random_polytope
+        passes = _recording(monkeypatch, mah, "_subset_planes")
+        draws = _recording(monkeypatch, mah, "_ball_points")
+        classify, classified = mah.classify, []
 
-        def recording(*args, **kwargs):
-            accepted.append(random_polytope(*args, **kwargs))
-            return accepted[-1]
+        def recording(K):
+            before = len(passes)
+            label = classify(K)
+            classified.append((K, len(passes) - before))
+            return label
 
-        monkeypatch.setattr(mah, "random_polytope", recording)
+        monkeypatch.setattr(mah, "classify", recording)
         for d, k in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 7)):
             for seed in range(3):
-                stacks.clear()
-                accepted.clear()
+                for calls in (passes, draws, classified):
+                    calls.clear()
                 mah.few_vertex_campaign(d, k, 1, seed)
-                (K,) = accepted
-                points = K.vertices[list(itertools.combinations(range(k), d))]
-                own = points - points.mean(axis=1, keepdims=True)
-                # the margin check's pass is the body's only one: classify
-                # reads the cached config
-                assert sum(np.array_equal(a, own) for a in stacks) == 1
-                assert np.array_equal(stacks[-1], own)
+                # one pass per draw, the last one on the accepted body's
+                # points; classify reads the cached config and runs none
+                ((K, classify_passes),) = classified
+                assert len(passes) == len(draws) >= 1
+                assert np.array_equal(passes[-1][0], K.vertices)
+                assert classify_passes == 0
 
     def test_distinct_bodies_get_their_own_config(self, monkeypatch):
-        stacks = self._record_svd(monkeypatch)
+        passes = _recording(monkeypatch, mah, "_subset_planes")
         pyramid, _ = geo.convex_hull(np.vstack([QUAD_BASE, [0.2, 0.1, 1.5]]))
         double, _ = geo.convex_hull(np.vstack([QUAD_BASE,
                                                [0.2, 0.1, 1.3], [-0.1, 0.2, -1.1]]))
         twin = geo.VPolytope(pyramid.vertices.copy())  # equal points, new body
-        mah._configuration.cache_clear()
+        mah._last_config[0] = None, None
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
-        assert len(stacks) == 1
+        assert len(passes) == 1
         assert mah.classify(double) is CaseLabel.DOUBLE_PYR_IIb1
         assert mah.descent_move(double).label is CaseLabel.DOUBLE_PYR_IIb1
-        assert len(stacks) == 2
+        assert len(passes) == 2
         # only the last body is kept, and bodies are keyed by identity
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
         assert mah.classify(twin) is CaseLabel.PYRAMID_Ia
-        assert len(stacks) == 4
+        assert len(passes) == 4
         assert mah._configuration(twin) is not mah._configuration(pyramid)
+
+
+class TestSampler:
+    SHAPES = ((2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7), (5, 8))
+
+    @pytest.mark.parametrize("d, k", SHAPES)
+    def test_bodies_match_their_hull(self, d, k):
+        # vertices in draw order, the hull's facet rows and volume
+        rng = np.random.default_rng(100 + 10 * d + k)
+        for _ in range(200):
+            K = mah.random_polytope(d, k, rng)
+            H, idx = geo.convex_hull(K.vertices)
+            assert np.array_equal(np.sort(idx), np.arange(k))
+            assert K.n_facets == H.n_facets == len(K.facet_simplices)
+            rows, hull_rows = (np.column_stack([P.normals, P.offsets]) for P in (K, H))
+            gap = np.abs(rows[:, None] - hull_rows[None]).max(axis=2)
+            assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
+            assert geo.volume(K) == pytest.approx(geo.volume(H), rel=1e-13)
+
+    def test_coplanar_draw_is_rejected(self, monkeypatch):
+        # a square pyramid: four points on one plane; Qhull keeps all five
+        pyramid = np.vstack([0.5 * QUAD_BASE, [0.1, 0.1, 0.8]])
+        clean = mah._ball_points(np.random.default_rng(0), 5, 3)
+        assert geo.convex_hull(pyramid)[0].n_vertices == 5
+        draws = [pyramid, clean]
+        monkeypatch.setattr(mah, "_ball_points", lambda rng, n, d: draws.pop(0))
+        K = mah.random_polytope(3, 5, None)
+        assert draws == [] and np.array_equal(K.vertices, clean)
+        assert mah.classify(K) is CaseLabel.SIMPLICIAL_Ib
+
+    @pytest.mark.parametrize("d, k", [(3, 3), (2, 1), (1, 1), (4, 2)])
+    def test_too_few_points_raise_before_drawing(self, d, k, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew points")
+
+        monkeypatch.setattr(mah, "_ball_points", no_draw)
+        with pytest.raises(ValueError, match="more than"):
+            mah.random_polytope(d, k, np.random.default_rng(0))
+
+    def test_segment(self):
+        K = mah.random_polytope(1, 2, np.random.default_rng(0))
+        lo, hi = np.sort(K.vertices[:, 0])
+        assert (K.n_vertices, K.n_facets) == (2, 2)
+        assert geo.volume(K) == pytest.approx(hi - lo, rel=1e-15)
+        assert mah.classify(K) is CaseLabel.SIMPLEX
+
+    def test_clean_sampling_runs_no_svd(self, monkeypatch):
+        svd_calls = _recording(monkeypatch, np.linalg, "svd")
+        rng = np.random.default_rng(8)
+        for d, k in ((2, 5), (3, 6), (4, 7)) * 100:
+            mah.classify(mah.random_polytope(d, k, rng))
+        assert svd_calls == []
 
 
 class TestPyramidFactorization:
@@ -605,12 +660,18 @@ class TestCampaigns:
         assert not rep.violations
         assert rep.min_vp > 64 / 9
 
+    def test_5d_campaign(self):
+        rep = mah.few_vertex_campaign(5, 8, 200, seed=19)
+        assert not rep.violations and rep.excluded == 0
+        assert rep.min_vp > mah.simplex_bound(5)
+        assert rep.label_counts == {"SIMPLICIAL_IIc": 200}
+
     def test_2d_minimality_campaign(self):
         rep = mah.polygon_minimality_campaign(150, seed=17)
         assert not rep.violations
         assert rep.min_vp >= 6.75 - 1e-6
 
-    @pytest.mark.parametrize("d, k", [(3, 3), (2, 2), (4, 1), (1, 3), (5, 7)])
+    @pytest.mark.parametrize("d, k", [(3, 3), (2, 2), (4, 1), (1, 3), (6, 9)])
     def test_bad_shapes_raise_before_drawing(self, d, k, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew a polytope")

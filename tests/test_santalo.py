@@ -14,7 +14,7 @@ from santalo_lab import santalo as san
 from santalo_lab import serialize as ser
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
-from santalo_lab.errors import BracketFailure, OutsideProjection
+from santalo_lab.errors import BracketFailure, CenterNotInterior, OutsideProjection
 
 
 class TestSantaloPoint:
@@ -31,6 +31,25 @@ class TestSantaloPoint:
         assert res.converged
         assert res.point[0] == pytest.approx(1.85, rel=1e-12)
         assert res.polar_volume == pytest.approx(4 / 3.7, rel=1e-12)
+
+    # The solver's tolerances scale with the largest absolute coordinate,
+    # not with the body's size, so a far translate loses precision
+    # (1e7: 500 steps to residual 2.9e-6) and then its interior (1e10).
+    @pytest.mark.parametrize("offset", [
+        pytest.param(1e7, marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="stalls at residual 2.9e-6 after 500 steps")),
+        pytest.param(1e10, marks=pytest.mark.xfail(
+            raises=CenterNotInterior, strict=True,
+            reason="TAU_GEOM * scale exceeds every slack")),
+    ])
+    def test_translated_body(self, offset):
+        from santalo_lab import mahler as mah
+        K = mah.random_polytope(3, 6, np.random.default_rng(0))
+        shift = np.array([offset, 0.0, 0.0])
+        res = san.santalo_point(geo.apply_affine(K, np.eye(3), shift))
+        assert res.converged
+        assert np.abs(res.point - shift - san.santalo_point(K).point).max() <= 1e-6
 
     def test_simplex_vertex_centroid(self, rng):
         # the simplex's affine symmetry group fixes only the centroid
