@@ -9,8 +9,8 @@ Every orientation determinant det[1, x_i + speed_i * t * direction] is
 affine in t (Shephard, Israel J. Math. 2, 1964), so K_t keeps its boundary
 simplices over runs of parameters, its combinatorial cells.  A sweep
 stacks every row's points, certifies a cell's simplices on its rows a chunk
-at a time and reads their facets and volumes off those arrays; `polarity._fans`
-gives the cell's polar fans.  Qhull runs only where a cell or a fan starts.
+at a time and reads their facets, volumes and one polar fan (`polarity._fans`)
+off those arrays.  Qhull runs only where a cell starts.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     once (`_cell`); the cell ends at the first row where they fail, which
     opens the next.  A body that fails on its own simplices is solved as
     Qhull built it.  A cell's rows are read off its arrays, with no polytope
-    per row, their polar fans off `polarity._fans`, and one
-    `santalo.santalo_stack` call solves every row from its vertex mean.
+    per row, with one polar fan pulled from its simplices (`polarity._fans`),
+    and one `santalo.santalo_stack` call solves every row from its vertex mean.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -197,14 +197,15 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     while i < len(grid):
         try:
             K, idx = _body(system, grid[i])
-            ok, *cell = _cell(pts[i:], idx[K.facet_simplices])
+            tri = idx[K.facet_simplices]
+            ok, *cell = _cell(pts[i:], tri)
             # the row after a body failing its own simplices may still carry them
             first = int(not ok[0])
             n = first + int(np.argmin(np.append(ok[first:], False)))
             c, N, b, s, tau, volume = (a[first:n] for a in cell)
-            new = ([(*san._body_stack(K), np.array([geo.volume(K)]))] if first else []
-                   ) + [(N[at], b[at], np.broadcast_to(fan, (len(D), *fan.shape)), D,
-                         tau[at], c[at], s[at], volume[at]) for at, fan, D in pol._fans(N, s)]
+            new = [(*san._body_stack(K), np.array([geo.volume(K)]))] if first else []
+            if n > first:
+                new.append((N, b, *pol._fans(N, tri), tau, c, s, volume))
         except DegenerateInput as exc:
             rows[i] = failed(grid[i], exc)
             i += 1

@@ -73,13 +73,16 @@ class TestConvexHull:
 
     @pytest.mark.parametrize("level", [0.3, 0.5])
     def test_merged_facets_in_5d(self, level):
-        # The fan edges' crossings with a level of a 6-d polar: a 5-d point
-        # set whose facets hold many coplanar points.  Qhull merges them and
-        # its triangulation overlaps, so the hull rebuilds it facet by facet.
+        # The crossings of a 6-d polar's Qhull fan edges (the fan taken at
+        # K's vertex mean) with a level: a 5-d point set whose facets hold
+        # many coplanar points.  Qhull merges them and its triangulation
+        # overlaps, so the hull rebuilds it facet by facet.
         K = mahler.random_polytope(6, 9, np.random.default_rng(0))
         P = pol.polar(K, 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]).polar
         rel = P.vertices[:, 3] - level * P.vertices[:, 3].max()
-        a, b = P.facet_simplices[:, geo._EDGES[6]].reshape(-1, 2).T
+        fan = pol._hull_fan(K.normals / pol._slack(K.normals, K.offsets,
+                                                   K.vertices.mean(axis=0))[:, None])
+        a, b = fan[:, geo._EDGES[6]].reshape(-1, 2).T
         a, b = a[rel[a] * rel[b] < 0], b[rel[a] * rel[b] < 0]
         w = (rel[a] / (rel[a] - rel[b]))[:, None]
         cut = np.delete(P.vertices[a] + w * (P.vertices[b] - P.vertices[a]), 3, axis=1)

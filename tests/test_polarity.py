@@ -14,6 +14,7 @@ from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab import verify as ver
 from santalo_lab.errors import CenterNotInterior, GeometryInconsistent
+from santalo_lab.geometry import Hyperplane
 
 
 class TestPolar:
@@ -163,10 +164,21 @@ class TestProducts:
             assert np.array_equal(pol._product(terms), terms.prod(axis=-1))
 
 
+def cube():
+    return geo.convex_hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])[0]
+
+
+def incidence(K):
+    """K's (m, n) facet-by-vertex incidence, as `polarity._polar_fan` reads it."""
+    return np.abs(K.offsets[:, None] - K.normals @ K.vertices.T) <= geo.TAU_GEOM * K.scale()
+
+
+FAN_BODY_IDS = ["cube", "octahedron", "hexagon", "4-simplex", "random-3-6", "segment",
+                "5-cross", "random-6-16"]
+
+
 class TestPolarFan:
-    @pytest.mark.parametrize("K", fan_bodies(),
-                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
-                                  "segment", "5-cross", "random-6-16"])
+    @pytest.mark.parametrize("K", fan_bodies(), ids=FAN_BODY_IDS)
     def test_cached_fan_matches_fresh_qhull(self, K):
         # the closed form D_T / prod slack over the fan cached at the
         # vertex mean, at centers off it and then close to a vertex
@@ -189,27 +201,52 @@ class TestPolarFan:
             pol.polar(T, z).polar_volume, rel=1e-12)
 
     def test_one_qhull_per_body(self, qhull_calls, rng):
-        # both modules count: a lazy re-hull of the polar in geometry too
-        K, fresh = random_body(rng, 3), random_body(rng, 3)
-        qhull_calls.clear()
-        z = K.vertices.mean(axis=0)
-        pol.polar(K, z)
-        assert len(qhull_calls) == 1
-        pol.polar(K, 0.8 * z + 0.2 * K.vertices[0])
-        assert len(qhull_calls) == 1
-        qhull_calls.clear()
-        san.santalo_point(fresh)
-        assert len(qhull_calls) == 1
+        # both modules count: a lazy re-hull of the polar in geometry too.
+        # A simplicial body's fan is pulled from its incidence, with no
+        # Qhull; a cube's facets are squares, and its fan takes one Qhull
+        for K, fresh, runs in ((random_body(rng, 3), random_body(rng, 3), 0),
+                               (cube(), cube(), 1)):
+            qhull_calls.clear()
+            z = K.vertices.mean(axis=0)
+            pol.polar(K, z)
+            assert len(qhull_calls) == runs
+            pol.polar(K, 0.8 * z + 0.2 * K.vertices[0])
+            assert len(qhull_calls) == runs
+            qhull_calls.clear()
+            san.santalo_point(fresh)
+            assert len(qhull_calls) == runs
+
+    def test_only_non_simplicial_bodies_run_qhull(self, qhull_calls, rng):
+        # of `fan_bodies`, only the cube has a facet with more than d
+        # vertices; a Steiner system's inner rows are not simplicial
+        for name, K in zip(FAN_BODY_IDS, fan_bodies()):
+            qhull_calls.clear()
+            pol.polar(K, K.vertices.mean(axis=0))
+            assert len(qhull_calls) == (name == "cube")
+        system = sh.steiner_system(random_body(rng, 3), Hyperplane([0.2, -0.3, 1.0], 0.1))
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            K = sh.body_at(system, t)
+            qhull_calls.clear()
+            z = K.vertices.mean(axis=0) + 0.5 * (K.vertices[0] - K.vertices.mean(axis=0))
+            pb = pol.polar(K, z)
+            assert len(qhull_calls) == (abs(t) < 1)
+            vol, cen, second = qhull_polar_moments(K, z)
+            scale = pb.polar.scale()
+            assert pb.polar_volume == pytest.approx(vol, rel=1e-12)
+            assert np.abs(pb.polar_centroid - cen).max() <= 1e-12 * scale
+            assert np.abs(pb.polar_second_moment - second).max() <= 1e-12 * scale ** 2
 
     def test_one_slack_per_polar(self, slack_centers, rng):
         # every center's facet slacks are computed once, on fresh bodies too:
-        # the fan's Qhull at the vertex mean reuses the caller's slacks there
+        # a cube's fan, Qhull's at the vertex mean, reuses the caller's slacks
+        # there, and a simplicial body's pulled fan needs none
         centers = slack_centers
-        K = random_body(rng, 3)
-        z = K.vertices.mean(axis=0)
-        pol.polar(K, z)
-        pol.polar(K, 0.9 * z + 0.1 * K.vertices[0])
-        assert len(centers) == 2
+        for K in (random_body(rng, 3), cube()):
+            centers.clear()
+            z = K.vertices.mean(axis=0)
+            pol.polar(K, z)
+            pol.polar(K, 0.9 * z + 0.1 * K.vertices[0])
+            assert len(centers) == 2
         centers.clear()
         # a stacked solve: trials and accepted points share their slacks
         results = san.santalo_points([random_body(rng, 3) for _ in range(3)])
@@ -236,6 +273,48 @@ class TestPolarFan:
         prof = ver.polar_slice_profile(pb, axis=2)
         assert len(qhull_calls) == 0
         assert prof.ys[-1] == pytest.approx(4.0, rel=1e-12)
+
+
+# (d, k, bodies): 200 seeded `random_polytope` bodies at each (d, k), and
+# hulls of k normal points where k is negative.
+PULLED_SHAPES = [(2, 5, 200), (3, 6, 200), (4, 7, 200), (5, 8, 200),
+                 (3, -10, 50), (4, -10, 50), (6, -10, 10)]
+
+
+class TestPulledFan:
+    @pytest.mark.parametrize("d, k, count", PULLED_SHAPES,
+                             ids=[f"{d}-{k}" if k > 0 else f"hull-{d}-{-k}"
+                                  for d, k, _ in PULLED_SHAPES])
+    def test_pulled_fans_match_fresh_qhull(self, d, k, count):
+        # the pulled fan of each simplicial body: distinct facets in every
+        # simplex, no more simplices than Qhull's fan, and the moments of
+        # fresh Qhull runs at three centers
+        rng = np.random.default_rng(100 * d - k)
+        for i in range(count):
+            K = (mahler.random_polytope(d, k, rng) if k > 0 else
+                 geo.convex_hull(rng.normal(size=(-k, d)))[0])
+            fan, _ = pol._polar_fan(K)
+            assert np.array_equal(fan, pol._pulled_fan(incidence(K)))
+            assert (np.diff(np.sort(fan, axis=1), axis=1) > 0).all()
+            mean = K.vertices.mean(axis=0)
+            y = K.normals / pol._slack(K.normals, K.offsets, mean)[:, None]
+            assert len(fan) <= len(pol._hull_fan(y))
+            for lam in (0.0, 0.5, 0.9):
+                z = mean + lam * (K.vertices[i % K.n_vertices] - mean)
+                pb = pol.polar(K, z)
+                vol, cen, second = qhull_polar_moments(K, z)
+                scale = pb.polar.scale()
+                assert pb.polar_volume == pytest.approx(vol, rel=1e-12)
+                assert np.abs(pb.polar_centroid - cen).max() <= 1e-12 * scale
+                assert np.abs(pb.polar_second_moment - second).max() <= 1e-12 * scale ** 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_ridge_in_one_facet_raises(self, d):
+        # without one facet row, the ridges of that facet lie in one facet
+        inc = incidence(mahler.random_polytope(d, d + 3, np.random.default_rng(d)))
+        assert len(pol._pulled_fan(inc)) > 0
+        with pytest.raises(GeometryInconsistent):
+            pol._pulled_fan(inc[1:])
 
 
 class TestVolumeProduct:
@@ -309,9 +388,7 @@ class TestHalfVolumes:
                 assert len(passes) == calls
                 assert hv.b_plus > 0 and hv.b_minus > 0
 
-    @pytest.mark.parametrize("K", fan_bodies(),
-                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
-                                  "segment", "5-cross", "random-6-16"])
+    @pytest.mark.parametrize("K", fan_bodies(), ids=FAN_BODY_IDS)
     def test_cached_plan_matches_fresh_body(self, K):
         # the split plan cached at the vertex mean serves a second center bit
         # for bit, as a fresh body and a per-call sort by height give there;
@@ -329,9 +406,7 @@ class TestHalfVolumes:
             assert (cached.b_plus, cached.b_minus) == (fresh.b_plus, fresh.b_minus)
             assert (cached.b_plus, cached.b_minus) == sorted_half_volumes(K, z, axis)
 
-    @pytest.mark.parametrize("K", fan_bodies(),
-                             ids=["cube", "octahedron", "hexagon", "4-simplex", "random-3-6",
-                                  "segment", "5-cross", "random-6-16"])
+    @pytest.mark.parametrize("K", fan_bodies(), ids=FAN_BODY_IDS)
     def test_probe_matches_one_call_formula(self, K):
         # one probe per (center, axis), moved along its chord, gives the
         # one-call formula's (B_+, B_-) bit for bit at every height

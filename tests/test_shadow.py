@@ -333,28 +333,16 @@ def cells(monkeypatch):
 
 
 def _row_by_row_qhulls(system, grid):
-    """Qhull runs of a sweep that tries each row on the last row's simplices
-    and fan: a body where they do not carry (unless cached), then a fan where
-    the body's own simplices do not carry either (its solve's) or where the
-    last fan's det signs do not hold."""
-    runs, tri, signs = 0, None, None
+    """Qhull runs of a sweep that tries each row on the last row's
+    simplices: a body's hull where they do not carry, unless it is cached.
+    Every body here is simplicial, so no polar fan runs one."""
+    runs, tri = 0, None
     for t in grid:
         pts = system.points_at(t)[None]
         if tri is None or not sh._certified(pts, tri)[0][0]:
             runs += t not in system._bodies
             K, idx = sh._body(system, t)
-            tri, signs = idx[K.facet_simplices], None
-            if not sh._certified(pts, tri)[0][0]:
-                runs += 1
-                continue
-        _, _, N, _, s, _, _ = sh._certified(pts, tri)
-        if signs is not None:
-            dets = np.linalg.det(N[0, fan])
-            if pol._same_signs(np.stack([signs, dets]))[1]:
-                continue
-        runs += 1
-        fan = pol._hull_fan(N[0] / s[0][:, None])
-        signs = np.sign(np.linalg.det(N[0, fan]))
+            tri = idx[K.facet_simplices]
     return runs
 
 
@@ -482,49 +470,40 @@ class TestCarriedCells:
         assert sh._certified(pts, tri)[0][0]
         assert not sh._certified(pts, np.vstack([tri, tri[:1]]))[0][0]
 
-    def test_fan_certificate_lets_only_flat_simplices_flip(self, rng, qhull_calls):
-        # Qhull's triangulated 4D fans hold zero-volume simplices whose det
-        # sign is rounding noise: flipping those keeps the fan, flipping the
-        # largest one makes Qhull build a new fan
-        while True:
+    def test_one_fan_serves_every_certified_row(self, rng):
+        # a 4D cell's fan, pulled once from its simplices, measures the polar
+        # on each row it certified as a fresh body's polar does
+        n_rows = 0
+        for _ in range(5):
             system = _system_with(4, 7, rng)
-            lo, hi = system.interval
-            K, idx = sh._body(system, lo)
-            pts = np.stack([system.points_at(t) for t in (lo, lo + (hi - lo) / 32)])
-            ok, c, N, b, s, tau, volume = sh._certified(pts, idx[K.facet_simplices])
-            if not ok.all():
-                continue
-            fan = pol._hull_fan(N[0] / s[0][:, None])
-            dets = np.linalg.det(N[1, fan])
-            flat = (np.abs(dets) <= 1e-14 * np.abs(dets).sum()) & (dets != 0)
-            if flat.any():
-                break
-        signs = np.sign(dets)
-        signs[flat] *= -1
-        assert pol._same_signs(np.stack([signs, dets]))[1]
-        signs = np.sign(dets)
-        signs[np.argmax(np.abs(dets))] *= -1
-        assert not pol._same_signs(np.stack([signs, dets]))[1]
-        # a run keeps its fan on the rows whose signs hold: one Qhull
-        qhull_calls.clear()
-        ((rows, fan, D),) = pol._fans(N, s)
-        assert len(qhull_calls) == 1 and rows == slice(0, 2)
-        fresh, _ = geo.convex_hull(pts[1])
-        assert pol._cones(s[1:], fan[None], D[1:]).sum() == pytest.approx(
-            pol.polar(fresh, c[1]).polar_volume, rel=1e-12)
-        # negating a corner of the largest cone flips the cones on it: a new fan
-        broken = N.copy()
-        broken[1, fan[np.argmax(np.abs(dets))][0]] *= -1
-        qhull_calls.clear()
-        assert len(pol._fans(broken, s)) == 2
-        assert len(qhull_calls) == 2
+            grid = np.linspace(*system.interval, 33)
+            i = 0
+            while i < len(grid):
+                K, idx = sh._body(system, grid[i])
+                tri = idx[K.facet_simplices]
+                ok, c, N, b, s, tau, volume = sh._cell(system.points_at(grid[i:]), tri)
+                n = max(1, int(np.argmin(np.append(ok, False))))
+                fans, D = pol._fans(N[:n], tri)
+                for r in np.flatnonzero(ok[:n]):
+                    y = N[r] / s[r][:, None]
+                    vol, cen, second = geo._fan_moments(
+                        y[None], pol._cones(s[r][None], fans[r][None], D[r][None]),
+                        geo._incidence(fans[r][None], len(y)))
+                    pb = pol.polar(geo.convex_hull(system.points_at(grid[i + r]))[0], c[r])
+                    scale = pb.polar.scale()
+                    assert vol[0] == pytest.approx(pb.polar_volume, rel=1e-12)
+                    assert np.abs(cen[0] - pb.polar_centroid).max() <= 1e-12 * scale
+                    assert np.abs(second[0] - pb.polar_second_moment).max() <= 1e-12 * scale ** 2
+                    n_rows += 1
+                i += n
+        assert n_rows > 3 * 33
 
-    def test_affine_family_runs_one_qhull(self, rng, qhull_calls):
+    def test_affine_family_runs_no_qhull(self, rng, qhull_calls):
         K = random_body(rng, 3)
         fam = sh.affine_family(K, v=0.3, V=[0.1, -0.2], u=0.05, interval=(-1.0, 1.0))
         qhull_calls.clear()
         rows = sh.sweep(fam, np.linspace(-1.0, 1.0, 17))
-        assert len(qhull_calls) == 1  # the first row's polar fan
+        assert len(qhull_calls) == 0  # the first row's body is cached, its fan pulled
         assert all(r.converged for r in rows)
 
     def test_facet_flip_falls_back(self, cells, solved):
