@@ -110,8 +110,10 @@ class VPolytope:
     trusts its input (finite, with `facets` a raw (normals, offsets) pair:
     the fast path for affine images, polars, ...).  Facet rows (`_facet_rows`,
     from that pair or one hull), a facet triangulation, the coordinate
-    scale, the polar fan with its determinants and split plans (see
-    `polarity`) are computed lazily and cached; `vertices` never changes.
+    scale, the vertex-mean fan (`_mean_fan`), the polar fan with its
+    determinants and split plans (see `polarity`) are computed lazily and
+    cached; `vertices` never changes.  A maker with unit, distinct rows sets
+    `_rows` itself (`mahler.random_polytope`), and nothing is deduped.
     """
 
     def __init__(self, vertices, facets=None, simplices=None):
@@ -143,6 +145,7 @@ class VPolytope:
             self._hull()
         return _facet_rows(*self._facets)
 
+    _mean_cones = functools.cached_property(lambda self: _mean_fan(self))
     normals = property(lambda self: self._rows[:, :-1])
     offsets = property(lambda self: self._rows[:, -1])
 
@@ -247,31 +250,20 @@ def convex_hull(points) -> tuple[VPolytope, np.ndarray]:
 
 def volume(P: VPolytope) -> float:
     """d-volume by fanning the facet triangulation from the vertex mean."""
-    return float(_mean_fan(P)[1].sum()) / math.factorial(P.dim)
+    return float(P._mean_cones[1].sum()) / math.factorial(P.dim)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
-    """Exact centroid via the same triangulation as `volume`."""
-    return moments(P)[1]
-
-
-def moments(P: VPolytope) -> tuple[float, np.ndarray, np.ndarray]:
-    """(volume, centroid, second moment) in one vectorized fan pass.
-
-    The second moment is the normalized inertia about the origin,
-    int_P x x^T dx / |P|; every moment is exact for a polytope.
-    """
-    apex, dets = _mean_fan(P)
-    vol, cen, second = _fan_moments((P.vertices - apex)[None], dets[None],
-                                    _incidence(P.facet_simplices[None], P.n_vertices))
-    c, shift = cen[0], np.outer(apex, cen[0])
-    return (float(vol[0]) / math.factorial(P.dim), apex + c,
-            second[0] + shift + shift.T + np.outer(apex, apex))
+    """Exact centroid on the fan of `volume`: its cones' centroids
+    apex + sum_{v in T} (v - apex) / (d+1), weighted by their |det|."""
+    apex, dets = P._mean_cones
+    sums = P.vertices[P.facet_simplices].sum(axis=1) - P.dim * apex
+    return apex + dets @ sums / ((P.dim + 1) * dets.sum())
 
 
 def _mean_fan(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(apex, dets): the vertex mean and |det| of the cone from it over each
-    boundary simplex (d! x its volume)."""
+    boundary simplex (d! x its volume); read cached as `P._mean_cones`."""
     apex = P.vertices.mean(axis=0)
     dets = np.abs(np.linalg.det(P.vertices[P.facet_simplices] - apex))
     if dets.sum() <= 0.0:

@@ -456,8 +456,10 @@ def random_polytope(d: int, k: int, rng) -> VPolytope:
     position: every d-subset independent, no point within 10 TAU_GEOM
     (scaled) of a plane of other points, and each point in a facet subset
     (the rest strictly on one side), whose planes and simplices the body
-    takes.  So d+1 points on one plane (a pyramid) are rejected.  For
-    k <= d+3 the pass's config fills `_configuration`'s slot.
+    takes.  So d+1 points on one plane (a pyramid) are rejected, and no two
+    facets share a plane: the body keeps the unit rows as they are, in
+    subset order, with no dedupe.  For k <= d+3 the pass's config fills
+    `_configuration`'s slot.
     """
     if k <= d:
         raise ValueError(f"a {d}-polytope needs more than {d} vertices, got k = {k}")
@@ -471,7 +473,8 @@ def random_polytope(d: int, k: int, rng) -> VPolytope:
                 or not independent.all() or np.any(np.abs(dist[outside]) <= 10 * tau)):
             continue
         out = np.where(ups[facet] == 0, 1.0, -1.0)  # the outward sign
-        K = VPolytope(pts, (normals[facet] * out[:, None], offsets[facet] * out), subsets[facet])
+        K = VPolytope(pts, None, subsets[facet])
+        K._rows = np.column_stack([normals[facet], offsets[facet]]) * out[:, None]
         if k <= d + 3:
             _last_config[0] = K, _config_of(pts, tau, planes)
         return K
@@ -501,7 +504,9 @@ def _unit_ball_volume(d: int) -> float:
 
 
 def _vp_with_condition(K: VPolytope) -> tuple[float, float]:
-    res = san.santalo_point(K)
+    """(vp, polar condition) of K, solved from its centroid: nearer S(K)
+    than the vertex mean, and on the one fan pass that `geo.volume` reads."""
+    res = san.santalo_point(K, start=geo.centroid(K))
     pb = res.polar
     R = float(np.max(np.linalg.norm(pb.polar.vertices - pb.polar_centroid, axis=1)))
     ball = _unit_ball_volume(K.dim) * R ** K.dim

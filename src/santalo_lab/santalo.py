@@ -4,8 +4,9 @@ The Santalo point S(K) is the unique interior minimizer of z -> |K^{*z}|;
 it is characterized by the polar's centroid sitting at the polarity origin.
 The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
 (d+1)(d+2) int_{K^{*z}} y y^T dy, both moments of the polar.  The solver is
-damped Newton from the vertex mean, with Armijo backtracking and a step cap
-that keeps the iterate well inside the body, where the objective is finite.
+damped Newton from the vertex mean or a given start (a campaign trial starts
+at the centroid), with Armijo backtracking and a step cap that keeps the
+iterate well inside the body, where the objective is finite.
 Newton steps are affine-invariant, so no preconditioning is needed.  The
 trial a step takes is measured whole and is the next iterate.  `santalo_stack`
 runs it on stacked arrays of facets, fans and starts, the rows on one step

@@ -51,6 +51,19 @@ def eager_facets(normals, offsets):
     return rows[:, :-1], rows[:, -1]
 
 
+def moments(P):
+    """(volume, centroid, second moment about the origin) of P in one
+    vectorized pass over the fan of `geometry.volume`: the second moment is
+    int_P x x^T dx / |P|, and every moment is exact for a polytope.  The
+    reference for the lean `geometry.centroid`."""
+    apex, dets = geo._mean_fan(P)
+    vol, cen, second = geo._fan_moments((P.vertices - apex)[None], dets[None],
+                                        geo._incidence(P.facet_simplices[None], P.n_vertices))
+    c, shift = cen[0], np.outer(apex, cen[0])
+    return (float(vol[0]) / math.factorial(P.dim), apex + c,
+            second[0] + shift + shift.T + np.outer(apex, apex))
+
+
 def hform_section(P, axis, level):
     """Reference section: vertex enumeration of P's sliced H-form."""
     keep = [i for i in range(P.dim) if i != axis]

@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import rational_oracle as oracle
-from conftest import (chord, eager_facets, fan_bodies, hform_section, random_body, set_equal,
-                      vertices_match)
+from conftest import (chord, eager_facets, fan_bodies, hform_section, moments, random_body,
+                      set_equal, vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
@@ -153,7 +153,7 @@ class TestVolume:
     def test_bitwise_equal_to_moments(self, d, rng):
         for _ in range(5):
             P = random_body(rng, d, extra=d + 2)
-            assert geo.volume(P) == geo.moments(P)[0]
+            assert geo.volume(P) == moments(P)[0]
 
     def test_vertex_order_irrelevant(self, rng):
         P = random_body(rng, 3)
@@ -215,11 +215,25 @@ class TestCentroid:
         assert np.allclose(geo.centroid(Q), A @ geo.centroid(P) + b, atol=1e-9)
 
 
+    def test_matches_moments_centroid(self):
+        # the lean formula gives the centroid of the one-pass moments, on
+        # hulls, sampled bodies (rows in subset order) and a trusted list
+        # whose first vertex is redundant
+        rng = np.random.default_rng(31)
+        bodies = [random_body(rng, d, extra) for d in range(2, 7) for extra in (1, 4, 9)
+                  for _ in range(4)]
+        bodies += [mahler.random_polytope(d, d + 3, rng) for d in range(2, 6) for _ in range(10)]
+        bodies.append(geo.VPolytope([[0.2, 0.2], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        for P in bodies:
+            want = moments(P)[1]
+            assert np.abs(geo.centroid(P) - want).max() <= 1e-12
+
+
 class TestMoments:
     def test_cube(self):
         C, _ = geo.convex_hull([[x, y, z] for x in (-1.0, 1.0)
                                 for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
-        vol, c, M = geo.moments(C)
+        vol, c, M = moments(C)
         assert vol == pytest.approx(8.0, rel=1e-12)
         assert np.allclose(c, 0.0, atol=1e-12)
         assert np.allclose(M, np.eye(3) / 3, atol=1e-12)
@@ -235,7 +249,7 @@ class TestMoments:
             total += vol
             first += vol * w.sum(axis=0) / 4
             second += vol / 20 * (w.T @ w + np.outer(w.sum(axis=0), w.sum(axis=0)))
-        vol, c, M = geo.moments(P)
+        vol, c, M = moments(P)
         assert vol == pytest.approx(total, rel=1e-12)
         assert np.allclose(c, first / total, rtol=0, atol=1e-12)
         assert np.allclose(M, second / total, rtol=0, atol=1e-12)
@@ -301,18 +315,29 @@ class TestLazyFacets:
 
     def test_rejected_draws_build_no_rows(self, monkeypatch, qhull_calls):
         # `random_polytope` reads no facets of the draws it rejects, and
-        # samples with no hull at all
-        deduped, draws = [], []
-        dedupe_rows, ball_points = geo._dedupe_rows, mahler._ball_points
+        # samples with no hull at all; the bodies it accepts keep their
+        # subset planes as rows, so reading them normalizes and dedupes
+        # nothing.  Those rows are unit, and the set `_facet_rows` makes of them
+        deduped, normalized, draws = [], [], []
+        dedupe_rows, facet_rows, ball_points = geo._dedupe_rows, geo._facet_rows, mahler._ball_points
         monkeypatch.setattr(geo, "_dedupe_rows", lambda rows, tol: deduped.append(rows)
                             or dedupe_rows(rows, tol))
+        monkeypatch.setattr(geo, "_facet_rows", lambda *pair: normalized.append(pair)
+                            or facet_rows(*pair))
         monkeypatch.setattr(mahler, "_ball_points", lambda *args: draws.append(args)
                             or ball_points(*args))
         rng = np.random.default_rng(3)
-        for d, k in ((2, 5), (3, 6), (4, 7)) * 4:
-            mahler.random_polytope(d, k, rng)
-        assert len(draws) > 12  # some draws were rejected
-        assert deduped == [] and qhull_calls == []
+        bodies = [mahler.random_polytope(d, k, rng)
+                  for d, k in ((2, 5), (3, 6), (4, 7), (5, 8)) * 4]
+        assert len(draws) > 16  # some draws were rejected
+        rows = [np.column_stack([K.normals, K.offsets]) for K in bodies]
+        assert deduped == normalized == [] and qhull_calls == []
+        for K, mine in zip(bodies, rows):
+            assert np.abs(np.linalg.norm(K.normals, axis=1) - 1).max() <= 1e-15
+            want = facet_rows(K.normals, K.offsets)
+            gap = np.abs(mine[:, None] - want[None]).max(axis=2)
+            assert len(mine) == len(want) == len(K.facet_simplices)
+            assert gap.min(axis=1).max() <= 1e-15 and gap.min(axis=0).max() <= 1e-15
 
 
 def compare_incidence(fan, n):

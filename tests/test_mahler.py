@@ -8,6 +8,7 @@ from conftest import random_body
 from santalo_lab import geometry as geo
 from santalo_lab import mahler as mah
 from santalo_lab import polarity as pol
+from santalo_lab import santalo as san
 from santalo_lab import shadow as sh
 from santalo_lab.errors import DegenerateAt, DegenerateInput, TooManyVertices
 from santalo_lab.mahler import CaseLabel
@@ -665,6 +666,39 @@ class TestCampaigns:
         assert not rep.violations and rep.excluded == 0
         assert rep.min_vp > mah.simplex_bound(5)
         assert rep.label_counts == {"SIMPLICIAL_IIc": 200}
+
+    def test_one_trial_runs_no_qhull_and_one_fan_pass(self, monkeypatch, qhull_calls):
+        # the trial's volume and Newton start share one pass over the cones
+        # from the vertex mean, each read through its module attribute (as a
+        # tracer sees it), and neither the body nor its polars run a hull
+        passes = _recording(monkeypatch, geo, "_mean_fan")
+        spans = [_recording(monkeypatch, geo, "volume"), _recording(monkeypatch, geo, "centroid"),
+                 _recording(monkeypatch, san, "santalo_point")]
+        for d, k in ((2, 5), (3, 6), (4, 7), (5, 8)):
+            for seed in range(3):
+                for calls in (passes, *spans):
+                    calls.clear()
+                mah.few_vertex_campaign(d, k, 1, seed)
+                assert len(passes) == 1 and [len(calls) for calls in spans] == [1, 1, 1]
+                ((K,),) = spans[0]
+                assert passes == [(K,)] and spans[1] == [(K,)]
+        assert qhull_calls == []
+
+    @pytest.mark.parametrize("d, k", [(2, 5), (3, 6), (4, 7), (5, 8)])
+    def test_centroid_start_saves_newton_steps(self, d, k):
+        # a trial solves from the centroid: on 200 bodies its vp is the one
+        # the vertex-mean start finds, to 1e-12, in fewer steps on average
+        rng = np.random.default_rng(70 + d)
+        bodies = [mah.random_polytope(d, k, rng) for _ in range(200)]
+        mean = san.santalo_points(bodies)
+        centroid = san.santalo_points(bodies, [geo.centroid(K) for K in bodies])
+        assert all(res.converged for res in mean + centroid)
+        for K, a, b in zip(bodies, mean, centroid):
+            vp = mah._vp_with_condition(K)[0]
+            assert vp == pytest.approx(geo.volume(K) * a.polar_volume, rel=1e-12)
+            assert vp == pytest.approx(geo.volume(K) * b.polar_volume, rel=1e-12)
+        steps = [np.mean([res.iterations for res in run]) for run in (centroid, mean)]
+        assert steps[0] < steps[1]
 
     def test_2d_minimality_campaign(self):
         rep = mah.polygon_minimality_campaign(150, seed=17)

@@ -393,8 +393,8 @@ class TestHalfVolumes:
         # the split plan cached at the vertex mean serves a second center bit
         # for bit, as a fresh body and a per-call sort by height give there;
         # the cube's axis-parallel facets give zero heights.  The fresh body
-        # builds K's rows from K's own Qhull rows: unit rows normalized again
-        # may move a last bit
+        # takes K's rows as they are: rows normalized or sorted again (a
+        # sampled body's keep their subset order) may move a last bit
         mean = K.vertices.mean(axis=0)
         z = mean + 0.4 * (K.vertices[-1] - mean)
         for axis in range(K.dim):
@@ -402,7 +402,9 @@ class TestHalfVolumes:
             plan = K._split_plans[axis]
             cached = pol.half_volumes(K, z, axis=axis)
             assert K._split_plans[axis] is plan
-            fresh = pol.half_volumes(geo.VPolytope(K.vertices, K._facets), z, axis=axis)
+            body = geo.VPolytope(K.vertices)
+            body._rows = K._rows
+            fresh = pol.half_volumes(body, z, axis=axis)
             assert (cached.b_plus, cached.b_minus) == (fresh.b_plus, fresh.b_minus)
             assert (cached.b_plus, cached.b_minus) == sorted_half_volumes(K, z, axis)
 

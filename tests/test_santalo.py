@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chord, one_call_log_ratio, random_body
+from conftest import chord, moments, one_call_log_ratio, random_body
 from santalo_lab import geometry as geo
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
@@ -124,10 +124,10 @@ class TestSantaloPoint:
             z = 0.7 * K.vertices.mean(axis=0) + 0.3 * K.vertices[0]
 
             def grad(x):
-                f, c, _ = geo.moments(pol.polar(K, x).polar)
+                f, c, _ = moments(pol.polar(K, x).polar)
                 return (d + 1) * f * c
 
-            f, _, M = geo.moments(pol.polar(K, z).polar)
+            f, _, M = moments(pol.polar(K, z).polar)
             hess = (d + 1) * (d + 2) * f * M
             h = 1e-5 * K.scale()
             fd_grad = np.empty(d)
