@@ -7,6 +7,9 @@ Double precision throughout; the exact 2D oracle lives in the test tree.
 
 Cuts by a coordinate hyperplane share one primitive, the staircase table
 `_staircase`, which `sections` and `polarity.half_volumes` both read.
+Boundary fans share one rule, the pulling triangulation `pulled` of a
+facet-vertex incidence: every polar fan, and a hull's where Qhull merged
+facets.
 
 Supported dimensions: 1 <= d <= 6 (hull enumeration is delegated to Qhull,
 which is reliable at desk scale in this range).
@@ -195,42 +198,78 @@ def _hull_of(points: np.ndarray):
     return hull.vertices, (hull.equations[:, :-1], -hull.equations[:, -1]), hull_simplices(hull)
 
 
-def hull_simplices(hull: ConvexHull, min_dim: int = 5) -> np.ndarray:
-    """Qhull's boundary triangulation, checked against Qhull's own volume.
-
-    From d = 5 on, Qhull merges coplanar facets exactly ('Qx'), and its
-    triangulation of a merged facet can overlap itself.  When the fan of the
-    simplices misses `hull.volume` by more than 1e-12 relative, each facet is
-    triangulated again: the cone from one of its vertices over the boundary
-    triangulation of its own (d-1)-dimensional hull, checked the same way.
-    """
-    pts = hull.points
-    d = pts.shape[1]
-    if d < min_dim or _fan_matches(hull, hull.simplices):
+def hull_simplices(hull: ConvexHull) -> np.ndarray:
+    """Qhull's boundary triangulation, or, where Qhull merged a facet (its
+    simplices are neighbours with one equation) and its triangulation can
+    overlap itself, the one `pulled` from the distinct facet planes."""
+    eq = hull.equations
+    if not (eq[hull.neighbors] == eq[:, None]).all(axis=2).any():
         return hull.simplices
-    verts = hull.vertices
-    tol = 1e-12 * float(np.max(np.abs(pts)))
-    facets = {frozenset(verts[np.abs(pts[verts] @ eq[:-1] + eq[-1]) <= tol])
-              for eq in hull.equations}
-    pieces = []
-    for facet in facets:
-        idx = np.array(sorted(facet))
-        _, _, vt = np.linalg.svd(pts[idx[1:]] - pts[idx[0]])
-        sub = ConvexHull((pts[idx] - pts[idx[0]]) @ vt[:d - 1].T)
-        ridges = idx[hull_simplices(sub, min_dim=3)]
-        ridges = ridges[np.all(ridges != idx[0], axis=1)]
-        pieces.append(np.column_stack([np.full(len(ridges), idx[0]), ridges]))
-    simplices = np.vstack(pieces)
-    if not _fan_matches(hull, simplices):
-        raise GeometryInconsistent("boundary triangulation misses the hull volume")
-    return simplices
+    planes, verts = np.unique(eq, axis=0), hull.vertices
+    tol = 1e-12 * float(np.max(np.abs(hull.points)))
+    inc = np.abs(planes[:, :-1] @ hull.points[verts].T + planes[:, -1:]) <= tol
+    return verts[pulled(inc, hull.points.shape[1])]
 
 
-def _fan_matches(hull: ConvexHull, simplices: np.ndarray) -> bool:
-    pts = hull.points
-    apex = pts[hull.vertices].mean(axis=0)
-    fan = np.abs(np.linalg.det(pts[simplices] - apex)).sum() / math.factorial(pts.shape[1])
-    return abs(fan - hull.volume) <= 1e-12 * hull.volume
+def pulled(inc: np.ndarray, d: int) -> np.ndarray:
+    """(f, d) vertex indices of the pulling triangulation of a d-polytope's
+    boundary, read off its (facets, vertices) incidence alone.
+
+    Pulling (De Loera, Rambau and Santos, Triangulations) cones each face
+    from its first vertex over its facets that avoid it, so a chain of faces
+    F_0 > ... > F_{d-2}, each a facet of the last avoiding its first vertex,
+    gives the simplex (the first vertices of F_0..F_{d-3}, the edge F_{d-2}).
+    A face's facets are its largest meets with the polytope's facets.  If
+    each vertex is in d facets (a simple polytope), each nonempty meet is
+    one.  Else rows and columns inside others (a point on an edge) go first,
+    a simplex face is its own triangulation (its simplices come first), and
+    the result must be closed.  An incidence that is no polytope's raises
+    GeometryInconsistent.
+    """
+    simple = (inc.sum(axis=0) == d).all()
+    if not simple:  # keep the rows and columns in no other: true facets and vertices
+        rows, cols = (np.flatnonzero(_maximal(np.ones((1, a.shape[1]), bool), a,
+                                              a.sum(axis=1)[None].astype(float))[0])
+                      for a in (inc, inc.T))
+        inc = inc[rows][:, cols]
+    faces = inc[inc.any(axis=1)]
+    firsts = np.empty((len(faces), d - 2), dtype=int)  # the first vertices of F_0, F_1, ...
+    done = []  # simplex faces, as their own simplices
+    for j in range(d - 2):  # faces of dimension d - 1 - j
+        if not simple:
+            tip = faces.sum(axis=1) == d - j
+            done.append(np.column_stack([firsts[tip, :j],
+                                         np.nonzero(faces[tip])[1].reshape(-1, d - j)]))
+            faces, firsts = faces[~tip], firsts[~tip]
+        first = faces.argmax(axis=1)
+        meet = (faces.astype(float) @ inc.T) * ~inc.T[first]  # |F & G| for G avoiding first
+        if not simple:
+            meet[meet < d - 1 - j] = 0  # a facet of F has at least dim F vertices
+            meet = _maximal(faces, inc, meet)
+        chain, w = np.nonzero(meet)
+        faces, firsts = faces[chain] & inc[w], firsts[chain]
+        firsts[:, j] = first[chain]
+    if (faces.sum(axis=1) != 2).any():
+        raise GeometryInconsistent("an edge of the polytope has other than two vertices")
+    fan = np.vstack([*done, np.column_stack([firsts, np.nonzero(faces)[1].reshape(-1, 2)])])
+    if not simple:  # each ridge of the triangulation in two of its simplices
+        ridges = np.sort(fan[:, np.nonzero(~np.eye(d, dtype=bool))[1]].reshape(-1, d - 1), axis=1)
+        if (np.unique(ridges @ len(cols) ** np.arange(d - 1), return_counts=True)[1] != 2).any():
+            raise GeometryInconsistent("the pulled triangulation is not closed")
+        fan = cols[fan]
+    return fan
+
+
+def _maximal(faces: np.ndarray, inc: np.ndarray, meet: np.ndarray) -> np.ndarray:
+    """meet (faces, rows of inc) with each nonzero kept only where the meet
+    faces[i] & inc[u] of its meet[i, u] points lies in no larger meet of
+    face i, nor in an equal one of a lower row u."""
+    face, u = np.nonzero(meet)
+    inside = (faces[face] & inc[u]).astype(float) @ inc.T == meet[face, u][:, None]
+    key = meet[face] * (len(inc) + 1) - np.arange(len(inc))  # larger, then lower row, first
+    beaten = (inside & (key > key[np.arange(len(u)), u][:, None])).any(axis=1)
+    meet[face[beaten], u[beaten]] = 0
+    return meet
 
 
 def convex_hull(points) -> tuple[VPolytope, np.ndarray]:

@@ -5,8 +5,8 @@ The polar of K about an interior point z is
 so for a polytope its vertices are n_F / (b_F - <n_F, z>), one per facet
 <n_F, x> <= b_F of K.  As z moves inside K these polars are projective
 images of each other, so one boundary triangulation serves every center,
-cached on K: pulled from K's facet-vertex incidence if K is simplicial
-(`_pulled_fan`), else one Qhull run.  With it K caches D_T = |det N_T| / d!
+cached on K: pulled from K's transposed facet-vertex incidence
+(`geometry.pulled`), with no hull.  With it K caches D_T = |det N_T| / d!
 per simplex T, and a polar is closed-form: the cone from the center over T
 has volume D_T / prod_{F in T} slack_F(z).  A sweep cell's rows share one
 pulled fan (`_fans`).  A polar carries its facets, one per vertex of K, in
@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull  # unused here: perfbench spans polarity.ConvexHull by name
 
 from . import geometry as geo
-from .errors import CenterNotInterior, DegenerateInput, GeometryInconsistent
+from .errors import CenterNotInterior, DegenerateInput
 from .geometry import VPolytope
 
 # Relative zero of polar heights and half-volumes: times the largest of the kind.
@@ -80,68 +80,27 @@ def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
     return z, slack
 
 
-def _polar_fan(K: VPolytope, z=None, slack=None) -> tuple[np.ndarray, np.ndarray]:
+def _polar_fan(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     """(m, d) facet indices of K triangulating the boundary of every polar,
     and D_T = |det N_T| / d! for each of these simplices T; cached on K.
 
-    Polar vertex F is y_F = n_F / slack_F(z).  When each facet of K holds d
-    vertices, the fan is pulled from that incidence (`_pulled_fan`).  Else
-    one Qhull of the y_F at the vertex mean z0 serves every center, as
-    y -> y / (1 + <y, z0 - z>) takes K^{*z0} onto K^{*z}; a caller with K's
-    slacks at a center z passes both, and at z0 they are not computed again.
+    Polar vertex F is y_F = n_F / slack_F(z), and the polar's facet for a
+    vertex v of K holds the y_F of the facets F through v, so the fan is
+    pulled (`geometry.pulled`) from K's transposed facet-vertex incidence.
     """
     if K._fan is None:
-        if K.dim == 1:  # each facet is its own simplex
-            fan = np.array([[0], [1]])
-        elif ((inc := np.abs(K.offsets[:, None] - K.normals @ K.vertices.T)
-               <= geo.TAU_GEOM * K.scale()).sum(axis=1) == K.dim).all():
-            fan = _pulled_fan(inc)
-        else:
-            z0 = K.vertices.mean(axis=0)
-            if slack is None or not np.array_equal(z, z0):
-                slack = _slack(K.normals, K.offsets, z0)
-            fan = _hull_fan(K.normals / slack[:, None])
+        fan = np.array([[0], [1]]) if K.dim == 1 else geo.pulled(  # 1D: each facet its own simplex
+            (np.abs(K.offsets[:, None] - K.normals @ K.vertices.T)
+             <= geo.TAU_GEOM * K.scale()).T, K.dim)
         K._fan = fan, np.abs(np.linalg.det(K.normals[fan])) / math.factorial(K.dim)
     return K._fan
-
-
-def _pulled_fan(inc: np.ndarray) -> np.ndarray:
-    """(f, d) facet indices of the pulling triangulation of the polar's
-    boundary, from the (m, n) facet-by-vertex incidence of a simplicial K.
-
-    The polar's face for a vertex set G of K holds the facets through G.
-    Pulling (De Loera, Rambau and Santos, Triangulations) cones each face
-    from its first facet F*(G) over its faces that avoid F*(G), so each
-    chain {v} = G_1 < ... < G_{d-1} (a ridge), adding a w of a facet through
-    G_j outside F*(G_j), gives the simplex (F*(G_1), ..., F*(G_{d-2}), the
-    two facets through G_{d-1}).  That needs the face lattice alone, so no
-    sign is checked.  A ridge in other than two facets raises GeometryInconsistent.
-    """
-    through = inc.T[inc.any(axis=0)]  # the facets through G_j; a point in none starts no chain
-    pulled = np.empty((len(through), inc[0].sum() - 2), dtype=int)  # F*(G_1), F*(G_2), ...
-    for j in range(pulled.shape[1]):
-        first = through.argmax(axis=1)
-        chain, w = np.nonzero((through @ inc) & ~inc[first])
-        through, pulled = through[chain] & inc.T[w], pulled[chain]
-        pulled[:, j] = first[chain]
-    if (through.sum(axis=1) != 2).any():
-        raise GeometryInconsistent("a ridge of the body is not in exactly two facets")
-    return np.column_stack([pulled, np.nonzero(through)[1].reshape(-1, 2)])
-
-
-def _hull_fan(y: np.ndarray) -> np.ndarray:
-    """Qhull's boundary triangulation of the polar vertices y, as indices."""
-    try:
-        return geo.hull_simplices(ConvexHull(y))
-    except QhullError as exc:  # cannot happen for valid K, defensive
-        raise DegenerateInput(f"polar hull failed: {exc}") from exc
 
 
 def _fans(N: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(fan (R, f, d), D_T (R, f)) of a sweep cell's R rows, with unit normals
     N (R, m, d) and facet j the simplex tri[j] on each: one fan pulled from
-    the simplices (`_pulled_fan`), and D_T off each row's own normals."""
-    fan = _pulled_fan((tri[..., None] == np.unique(tri)).any(axis=1))
+    the simplices (`geometry.pulled`), and D_T off each row's own normals."""
+    fan = geo.pulled((tri[..., None] == np.unique(tri)).any(axis=1).T, N.shape[2])
     return (np.broadcast_to(fan, (len(N), *fan.shape)),
             np.abs(np.linalg.det(N[:, fan])) / math.factorial(N.shape[2]))
 
@@ -165,7 +124,7 @@ def _product(a: np.ndarray) -> np.ndarray:
 def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z, slack = _check_interior(K, z)
-    fan, dets = _polar_fan(K, z, slack)
+    fan, dets = _polar_fan(K)
     y = K.normals / slack[:, None]
     volume, centroid, second = geo._fan_moments(
         y[None], _cones(slack[None], fan[None], dets[None]), geo._incidence(fan[None], len(y)))

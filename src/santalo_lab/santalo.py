@@ -87,7 +87,7 @@ def _body_stack(K: VPolytope, start=None) -> tuple:
     s = pol._slack(N, b, z)
     if start is not None and s.min() <= tau[0]:  # too close to the boundary
         z, s = mean, pol._slack(N, b, mean)
-    fan, D = (pol._polar_fan(K, z[0], s[0]) if s.min() > tau[0] else
+    fan, D = (pol._polar_fan(K) if s.min() > tau[0] else
               (np.zeros((1, K.dim), dtype=int), np.zeros(1)))
     return N, b, fan[None], D[None], tau, z, s
 

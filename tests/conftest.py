@@ -91,6 +91,30 @@ def chord(P, X, axis=-1):
     return geo._vertical_extent(P, X, axis)
 
 
+# An 8-vertex 5D body with 15 facets, one of 6 vertices; Qhull merges facets
+# of its hull and of its polar's.  It is the sweep row at t = 46.48 (grid
+# point 14 of 17) of the skew descent move of the upper descent endpoint of
+# the 17th `mahler.random_polytope(5, 8, default_rng(1))` body.
+MERGED_5D = [
+    [-0.35838238976098635, -0.6353198273576411, 0.3146879817493106,
+     0.33171794997955295, -0.14758459019365652],
+    [25.419297111321754, -8.415402383493834, 5.856424217427727,
+     -16.952314173950597, 36.474129741507525],
+    [-0.09374966233942243, -0.7527208443929748, -0.094062400996985,
+     0.5194052242458341, -0.10520814177913658],
+    [25.50357110111367, -8.442880254698627, 5.876909124675451,
+     -17.007500054265257, 36.59510571285583],
+    [-0.044398494110940344, 0.7244044489783011, -0.5584476737266248,
+     -0.12136250874083676, 0.016566749430137855],
+    [0.39583359060899903, 0.5140951417172162, -0.20095678270001133,
+     -0.34147469885764326, -0.5160945526409714],
+    [0.1520336492411158, -0.01604355357242796, -0.0822829627579105,
+     -0.011967111915222792, -0.3077789592464695],
+    [-0.6829394354824684, 0.3397344449580536, 0.13224644297308932,
+     0.037701851016241114, -0.40503825684729833],
+]
+
+
 def fan_bodies():
     ang = 2 * math.pi * np.arange(6) / 6
     cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
@@ -113,7 +137,7 @@ def one_call_half_volumes(K, z, axis):
     heights = K.normals[:, axis] / slack
     if min(heights.max(), -heights.min()) <= pol.TAU_VOL * np.abs(heights).max():
         raise DegenerateInput("polar does not straddle the split hyperplane")
-    fan, dets = pol._polar_fan(K, z, slack)
+    fan, dets = pol._polar_fan(K)
     cones = pol._cones(slack[None], fan[None], dets[None])[0]
     whole, groups = pol._split_plan(K, fan, axis)
     share = whole.copy()

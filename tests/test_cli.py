@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import santalo_lab.cli as cli
+from conftest import MERGED_5D
 from santalo_lab import mahler as mah
 from santalo_lab import serialize as ser
 from santalo_lab import shadow as sh
@@ -116,6 +117,20 @@ class TestSantaloCommand:
         rc2, out2 = run_cli(["santalo", pentagon_file])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+class TestVpCommand:
+    def test_body_with_merged_hull_facets_in_5d(self, tmp_path):
+        # Qhull's fan of this body's polar misses the polar's volume; the pulled one does not
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"dim": 5, "vertices": MERGED_5D}) + "\n")
+        rc1, out1 = run_cli(["vp", str(path)])
+        rc2, out2 = run_cli(["vp", str(path)])
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+        rep = json.loads(out1)
+        assert rep["n_vertices"] == 8
+        assert rep["volume_product"] == pytest.approx(3.778038388457461, rel=1e-12)
 
 
 class TestShadowCommand:

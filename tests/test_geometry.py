@@ -73,21 +73,23 @@ class TestConvexHull:
 
     @pytest.mark.parametrize("level", [0.3, 0.5])
     def test_merged_facets_in_5d(self, level):
-        # The crossings of a 6-d polar's Qhull fan edges (the fan taken at
-        # K's vertex mean) with a level: a 5-d point set whose facets hold
-        # many coplanar points.  Qhull merges them and its triangulation
-        # overlaps, so the hull rebuilds it facet by facet.
+        # The crossings of a 6-d polar's Qhull fan edges (Qhull's hull of its
+        # vertices at K's vertex mean) with a level: a 5-d point set whose
+        # facets hold many coplanar points.  Qhull merges them and its
+        # triangulation overlaps, so the hull pulls its own from the facets.
         K = mahler.random_polytope(6, 9, np.random.default_rng(0))
         P = pol.polar(K, 0.75 * K.vertices.mean(axis=0) + 0.25 * K.vertices[0]).polar
         rel = P.vertices[:, 3] - level * P.vertices[:, 3].max()
-        fan = pol._hull_fan(K.normals / pol._slack(K.normals, K.offsets,
-                                                   K.vertices.mean(axis=0))[:, None])
+        fan = ConvexHull(K.normals / pol._slack(K.normals, K.offsets,
+                                                K.vertices.mean(axis=0))[:, None]).simplices
         a, b = fan[:, geo._EDGES[6]].reshape(-1, 2).T
         a, b = a[rel[a] * rel[b] < 0], b[rel[a] * rel[b] < 0]
         w = (rel[a] / (rel[a] - rel[b]))[:, None]
         cut = np.delete(P.vertices[a] + w * (P.vertices[b] - P.vertices[a]), 3, axis=1)
         hull = ConvexHull(cut)
-        assert not geo._fan_matches(hull, hull.simplices)
+        apex = cut[hull.vertices].mean(axis=0)
+        qhull_fan = np.abs(np.linalg.det(cut[hull.simplices] - apex)).sum() / math.factorial(5)
+        assert abs(qhull_fan - hull.volume) > 1e-12 * hull.volume
         assert geo.volume(geo.convex_hull(cut)[0]) == pytest.approx(hull.volume, rel=1e-12)
 
     def test_roundtrip_h_to_v(self, rng):

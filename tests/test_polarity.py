@@ -1,11 +1,13 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection
 
 import rational_oracle as oracle
-from conftest import (fan_bodies, hform_section, one_call_half_volumes, random_body,
+from conftest import (MERGED_5D, fan_bodies, hform_section, one_call_half_volumes, random_body,
                       set_equal, simplex, vertices_match)
 from santalo_lab import geometry as geo
 from santalo_lab import mahler
@@ -71,16 +73,15 @@ class TestPolar:
         return pol.polar(K, c + 0.99 * (K.vertices[0] - c))
 
     def test_bipolar_near_the_boundary_in_6d(self, qhull_calls):
-        # the polar's 184 vertices defeat Qhull's triangulation at 0.99, but
-        # its facets are known, one per vertex of K: only the fan of the
-        # bipolar runs Qhull, on 16 points
+        # the polar's 184 vertices come with its facets, one per vertex of K,
+        # so the bipolar's fan is pulled from their incidence: no Qhull runs
         pb = self._near_boundary_6d()
         K = pb.base
         assert pb.polar.n_vertices == 184
         qhull_calls.clear()
         inner = pol.polar(pb.polar, np.zeros(6))
         back = geo.apply_affine(inner.polar, np.eye(6), pb.center)
-        assert [len(pts) for pts, in qhull_calls] == [16]
+        assert qhull_calls == []
         assert vertices_match(back, K.vertices, tol=1e-12)
 
     def test_polar_facets_near_the_boundary_in_6d(self, qhull_calls):
@@ -96,10 +97,11 @@ class TestPolar:
         # the Santalo solve's polar carries them too
         assert san.santalo_point(pb.base).polar.polar.n_facets == 16 and qhull_calls == []
 
-    @pytest.mark.xfail(raises=GeometryInconsistent, strict=True,
-                       reason="Qhull's triangulation of this 6-d polar misses its volume")
     def test_hull_of_polar_vertices_near_the_boundary_in_6d(self):
-        geo.convex_hull(self._near_boundary_6d().polar.vertices)
+        # Qhull merges facets of this hull, and its own fan misses the volume
+        pb = self._near_boundary_6d()
+        assert geo.volume(geo.convex_hull(pb.polar.vertices)[0]) == pytest.approx(
+            pb.polar_volume, rel=1e-12)
 
     def test_inclusion_reversal(self, rng):
         # K subset L about a shared center implies L^* subset K^*
@@ -169,7 +171,7 @@ def cube():
 
 
 def incidence(K):
-    """K's (m, n) facet-by-vertex incidence, as `polarity._polar_fan` reads it."""
+    """K's (m, n) facet-by-vertex incidence; `polarity._polar_fan` pulls from its transpose."""
     return np.abs(K.offsets[:, None] - K.normals @ K.vertices.T) <= geo.TAU_GEOM * K.scale()
 
 
@@ -200,36 +202,32 @@ class TestPolarFan:
         assert pol.polar(K, z).polar_volume == pytest.approx(
             pol.polar(T, z).polar_volume, rel=1e-12)
 
-    def test_one_qhull_per_body(self, qhull_calls, rng):
+    def test_polars_and_solves_run_no_qhull(self, qhull_calls, rng):
         # both modules count: a lazy re-hull of the polar in geometry too.
-        # A simplicial body's fan is pulled from its incidence, with no
-        # Qhull; a cube's facets are squares, and its fan takes one Qhull
-        for K, fresh, runs in ((random_body(rng, 3), random_body(rng, 3), 0),
-                               (cube(), cube(), 1)):
+        # A simplicial body's fan is pulled from its incidence, and so is a
+        # cube's, whose facets are squares
+        for K, fresh in ((random_body(rng, 3), random_body(rng, 3)), (cube(), cube())):
             qhull_calls.clear()
             z = K.vertices.mean(axis=0)
             pol.polar(K, z)
-            assert len(qhull_calls) == runs
             pol.polar(K, 0.8 * z + 0.2 * K.vertices[0])
-            assert len(qhull_calls) == runs
-            qhull_calls.clear()
             san.santalo_point(fresh)
-            assert len(qhull_calls) == runs
+            assert qhull_calls == []
 
-    def test_only_non_simplicial_bodies_run_qhull(self, qhull_calls, rng):
-        # of `fan_bodies`, only the cube has a facet with more than d
-        # vertices; a Steiner system's inner rows are not simplicial
-        for name, K in zip(FAN_BODY_IDS, fan_bodies()):
+    def test_non_simplicial_polars_run_no_qhull(self, qhull_calls, rng):
+        # of `fan_bodies`, the cube has a facet with more than d vertices;
+        # a Steiner system's inner rows are not simplicial
+        for K in fan_bodies():
             qhull_calls.clear()
             pol.polar(K, K.vertices.mean(axis=0))
-            assert len(qhull_calls) == (name == "cube")
+            assert qhull_calls == []
         system = sh.steiner_system(random_body(rng, 3), Hyperplane([0.2, -0.3, 1.0], 0.1))
         for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
             K = sh.body_at(system, t)
             qhull_calls.clear()
             z = K.vertices.mean(axis=0) + 0.5 * (K.vertices[0] - K.vertices.mean(axis=0))
             pb = pol.polar(K, z)
-            assert len(qhull_calls) == (abs(t) < 1)
+            assert qhull_calls == []
             vol, cen, second = qhull_polar_moments(K, z)
             scale = pb.polar.scale()
             assert pb.polar_volume == pytest.approx(vol, rel=1e-12)
@@ -238,8 +236,7 @@ class TestPolarFan:
 
     def test_one_slack_per_polar(self, slack_centers, rng):
         # every center's facet slacks are computed once, on fresh bodies too:
-        # a cube's fan, Qhull's at the vertex mean, reuses the caller's slacks
-        # there, and a simplicial body's pulled fan needs none
+        # a pulled fan needs none
         centers = slack_centers
         for K in (random_body(rng, 3), cube()):
             centers.clear()
@@ -294,11 +291,11 @@ class TestPulledFan:
             K = (mahler.random_polytope(d, k, rng) if k > 0 else
                  geo.convex_hull(rng.normal(size=(-k, d)))[0])
             fan, _ = pol._polar_fan(K)
-            assert np.array_equal(fan, pol._pulled_fan(incidence(K)))
+            assert np.array_equal(fan, geo.pulled(incidence(K).T, d))
             assert (np.diff(np.sort(fan, axis=1), axis=1) > 0).all()
             mean = K.vertices.mean(axis=0)
             y = K.normals / pol._slack(K.normals, K.offsets, mean)[:, None]
-            assert len(fan) <= len(pol._hull_fan(y))
+            assert len(fan) <= len(ConvexHull(y).simplices)
             for lam in (0.0, 0.5, 0.9):
                 z = mean + lam * (K.vertices[i % K.n_vertices] - mean)
                 pb = pol.polar(K, z)
@@ -312,9 +309,90 @@ class TestPulledFan:
     def test_ridge_in_one_facet_raises(self, d):
         # without one facet row, the ridges of that facet lie in one facet
         inc = incidence(mahler.random_polytope(d, d + 3, np.random.default_rng(d)))
-        assert len(pol._pulled_fan(inc)) > 0
+        assert len(geo.pulled(inc.T, d)) > 0
         with pytest.raises(GeometryInconsistent):
-            pol._pulled_fan(inc[1:])
+            geo.pulled(inc[1:].T, d)
+
+    def test_cube_without_a_facet_raises(self):
+        # a non-simple incidence: without one facet row, the cube's polar
+        # fan would be an open half octahedron, and the cube's own boundary
+        # would lose the edges of that facet
+        inc = incidence(cube())
+        assert len(geo.pulled(inc.T, 3)) == 8 and len(geo.pulled(inc, 3)) == 12
+        for cut in (inc[1:].T, inc[1:]):
+            with pytest.raises(GeometryInconsistent):
+                geo.pulled(cut, 3)
+
+
+def steiner_ends():
+    """Both ends (t = -1, 1) of the Steiner system of criterion 7's 17th body,
+    as points: Qhull's vertex list of each holds points inside an edge,
+    which lie in only two of its facets."""
+    rng = np.random.default_rng(20250817)
+    for i in range(17):
+        d = 2 if i % 2 else 3
+        pts = rng.normal(size=(d + 4, d))
+        H = Hyperplane(rng.normal(size=d), 0.1 * rng.normal())
+    system = sh.steiner_system(geo.convex_hull(pts)[0], H)
+    return [system.points_at(t) for t in (-1.0, 1.0)]
+
+
+def non_simplicial_points(d):
+    """Point sets of non-simplicial d-bodies: the cube, the first two hulls
+    of 2d points of the grid [-2, 2]^d with a facet of more than d vertices
+    and, in 3D, `steiner_ends`."""
+    rng = np.random.default_rng(40 + d)
+    draws = (rng.integers(-2, 3, size=(2 * d, d)).astype(float) for _ in itertools.count())
+    grids = itertools.islice((pts for pts in draws
+                              if (incidence(geo.convex_hull(pts)[0]).sum(axis=1) > d).any()), 2)
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    return [cube, *grids] + (steiner_ends() if d == 3 else [])
+
+
+class TestNonSimplicialBodies:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_hulls_and_pulled_polar_fans_match_qhull(self, d):
+        bodies = []
+        for pts in non_simplicial_points(d):
+            K, _ = geo.convex_hull(pts)
+            assert geo.volume(K) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+            bodies.append(K)
+        if d == 5:  # the 5-cube with the facets it has as the 5-cross's polar
+            bodies.append(pol.polar(geo.convex_hull(np.vstack([np.eye(5), -np.eye(5)]))[0],
+                                    np.zeros(5)).polar)
+        for K in bodies:
+            inc = incidence(K)
+            assert (inc.sum(axis=1) > d).any()
+            mean = K.vertices.mean(axis=0)
+            z = mean + 0.5 * (K.vertices[0] - mean)
+            pb = pol.polar(K, z)
+            vol, cen, second = qhull_polar_moments(K, z)
+            scale = pb.polar.scale()
+            assert pb.polar_volume == pytest.approx(vol, rel=1e-12)
+            assert np.abs(pb.polar_centroid - cen).max() <= 1e-12 * scale
+            assert np.abs(pb.polar_second_moment - second).max() <= 1e-12 * scale ** 2
+
+    def test_steiner_ends_list_points_inside_an_edge(self):
+        # their incidence is not a polytope's until those columns are dropped
+        for pts in steiner_ends():
+            K, _ = geo.convex_hull(pts)
+            assert incidence(K).sum(axis=0).min() == 2
+
+    def test_6d_grid_hulls_pull_their_fans_in_milliseconds(self):
+        # a simplex face is its own pulled triangulation: comparing the
+        # meets of every simplex face took seconds on such bodies.  Qhull
+        # merges facets of the 32-point hull, and the 16-point body's polar
+        # fan has 6,802 simplices
+        rng = np.random.default_rng(6)
+        small, large = (rng.integers(-2, 3, size=(n, 6)).astype(float) for n in (16, 32))
+        start = time.perf_counter()
+        K, _ = geo.convex_hull(large)
+        assert time.perf_counter() - start < 0.5
+        assert geo.volume(K) == pytest.approx(ConvexHull(large).volume, rel=1e-12)
+        K, _ = geo.convex_hull(small)
+        start = time.perf_counter()
+        assert len(pol._polar_fan(K)[0]) == 6802
+        assert time.perf_counter() - start < 0.5
 
 
 class TestVolumeProduct:
@@ -331,6 +409,14 @@ class TestVolumeProduct:
         ang = 2 * math.pi * np.arange(6) / 6
         H, _ = geo.convex_hull(np.column_stack([np.cos(ang), np.sin(ang)]))
         assert pol.volume_product(H) == pytest.approx(9.0, rel=1e-9)
+
+    def test_body_with_merged_hull_facets_in_5d(self):
+        # Qhull's fan of this body's polar misses the polar's volume by 4.4e-12
+        K, _ = geo.convex_hull(MERGED_5D)
+        assert (K.n_vertices, K.n_facets) == (8, 15)
+        res = san.santalo_point(K)
+        ref = ConvexHull(K.vertices).volume * qhull_polar_moments(K, res.point)[0]
+        assert pol.volume_product(K) == pytest.approx(ref, rel=1e-12)
 
 
 def sorted_half_volumes(K, z, axis):
