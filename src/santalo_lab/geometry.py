@@ -111,19 +111,22 @@ class VPolytope:
 
     Use `convex_hull` to build one from raw points; the direct constructor
     trusts its input (finite, with `facets` a raw (normals, offsets) pair:
-    the fast path for affine images, polars, ...).  Facet rows (`_facet_rows`,
-    from that pair or one hull), a facet triangulation, the coordinate
-    scale, the vertex-mean fan (`_mean_fan`), the polar fan with its
-    determinants and split plans (see `polarity`) are computed lazily and
-    cached; `vertices` never changes.  A maker with unit, distinct rows sets
-    `_rows` itself (`mahler.random_polytope`), and nothing is deduped.
+    the fast path for affine images, polars, ...).  `vertices` is read-only,
+    and each fact derived from it is a `functools.cached_property`, which a
+    maker that knows the fact seeds: `_facets` and `facet_simplices` (the
+    constructor; else both come from one `_hull`), `_rows` and `_config`
+    (`mahler.random_polytope`, unit, distinct rows: nothing is deduped),
+    `_scale`, `_mean_cones` and `_polar_fan`.  `polarity`'s `_split_plans`
+    is the one memo keyed by an argument, the axis.
     """
 
     def __init__(self, vertices, facets=None, simplices=None):
-        self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        self._facets = facets
-        self._simplices = simplices
-        self._fan = self._scale = None
+        self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float)).view()
+        self.vertices.flags.writeable = False
+        if facets is not None:
+            self._facets = facets
+        if simplices is not None:
+            self.facet_simplices = simplices
         self._split_plans = {}
 
     @property
@@ -134,21 +137,12 @@ class VPolytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def _hull(self):
-        """Fill whichever of facets and triangulation is missing (one hull)."""
-        _, facets, simplices = _hull_of(self.vertices)
-        if self._facets is None:
-            self._facets = facets
-        if self._simplices is None:
-            self._simplices = simplices
-
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        if self._facets is None:
-            self._hull()
-        return _facet_rows(*self._facets)
-
+    _hull = functools.cached_property(lambda self: _hull_of(self.vertices)[1:])
+    _facets = functools.cached_property(lambda self: self._hull[0])
+    _rows = functools.cached_property(lambda self: _facet_rows(*self._facets))
+    _scale = functools.cached_property(lambda self: float(max(1e-30, np.abs(self.vertices).max())))
     _mean_cones = functools.cached_property(lambda self: _mean_fan(self))
+    _polar_fan = functools.cached_property(lambda self: _dual_fan(self))
     normals = property(lambda self: self._rows[:, :-1])
     offsets = property(lambda self: self._rows[:, -1])
 
@@ -160,18 +154,20 @@ class VPolytope:
         """Per-facet slack b_i - <n_i, x>; all positive iff x is interior."""
         return self.offsets - self.normals @ as_vector(x)
 
-    @property
+    @functools.cached_property
     def facet_simplices(self) -> np.ndarray:
         """(m, d) indices into `vertices`, as given, triangulating the boundary."""
-        if self._simplices is None:
-            self._hull()
-        return self._simplices
+        return self._hull[1]
 
     def scale(self) -> float:
         """Coordinate scale of the vertex cloud (for relative tolerances)."""
-        if self._scale is None:
-            self._scale = float(max(1e-30, np.max(np.abs(self.vertices))))
         return self._scale
+
+    @functools.cached_property
+    def _config(self):
+        """The vertex configuration of `mahler.classify` (`mahler._config_of`)."""
+        from .mahler import _config_of  # late import, module cycle
+        return _config_of(self.vertices, TAU_GEOM * self.scale())
 
 
 def _hull_of(points: np.ndarray):
@@ -273,8 +269,10 @@ def _maximal(faces: np.ndarray, inc: np.ndarray, meet: np.ndarray) -> np.ndarray
 
 
 def convex_hull(points) -> tuple[VPolytope, np.ndarray]:
-    """Convex hull of a point set: pruned vertices and irredundant facets,
-    and the index in `points` of each vertex.
+    """Convex hull of a point set: Qhull's vertex list and irredundant facets,
+    and the index in `points` of each listed point.  The list holds every
+    vertex, and can hold a boundary point that is no vertex (the middle of
+    an edge) where Qhull keeps it as a corner of its triangulation.
 
     Raises DegenerateInput when the points lie in a lower-dimensional flat.
     """
@@ -308,6 +306,16 @@ def _mean_fan(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     if dets.sum() <= 0.0:
         raise DegenerateInput("polytope has zero volume")
     return apex, dets
+
+
+def _dual_fan(P: VPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """(fan, D): (m, d) facet indices of P triangulating its polar's boundary
+    about every interior point, and D_T = |det N_T| / d!; read cached as
+    `P._polar_fan`.  Polar vertex F (n_F / slack_F(z)) is on the polar's facet
+    of each vertex of P in F, so the fan is `pulled` from P's incidence, transposed."""
+    fan = np.array([[0], [1]]) if P.dim == 1 else pulled(  # 1D: each facet its own simplex
+        (np.abs(P.offsets[:, None] - P.normals @ P.vertices.T) <= TAU_GEOM * P.scale()).T, P.dim)
+    return fan, np.abs(np.linalg.det(P.normals[fan])) / math.factorial(P.dim)
 
 
 def _incidence(fan, n: int) -> np.ndarray:

@@ -107,27 +107,17 @@ def _subset_planes(points: np.ndarray):
     return subsets, outside, normals, offsets, normals @ points.T - offsets[:, None], independent
 
 
-_last_config = [(None, None)]  # the one slot: (body, its _Config), swapped whole
-
-
-def _configuration(K: VPolytope) -> _Config:
-    """Coplanarity configuration of K's vertices, read off `_subset_planes`.
+def _config_of(verts: np.ndarray, tau_on: float, planes=None) -> _Config:
+    """Coplanarity configuration of the vertices, read off `_subset_planes`
+    (or its result `planes`); cached on a body as `VPolytope._config`.
 
     A dependent subset counts no vertices and voids the margin.  The plane
-    with the most vertices within TAU_GEOM (scaled) wins, the first in
-    subset order on a tie.  A vertex at distance in (tau, 10 tau] of any
-    independent plane, or a skew apex-height gap in that band, voids the
-    margin too.  A stored plane, its coplanar set and apex heights come from
-    the winning subset's SVD.  Cached for the last body only (by identity).
+    with the most vertices within `tau_on` wins, the first in subset order
+    on a tie.  A vertex at distance in (tau, 10 tau] of any independent
+    plane, or a skew apex-height gap in that band, voids the margin too.  A
+    stored plane, its coplanar set and apex heights come from the winning
+    subset's SVD.
     """
-    body, config = _last_config[0]
-    if body is not K:
-        config = _config_of(K.vertices, geo.TAU_GEOM * K.scale())
-        _last_config[0] = K, config
-    return config
-
-
-def _config_of(verts: np.ndarray, tau_on: float, planes=None) -> _Config:
     n, d = verts.shape
     if n < d + 1:
         raise DegenerateInput("fewer than d+1 vertices")
@@ -188,12 +178,12 @@ def _config_of(verts: np.ndarray, tau_on: float, planes=None) -> _Config:
 def classify(K: VPolytope) -> CaseLabel:
     """Vertex-configuration label for a polytope with at most d+3 vertices.
 
-    Reads `_configuration(K)`: one `_subset_planes` pass over all d-subsets,
-    the first subset with the most vertices on its plane winning a tie.  The
-    config is cached for the last body, and `random_polytope` leaves its
-    body's there, so classifying a body it just returned runs no pass.
+    Reads `K._config`: one `_subset_planes` pass over all d-subsets, the
+    first subset with the most vertices on its plane winning a tie, cached
+    on K; `random_polytope` seeds its bodies' from its own pass, so
+    classifying one runs no pass.
     """
-    return _configuration(K).label
+    return K._config.label
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +371,7 @@ def _parallel_move(K: VPolytope, cfg: _Config) -> DescentMove:
 
 def descent_move(K: VPolytope) -> DescentMove:
     """The volume-preserving (or volume-affine) move for a non-pyramid case."""
-    cfg = _configuration(K)
+    cfg = K._config
     label = cfg.label
     if label in (CaseLabel.SIMPLEX, CaseLabel.PYRAMID_Ia, CaseLabel.PYRAMID_IIa):
         raise ValueError(f"{label} has no descent move; pyramids factorize "
@@ -458,8 +448,8 @@ def random_polytope(d: int, k: int, rng) -> VPolytope:
     (the rest strictly on one side), whose planes and simplices the body
     takes.  So d+1 points on one plane (a pyramid) are rejected, and no two
     facets share a plane: the body keeps the unit rows as they are, in
-    subset order, with no dedupe.  For k <= d+3 the pass's config fills
-    `_configuration`'s slot.
+    subset order, with no dedupe.  For k <= d+3 the pass's config is the
+    body's `_config`.
     """
     if k <= d:
         raise ValueError(f"a {d}-polytope needs more than {d} vertices, got k = {k}")
@@ -468,15 +458,15 @@ def random_polytope(d: int, k: int, rng) -> VPolytope:
         planes = subsets, outside, normals, offsets, dist, independent = _subset_planes(pts)
         ups = np.sum((dist > 0) & outside, axis=1)
         facet = (ups == 0) | (ups == k - d)
-        tau = geo.TAU_GEOM * float(max(1e-30, np.max(np.abs(pts))))  # scaled as in _configuration
+        K = VPolytope(pts, None, subsets[facet])
+        tau = geo.TAU_GEOM * K.scale()
         if (outside[facet].all(axis=0).any()  # a point in no facet subset
                 or not independent.all() or np.any(np.abs(dist[outside]) <= 10 * tau)):
             continue
         out = np.where(ups[facet] == 0, 1.0, -1.0)  # the outward sign
-        K = VPolytope(pts, None, subsets[facet])
         K._rows = np.column_stack([normals[facet], offsets[facet]]) * out[:, None]
         if k <= d + 3:
-            _last_config[0] = K, _config_of(pts, tau, planes)
+            K._config = _config_of(pts, tau, planes)
         return K
     raise DegenerateInput(f"could not sample a clean {k}-vertex polytope in d={d}")
 

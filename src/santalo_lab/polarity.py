@@ -4,11 +4,11 @@ The polar of K about an interior point z is
     K^{*z} = {y : <y, x - z> <= 1 for every x in K},
 so for a polytope its vertices are n_F / (b_F - <n_F, z>), one per facet
 <n_F, x> <= b_F of K.  As z moves inside K these polars are projective
-images of each other, so one boundary triangulation serves every center,
-cached on K: pulled from K's transposed facet-vertex incidence
-(`geometry.pulled`), with no hull.  With it K caches D_T = |det N_T| / d!
-per simplex T, and a polar is closed-form: the cone from the center over T
-has volume D_T / prod_{F in T} slack_F(z).  A sweep cell's rows share one
+images of each other, so one boundary triangulation serves every center:
+K's cached `_polar_fan`, pulled from its transposed facet-vertex incidence
+(`geometry.pulled`) with no hull, with D_T = |det N_T| / d! per simplex T.
+A polar is closed-form: the cone from the center over T has volume
+D_T / prod_{F in T} slack_F(z).  A sweep cell's rows share one
 pulled fan (`_fans`).  A polar carries its facets, one per vertex of K, in
 closed form (`_polar_body`), so reading them runs no hull.
 The half-volumes split by a coordinate hyperplane through the center are
@@ -80,22 +80,6 @@ def _check_interior(K: VPolytope, z) -> tuple[np.ndarray, np.ndarray]:
     return z, slack
 
 
-def _polar_fan(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """(m, d) facet indices of K triangulating the boundary of every polar,
-    and D_T = |det N_T| / d! for each of these simplices T; cached on K.
-
-    Polar vertex F is y_F = n_F / slack_F(z), and the polar's facet for a
-    vertex v of K holds the y_F of the facets F through v, so the fan is
-    pulled (`geometry.pulled`) from K's transposed facet-vertex incidence.
-    """
-    if K._fan is None:
-        fan = np.array([[0], [1]]) if K.dim == 1 else geo.pulled(  # 1D: each facet its own simplex
-            (np.abs(K.offsets[:, None] - K.normals @ K.vertices.T)
-             <= geo.TAU_GEOM * K.scale()).T, K.dim)
-        K._fan = fan, np.abs(np.linalg.det(K.normals[fan])) / math.factorial(K.dim)
-    return K._fan
-
-
 def _fans(N: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(fan (R, f, d), D_T (R, f)) of a sweep cell's R rows, with unit normals
     N (R, m, d) and facet j the simplex tri[j] on each: one fan pulled from
@@ -124,7 +108,7 @@ def _product(a: np.ndarray) -> np.ndarray:
 def polar(K: VPolytope, z) -> PolarBody:
     """Polar body K^{*z}; requires z strictly interior to K."""
     z, slack = _check_interior(K, z)
-    fan, dets = _polar_fan(K)
+    fan, dets = K._polar_fan
     y = K.normals / slack[:, None]
     volume, centroid, second = geo._fan_moments(
         y[None], _cones(slack[None], fan[None], dets[None]), geo._incidence(fan[None], len(y)))
@@ -168,7 +152,7 @@ def _cut_terms(d: int, p: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _split_plan(K: VPolytope, fan: np.ndarray, axis: int) -> tuple:
+def _split_plan(K: VPolytope, axis: int) -> tuple:
     """K's cached plan for `_share_above` to cut its polar fan at x_axis = 0.
 
     Rows 0..m-1 are the fan's simplices with their polar heights, rows
@@ -181,6 +165,7 @@ def _split_plan(K: VPolytope, fan: np.ndarray, axis: int) -> tuple:
     """
     plan = K._split_plans.get(axis)
     if plan is None:
+        fan = K._polar_fan[0]
         corners = np.concatenate([fan, fan])
         signs = np.repeat([1.0, -1.0], len(fan))[:, None]
         above = signs * K.normals[corners, axis] > 0
@@ -215,8 +200,8 @@ def _half_volume_probe(K: VPolytope, z: np.ndarray, axis: int):
     place; K's facets, cached fan, D_T and split plan are fetched once."""
     normals, offsets, n_axis = K.normals, K.offsets, K.normals[:, axis]
     tau, z = geo.TAU_GEOM * K.scale(), z.copy()
-    fan, dets = _polar_fan(K)
-    plan = _split_plan(K, fan, axis)
+    fan, dets = K._polar_fan
+    plan = _split_plan(K, axis)
 
     def probe(v: float) -> tuple[float, float]:
         z[axis] = v

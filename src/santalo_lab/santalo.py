@@ -48,8 +48,8 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
                   start=None) -> SantaloResult:
     """Minimize z -> |K^{*z}| over the interior of K by damped Newton.
 
-    Starts at `start` when it is strictly interior, else at the vertex mean;
-    a stack of one for `santalo_points`.
+    Starts at `start`, else at the vertex mean, which must be strictly
+    interior (CenterNotInterior); a stack of one for `santalo_points`.
     """
     return santalo_points([K], None if start is None else [start],
                           tol_sant, max_iterations)[0]
@@ -59,8 +59,8 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
                    max_iterations: int = MAX_ITERATIONS) -> list[SantaloResult]:
     """Santalo points of bodies of one dimension, in one `santalo_stack` call.
 
-    Row r starts at starts[r] if given and strictly interior, else at the
-    vertex mean (CenterNotInterior if that is not).
+    Row r starts at starts[r] if given, else at the vertex mean; a start
+    that is not strictly interior raises CenterNotInterior.
     """
     stacks = [_body_stack(K, None if starts is None else starts[r])
               for r, K in enumerate(bodies)]
@@ -79,15 +79,12 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
 
 def _body_stack(K: VPolytope, start=None) -> tuple:
     """K as a solver stack of one row (N, b, fan, D, tau, z, s), from `start`
-    if it is strictly interior, else from the vertex mean; no fan is built
-    when that is not interior either."""
+    or else from the vertex mean; no fan is built when that is not strictly
+    interior (`santalo_stack` notes the row)."""
     N, b, tau = K.normals[None], K.offsets[None], geo.TAU_GEOM * np.array([K.scale()])
-    mean = K.vertices.mean(axis=0)[None]
-    z = mean if start is None else geo.as_vector(start)[None]
+    z = K.vertices.mean(axis=0)[None] if start is None else geo.as_vector(start)[None]
     s = pol._slack(N, b, z)
-    if start is not None and s.min() <= tau[0]:  # too close to the boundary
-        z, s = mean, pol._slack(N, b, mean)
-    fan, D = (pol._polar_fan(K) if s.min() > tau[0] else
+    fan, D = (K._polar_fan if s.min() > tau[0] else
               (np.zeros((1, K.dim), dtype=int), np.zeros(1)))
     return N, b, fan[None], D[None], tau, z, s
 
@@ -124,7 +121,7 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
     """Damped Newton on stacked rows, each on its own line search.
 
     Row r is the polytope {x : N[r] x <= b[r]} with its polar fan fan[r]
-    (facet indices) and D_T = D[r] (`polarity._polar_fan`), started at z[r],
+    (facet indices) and D_T = D[r] (`VPolytope._polar_fan`), started at z[r],
     where its facet slacks are s[r].  The rows step together; a row retires,
     with the step count, once its residual is at most `tol_sant`, or
     non-converged at the cap or a stalled line search.  Each trial measures

@@ -137,9 +137,9 @@ def one_call_half_volumes(K, z, axis):
     heights = K.normals[:, axis] / slack
     if min(heights.max(), -heights.min()) <= pol.TAU_VOL * np.abs(heights).max():
         raise DegenerateInput("polar does not straddle the split hyperplane")
-    fan, dets = pol._polar_fan(K)
+    fan, dets = K._polar_fan
     cones = pol._cones(slack[None], fan[None], dets[None])[0]
-    whole, groups = pol._split_plan(K, fan, axis)
+    whole, groups = pol._split_plan(K, axis)
     share = whole.copy()
     for p, rows, corners, signs in groups:
         d = corners.shape[1]

@@ -11,6 +11,7 @@ from santalo_lab import geometry as geo
 from santalo_lab import mahler
 from santalo_lab import polarity as pol
 from santalo_lab import santalo as san
+from santalo_lab import shadow as sh
 from santalo_lab.errors import (
     DegenerateInput,
     EmptySection,
@@ -62,6 +63,23 @@ class TestConvexHull:
                 P, idx = geo.convex_hull(points)
                 assert len(idx) == P.n_vertices
                 assert np.array_equal(points[idx], P.vertices)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="Qhull lists a boundary point that is no vertex")
+    def test_listed_vertices_are_vertices(self):
+        # criterion 7's body at loop index 16: at t = -1 and t = 1 of its
+        # Steiner system, vertex 3 lies in 2 of the 10 facet planes, yet it
+        # is a corner of Qhull's boundary simplices
+        rng = np.random.default_rng(20250817)
+        for i in range(17):
+            d = 2 if i % 2 else 3
+            pts = rng.normal(size=(d + 4, d))
+            H = geo.Hyperplane(rng.normal(size=d), 0.1 * rng.normal())
+        system = sh.steiner_system(geo.convex_hull(pts)[0], H)
+        for t in system.interval:
+            K = sh.body_at(system, t)
+            on = np.abs(K.offsets[:, None] - K.normals @ K.vertices.T) <= geo.TAU_GEOM * K.scale()
+            assert (on.sum(axis=0) >= K.dim).all(), t
 
     def test_flat_input_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -272,6 +290,16 @@ class TestVPolytope:
         P.facet_simplices
         assert P.n_vertices == 4
         assert np.array_equal(P.vertices, np.asarray(pts, dtype=float))
+
+    def test_vertices_are_read_only(self):
+        # the cached facts are of fixed points: an in-place write raises,
+        # and the caller's array stays writable
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for P in (geo.VPolytope(pts), geo.convex_hull(pts)[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                P.vertices[0, 0] = 5.0
+        pts[0, 0] = 5.0
+        assert P.vertices[0, 0] == 0.0 and geo.VPolytope(pts).vertices[0, 0] == 5.0
 
 
 class TestDedupeRows:

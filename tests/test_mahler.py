@@ -23,7 +23,7 @@ QUAD_BASE = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]],
                      dtype=float)
 
 
-# Reference: the per-subset loop that `mahler._configuration` replaced.
+# Reference: the per-subset loop that `mahler._config_of` replaced.
 def _reference_hyperplane_of(points):
     """Unit normal and offset through d points; None if nearly dependent."""
     if points.shape[0] != points.shape[1]:
@@ -214,10 +214,10 @@ class TestClassify:
                     ref = _reference_configuration(K)
                 except DegenerateInput as exc:
                     with pytest.raises(DegenerateInput, match=str(exc)):
-                        mah._configuration(K)
+                        K._config
                     continue
                 stacked.clear()
-                got = mah._configuration(K)
+                got = K._config
                 assert _config_bits(got) == _config_bits(ref), (d, k, i)
                 seen.append((got.label, got.margin_ok, i % 6, any(stacked)))
         assert len(seen) >= 2000
@@ -241,7 +241,7 @@ class TestClassify:
                        [QUAD_BASE, [2.5, 0.2, 0.8], [0.3, 0.1, 1.9]],
                        [QUAD_BASE, [0.8, 0.4, 1.2], [-0.5, -0.3, 1.2]]):
             K, _ = geo.convex_hull(np.vstack(points))
-            assert (_config_bits(mah._configuration(K))
+            assert (_config_bits(K._config)
                     == _config_bits(_reference_configuration(K)))
 
     def test_stacked_pass_raises_the_loop_errors(self):
@@ -254,7 +254,7 @@ class TestClassify:
             with pytest.raises(error) as ref:
                 _reference_configuration(K)
             with pytest.raises(error) as got:
-                mah._configuration(K)
+                K._config
             assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -272,7 +272,7 @@ class TestClassify:
                 apex = np.append(0.3 * rng.normal(size=d - 1), rng.uniform(0.5, 2.0))
                 Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
                 K, _ = geo.convex_hull(np.vstack([base, apex]) @ Q.T + rng.normal(size=d))
-            cfg = mah._configuration(K)
+            cfg = K._config
             assert cfg.label is (CaseLabel.PYRAMID_Ia if k == d + 2 else CaseLabel.PYRAMID_IIa)
             H = cfg.hyperplane
             on = K.vertices[list(cfg.coplanar)] @ H.normal - H.offset
@@ -335,18 +335,30 @@ class TestConfigurationCache:
         double, _ = geo.convex_hull(np.vstack([QUAD_BASE,
                                                [0.2, 0.1, 1.3], [-0.1, 0.2, -1.1]]))
         twin = geo.VPolytope(pyramid.vertices.copy())  # equal points, new body
-        mah._last_config[0] = None, None
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
         assert len(passes) == 1
         assert mah.classify(double) is CaseLabel.DOUBLE_PYR_IIb1
         assert mah.descent_move(double).label is CaseLabel.DOUBLE_PYR_IIb1
         assert len(passes) == 2
-        # only the last body is kept, and bodies are keyed by identity
+        # each body keeps its own config: the pyramid's survives the double
+        # pyramid's pass, and a body with equal points gets its own
         assert mah.classify(pyramid) is CaseLabel.PYRAMID_Ia
         assert mah.classify(twin) is CaseLabel.PYRAMID_Ia
-        assert len(passes) == 4
-        assert mah._configuration(twin) is not mah._configuration(pyramid)
+        assert len(passes) == 3
+        assert twin._config is not pyramid._config
+
+    def test_drawn_bodies_keep_their_configs(self, monkeypatch):
+        # a stack of drawn bodies, classified and moved after all the draws,
+        # runs no pass beyond the sampler's own
+        rng = np.random.default_rng(7)
+        bodies = [mah.random_polytope(d, k, rng) for d, k in ((2, 4), (2, 5), (3, 5), (3, 6),
+                                                             (4, 7))]
+        passes = _recording(monkeypatch, mah, "_subset_planes")
+        labels = [mah.classify(K) for K in bodies]
+        moves = [mah.descent_move(K) for K, label in zip(bodies, labels)
+                 if label not in (CaseLabel.PYRAMID_Ia, CaseLabel.PYRAMID_IIa)]
+        assert len(moves) == len(bodies) and passes == []
 
 
 class TestSampler:

@@ -171,7 +171,7 @@ def cube():
 
 
 def incidence(K):
-    """K's (m, n) facet-by-vertex incidence; `polarity._polar_fan` pulls from its transpose."""
+    """K's (m, n) facet-by-vertex incidence; `VPolytope._polar_fan` pulls from its transpose."""
     return np.abs(K.offsets[:, None] - K.normals @ K.vertices.T) <= geo.TAU_GEOM * K.scale()
 
 
@@ -290,7 +290,7 @@ class TestPulledFan:
         for i in range(count):
             K = (mahler.random_polytope(d, k, rng) if k > 0 else
                  geo.convex_hull(rng.normal(size=(-k, d)))[0])
-            fan, _ = pol._polar_fan(K)
+            fan, _ = K._polar_fan
             assert np.array_equal(fan, geo.pulled(incidence(K).T, d))
             assert (np.diff(np.sort(fan, axis=1), axis=1) > 0).all()
             mean = K.vertices.mean(axis=0)
@@ -391,7 +391,7 @@ class TestNonSimplicialBodies:
         assert geo.volume(K) == pytest.approx(ConvexHull(large).volume, rel=1e-12)
         K, _ = geo.convex_hull(small)
         start = time.perf_counter()
-        assert len(pol._polar_fan(K)[0]) == 6802
+        assert len(K._polar_fan[0]) == 6802
         assert time.perf_counter() - start < 0.5
 
 
@@ -424,7 +424,7 @@ def sorted_half_volumes(K, z, axis):
     heights at z, above first, in place of the cached split plan."""
     slack = K.slack(z)
     heights = K.normals[:, axis] / slack
-    fan, dets = pol._polar_fan(K)
+    fan, dets = K._polar_fan
     h = np.concatenate([heights[fan], -heights[fan]])
     d = h.shape[1]
     above = h > 0

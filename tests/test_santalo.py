@@ -191,10 +191,10 @@ class TestSantaloPoint:
         assert np.linalg.norm(r1.point - r2.point) < 1e-6
 
     def test_stack_with_mixed_starts(self, rng):
-        # an interior start, none, and one outside (which falls back to the
-        # vertex mean), on bodies with different facet counts
+        # an interior start and none, on bodies with different facet counts;
+        # a start outside its body raises, with no fallback to the vertex mean
         bodies = [random_body(rng, 3, extra) for extra in (1, 4, 8)]
-        starts = [geo.centroid(bodies[0]), None, bodies[2].vertices[0] * 3]
+        starts = [geo.centroid(bodies[0]), None, None]
         stacked = san.santalo_points(bodies, starts)
         assert len({K.n_facets for K in bodies}) == 3
         for K, res in zip(bodies, stacked):
@@ -203,6 +203,11 @@ class TestSantaloPoint:
             assert np.linalg.norm(res.point - alone.point) < 1e-6
             assert res.polar_volume == pytest.approx(alone.polar_volume, rel=1e-12)
         assert stacked[2].iterations == san.santalo_point(bodies[2]).iterations
+        outside = starts[:2] + [bodies[2].vertices[0] * 3]
+        with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
+            san.santalo_points(bodies, outside)
+        with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
+            san.santalo_point(bodies[2], start=outside[2])
 
     def test_stack_fails_a_row_whose_start_is_not_interior(self, rng):
         # a flat triangle's vertex mean lies within TAU_GEOM of its boundary:
@@ -341,8 +346,8 @@ class TestBalancedPoints:
         # each end body's probe reads its cached split plan once, not per probe
         fetched = []
         split_plan = pol._split_plan
-        monkeypatch.setattr(pol, "_split_plan", lambda K, fan, axis: (
-            fetched.append((id(K), axis)) or split_plan(K, fan, axis)))
+        monkeypatch.setattr(pol, "_split_plan", lambda K, axis: (
+            fetched.append((id(K), axis)) or split_plan(K, axis)))
         for d in (2, 3, 2, 3):
             system = self._system(rng, d)
             K_s, K_m, K_t = self._bodies(system)
@@ -455,7 +460,7 @@ class TestBalancedPoints:
             args = (K_s, K_m, K_t, float(z[system.axis]),
                     np.delete(z, system.axis), system.axis)
             for K in (K_s, K_t):
-                pol._polar_fan(K)
+                K._polar_fan
             qhull_calls.clear()
             got = san.balanced_points(*args)
             assert qhull_calls == []

@@ -445,7 +445,7 @@ class TestCarriedCells:
 
     def test_rows_take_d_t_off_their_own_normals(self, rng, solved):
         # every row's D_T is |det N_T| / d! of the normals it is solved with,
-        # the formula of `polarity._polar_fan`, bit for bit
+        # the formula of `VPolytope._polar_fan`, bit for bit
         square = [[0, 0], [1, 0], [1, 1], [0, 1]]
         flip = sh.ShadowSystem(np.vstack([square, [0.5, 0.9]]), [0, 0, 0, 0, 1.0],
                                [0.0, 1.0], (-0.5, 0.5))
