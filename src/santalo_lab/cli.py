@@ -88,7 +88,7 @@ def _tolerances(args) -> dict:
         if name != args.tol_name:
             raise _MalformedInput(f"unknown tolerance {name!r}; "
                                   f"{args.command} reads only {args.tol_name!r}")
-        # tol_sant > 0: a residual <= 0 is met almost never, so the solve would run to its cap
+        # tol_sant > 0: a Newton decrement <= 0 is met almost never, so no solve would converge
         low = np.nextafter(0.0, 1.0) if name == "tol_sant" else 0
         try:
             out[name] = _number(float, low)(value)

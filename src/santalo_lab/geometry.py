@@ -352,17 +352,19 @@ def interior_point(P: VPolytope) -> np.ndarray:
 
 
 def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """`interior_point` of {x : <n_i, x> <= b_i} from unit facet rows."""
+    """`interior_point` of {x : <n_i, x> <= b_i} from unit facet rows, on the
+    offsets over their largest magnitude: the LP's tolerances are relative."""
     d = normals.shape[1]
+    scale = np.abs(offsets).max() or 1.0  # all 0: a cone, flat if bounded
     # Variables (x, r): maximize r s.t. <n_i, x> + r <= b_i (unit normals).
     c = np.zeros(d + 1)
     c[-1] = -1.0
     A = np.column_stack([normals, np.ones(len(normals))])
-    res = linprog(c, A_ub=A, b_ub=offsets,
+    res = linprog(c, A_ub=A, b_ub=offsets / scale,
                   bounds=[(None, None)] * d + [(0, None)], method="highs")
     if not res.success or res.x[-1] <= TAU_GEOM:
         raise DegenerateInput("no interior: Chebyshev LP infeasible or flat")
-    return res.x[:-1]
+    return scale * res.x[:-1]
 
 
 def vertex_enumeration(normals, offsets) -> VPolytope:
@@ -377,7 +379,7 @@ def vertex_enumeration(normals, offsets) -> VPolytope:
     d = normals.shape[1]
     interior = _chebyshev_center(normals, offsets)
     b = offsets - normals @ interior
-    if np.min(b) <= TAU_GEOM:
+    if np.min(b) <= TAU_GEOM * np.abs(offsets).max():
         raise DegenerateInput("interior point has non-positive facet slack")
     if d == 1:
         pos = normals[:, 0] > 0
@@ -394,10 +396,10 @@ def vertex_enumeration(normals, offsets) -> VPolytope:
         raise DegenerateInput(f"dual hull failed (unbounded or flat?): {exc}") from exc
     n = dual.equations[:, :-1]
     c = -dual.equations[:, -1]
-    if np.any(c <= TAU_GEOM):
+    if np.any(c <= TAU_GEOM * c.max()):  # a vertex 1e9 times farther than the nearest
         raise DegenerateInput("H-polytope appears unbounded")
     verts = n / c[:, None] + interior
-    return VPolytope(_dedupe_rows(verts, TAU_GEOM * max(1.0, np.max(np.abs(verts)))))
+    return VPolytope(_dedupe_rows(verts, TAU_GEOM * np.max(np.abs(verts))))
 
 
 @functools.cache

@@ -2,17 +2,16 @@
 
 The Santalo point S(K) is the unique interior minimizer of z -> |K^{*z}|;
 it is characterized by the polar's centroid sitting at the polarity origin.
-The objective's gradient is (d+1) int_{K^{*z}} y dy and its Hessian is
-(d+1)(d+2) int_{K^{*z}} y y^T dy, both moments of the polar.  The solver is
-damped Newton from the vertex mean or a given start (a campaign trial starts
-at the centroid), with Armijo backtracking and a step cap that keeps the
-iterate well inside the body, where the objective is finite.
-Newton steps are affine-invariant, so no preconditioning is needed.  The
-trial a step takes is measured whole and is the next iterate.  `santalo_stack`
-runs it on stacked arrays of facets, fans and starts, the rows on one step
-count, each with its own line search, so a sweep's rows share every numpy call;
-`santalo_points` fills them from bodies.  Balanced points take one
-half-volume probe per end body (`polarity._half_volume_probe`).
+The solver is damped Newton on f(z) = log |K^{*z}|, the universal barrier of
+K (Nesterov and Nemirovski 1994, sec. 2.5), from the vertex mean or a given
+start (a campaign trial starts at the centroid).  f is self-concordant with
+constant 2 (Lee and Yue, arXiv:1809.03011), so the steps need no line search
+and the affine-invariant Newton decrement is the stopping test (Nesterov,
+Introductory Lectures, 2004, sec. 4.1.5).  `santalo_stack` runs it on
+stacked arrays of facets, fans and starts, the rows on one step count, so a
+sweep's rows share every numpy call; `santalo_points` fills them from bodies.
+Balanced points take one half-volume probe per end body
+(`polarity._half_volume_probe`).
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def _body_stack(K: VPolytope, start=None) -> tuple:
 def _joined(stacks) -> list:
     """Solver stacks (N, b, fan, D, tau, z, s) as one: rows padded to the
     most facets by repeating facet 0 and to the largest fan by zero-volume
-    simplices, which keep each row's slacks, step cap and moments."""
+    simplices, which keep each row's slacks, steps and moments."""
     if len(stacks) == 1:
         return stacks[0][:7]
     return [_padded([x[k] for x in stacks], repeat_first=k not in (2, 3)) for k in range(7)]
@@ -118,16 +117,23 @@ class StackSolve:
 
 def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
                   max_iterations: int = MAX_ITERATIONS) -> StackSolve:
-    """Damped Newton on stacked rows, each on its own line search.
+    """Damped Newton on f = log |K^{*z}|, on stacked rows.
 
     Row r is the polytope {x : N[r] x <= b[r]} with its polar fan fan[r]
     (facet indices) and D_T = D[r] (`VPolytope._polar_fan`), started at z[r],
-    where its facet slacks are s[r].  The rows step together; a row retires,
-    with the step count, once its residual is at most `tol_sant`, or
-    non-converged at the cap or a stalled line search.  Each trial measures
-    the polar whole, and a row that passes takes that measure as its iterate.
-    A row whose start has a slack at most tau[r] is not solved: it fails with a
-    note, and never raises, so one bad row cannot cost the others their solve.
+    where its facet slacks are s[r].  grad f = (d+1) c and the Hessian is
+    (d+1)(d+2) M - (d+1)^2 c c^T, from the polar's centroid c and second
+    moment M.  A row takes the Newton step whole while its decrement
+    lambda <= 2/3, else times 1 / (1 + lambda); f falls by at least
+    lambda^2 + lambda + log(1 - lambda) or lambda - log(1 + lambda).  The
+    rows step together; a row retires, with the step count, once lambda <=
+    tol_sant, or non-converged at its last interior iterate: at the cap, or
+    on rounding, when a step would leave the interior (a slack at most
+    tau[r]) or a lambda below 1/3 did not fall (lambda' <= (lambda / (1 -
+    lambda))^2).  Its residual |c| / diam K^{*z} <= sqrt((d+2)/(d+1)) lambda is
+    for the record.  A row whose start has a slack at most tau[r] is not
+    solved: it fails with a note, and never raises, so one bad row cannot
+    cost the others their solve.
     """
     R, d = z.shape
     interior = s.min(axis=1) > tau
@@ -136,74 +142,53 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
     out = None if len(body) == R else _unsolved(z, N.shape[1], note)  # else made when needed
     if not len(body):
         return out
-    z, s = z[body], s[body]  # copies: the iterates move in place
+    z, s = z[body], s[body]  # copies: no result aliases a caller's start
     if len(body) < R:
         N, b, fan, D, tau = (a[body] for a in (N, b, fan, D, tau))
     incidence = geo._incidence(fan, N.shape[1])
     at = lambda fan: fan + N.shape[1] * np.arange(len(fan))[:, None, None]  # for `_cones`
 
     def measure(slack):
-        """Polar vertices, moments and residuals about the working rows' centers."""
+        """Polar vertices and moments about the working rows' centers."""
         y = N / slack[..., None]
-        vol, cen, second = geo._fan_moments(y, pol._cones(slack, corners, D), incidence)
-        sq = (y * y).sum(axis=-1)  # the diameter from the Gram matrix
-        gaps = sq[:, :, None] + sq[:, None] - 2 * y @ y.transpose(0, 2, 1)
-        return y, vol, cen, second, np.sqrt((cen * cen).sum(axis=1) / gaps.max(axis=(1, 2)))
+        return (y, *geo._fan_moments(y, pol._cones(slack, corners, D), incidence))
 
     corners = at(fan)
-    y, vol, cen, second, res = measure(s)
-    k, stalled = 0, np.zeros(len(z), dtype=bool)  # the working rows' common step count
+    y, vol, cen, second = measure(s)
+    k, last = 0, np.full(len(z), np.inf)  # the common step count; each row's last lambda
     while True:
-        done = (res <= tol_sant) | stalled | (k == max_iterations)
+        # the Newton step -Hess^{-1} grad of f, with the (d+1)s cancelled
+        step = np.linalg.solve((d + 2) * second - (d + 1) * cen[:, :, None] * cen[:, None],
+                               -cen[..., None])[..., 0]
+        lam = np.sqrt((d + 1) * -(cen * step).sum(axis=1))
+        z_next = z + step / np.where(lam > 2 / 3, 1 + lam, 1.0)[:, None]
+        s_next = pol._slack(N, b, z_next)
+        done = ((lam <= tol_sant) | (k == max_iterations) | ((last < 1 / 3) & (lam >= last))
+                | ~(s_next.min(axis=1) > tau))  # not `<=`: a NaN slack leaves too
         if done.any():
+            yd = y[done]  # the residual |c| / diam, the diameter from the Gram matrix
+            sq = (yd * yd).sum(axis=-1)
+            gaps = sq[:, :, None] + sq[:, None] - 2 * yd @ yd.transpose(0, 2, 1)
+            res = np.sqrt((cen[done] ** 2).sum(axis=1) / gaps.max(axis=(1, 2)))
             if out is None and done.all():  # every row at once: these arrays are the result
                 return StackSolve(z, y, vol, cen, second, res, np.full(len(z), k),
-                                  res <= tol_sant, note)
+                                  lam <= tol_sant, note)
             if out is None:
                 out = _unsolved(z, N.shape[1], note)
             rows = body[done]
             for name, a in (("point", z), ("y", y), ("polar_volume", vol), ("centroid", cen),
-                            ("second", second), ("residual", res)):
+                            ("second", second)):
                 getattr(out, name)[rows] = a[done]
-            out.iterations[rows], out.converged[rows] = k, res[done] <= tol_sant
+            out.residual[rows], out.iterations[rows], out.converged[rows] = (
+                res, k, lam[done] <= tol_sant)
             if done.all():
                 return out
             # only the rows that go on stay in the stack
-            N, b, tau, fan, D, incidence, body, stalled, z, s, y, vol, cen, second, res = (
-                a[~done] for a in (N, b, tau, fan, D, incidence, body, stalled,
-                                   z, s, y, vol, cen, second, res))
+            N, b, tau, fan, D, incidence, body, z_next, s_next, lam = (
+                a[~done] for a in (N, b, tau, fan, D, incidence, body, z_next, s_next, lam))
             corners = at(fan)
-        k += 1
-        # Newton step -H^{-1} grad with grad = (d+1) f c, H = (d+1)(d+2) f M.
-        step = np.linalg.solve(second, cen[..., None])[..., 0] / -(d + 2)
-        slope = (d + 1) * vol * (cen * step).sum(axis=1)
-        # Cap the step so the iterate keeps facet slack >= 0.1 x current min.
-        room = s - 0.1 * s.min(axis=1, keepdims=True)
-        t = 1.0 / np.maximum(1.0, ((N @ step[..., None])[..., 0] / room).max(axis=1))
-        searching, armijo = True, 1e-4 * slope  # a mask once some row fails a trial
-        for _ in range(60):
-            z_try = z + t[:, None] * step
-            s_try = pol._slack(N, b, z_try)
-            inside = searching & (s_try.min(axis=1) > tau)  # else halve
-            if not inside.all():
-                s_try = np.where(inside[:, None], s_try, s)
-            trial = measure(s_try)  # its volume is trial[1]; a row that passes takes it all
-            ok = inside & (trial[1] <= vol + t * armijo)  # Armijo
-            if ok.all():  # all pass at once, so none passed before: no masks
-                z, s, (y, vol, cen, second, res) = z_try, s_try, trial
-                break
-            if searching is True:  # tiny: a decrease Armijo cannot see through f's rounding
-                searching, tiny = np.ones(len(z), dtype=bool), slope >= -1e-12 * vol
-            if tiny.any() and (late := inside & ~ok & tiny).any():
-                ok |= late & (trial[-1] < res)  # it lowers the residual
-            for a, new in zip((z, s, y, vol, cen, second, res), (z_try, s_try, *trial)):
-                a[ok] = new[ok]
-            searching &= ~ok
-            if not searching.any():
-                break
-            t[searching] *= 0.5
-        else:  # line search exhausted: the residual is the verdict; stalled rows as they were
-            stalled, (y, vol, cen, second, res) = searching, measure(s)
+        k, last, z = k + 1, lam, z_next
+        y, vol, cen, second = measure(s_next)
 
 
 def _unsolved(z, n_facets: int, note: list) -> StackSolve:
@@ -288,7 +273,7 @@ def balanced_points(K_s: VPolytope, K_m: VPolytope, K_t: VPolytope, a: float,
                 raise
             continue
         if r_lo < 0 < r_hi:
-            xtol = 1e-15 * max(1.0, abs(lo_probe), abs(hi_probe))
+            xtol = 1e-15 * max(abs(lo_probe), abs(hi_probe))
             v = brentq(rho, lo_probe, hi_probe, xtol=xtol, disp=False)
             return v, 2 * a - v
         if r_lo >= 0 and r_hi > 0 or r_lo < 0 and r_hi <= 0:

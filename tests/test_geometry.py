@@ -117,6 +117,14 @@ class TestConvexHull:
                 V2 = geo.vertex_enumeration(P.normals, P.offsets)
                 assert set_equal(P, V2, tol=1e-9 * P.scale())
 
+    @pytest.mark.parametrize("h", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_cube_at_every_scale(self, h):
+        # the inradius test and the vertex dedupe are relative to the body, so
+        # the cube {|x_i| <= h} has its 8 vertices at every half-width h
+        P = geo.vertex_enumeration(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, h))
+        assert P.n_vertices == 8
+        assert np.allclose(np.abs(P.vertices), h, rtol=1e-12, atol=0)
+
     def test_roundtrip_reproduces_facet_set(self, rng):
         # re-hulling the enumerated vertices yields the same (normal, offset)
         # rows within 1e-9
@@ -207,6 +215,15 @@ class TestInteriorPoint:
             P = random_body(rng, d)
             c = geo.interior_point(P)
             assert np.min(P.slack(c)) > geo.TAU_GEOM
+
+    @pytest.mark.parametrize("h", [1e-12, 1e-9, 1e6])
+    def test_scale_equivariance(self, h):
+        # the LP runs on the offsets over their largest magnitude, so HiGHS's
+        # absolute tolerances cannot swamp a tiny body's center
+        P, _ = geo.convex_hull([[0, 0], [1, 0], [0, 1]])
+        Q = geo.apply_affine(P, h * np.eye(2), [0.3 * h, 0.1 * h])
+        c = (geo.interior_point(Q) - [0.3 * h, 0.1 * h]) / h
+        assert np.allclose(c, geo.interior_point(P), rtol=0, atol=1e-9)
 
 
 class TestCentroid:

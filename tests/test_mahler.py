@@ -593,9 +593,11 @@ class TestDescentMonotonicity:
         assert rep.inverse_polar_convex
 
     def test_warm_sweep_converges_where_armijo_stalls(self):
-        # Near the optimum of this elongated body the predicted decrease is
-        # below the rounding noise of |K^*|, so Armijo alone rejects the
-        # full Newton step; the row at t = 833.17 used to run to the cap.
+        # Near the optimum of this elongated body (the row at t = 833.17, say)
+        # a Newton step lowers |K^*| by less than its rounding noise, so no
+        # test on f's decrease can tell a good step from a bad one.  The
+        # solver takes its steps unchecked and stops on the Newton decrement,
+        # which needs no visible decrease: every row converges, in few steps.
         P, _ = geo.convex_hull(np.vstack([QUAD_BASE,
                                           [0.8, 0.4, 1.2], [-0.5, -0.3, 1.2]]))
         mv = mah.descent_move(P)

@@ -1,11 +1,14 @@
 """Property tests: affine equivariance of the Santalo point and of polar
-volumes, the bipolar identity, section volumes, and scale equivariance of
-every answer, on random few-vertex bodies.
+volumes, the bipolar identity, section volumes, scale equivariance of every
+answer, and the Santalo solver's Newton steps on the universal barrier
+(self-concordant, affine-invariant, descending), on random few-vertex bodies.
 
 Hypothesis draws the body seed, an affine map and a center, or an axis and
-a level; `derandomize` keeps every run on the same examples.  The scale
-test runs on seeded bodies.
+a level; `derandomize` keeps every run on the same examples.  The scale and
+solver tests run on seeded bodies.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -142,3 +145,78 @@ def test_answers_are_scale_equivariant(d, k, factor):
             rep = mah.verify_descent_monotonicity(mah.descent_move(Kf), n_grid=9)
             assert rep.endpoint_minimal and rep.volume_behavior_ok
     assert moves == 2
+
+
+def _vertex_starts(K, rng, shares):
+    """Points on segments from random vertices toward the vertex mean, each
+    `shares[i]` of the way: at 1e-3 a point's slacks are >= 1e-3 of the mean's."""
+    mean = K.vertices.mean(axis=0)
+    ends = K.vertices[rng.integers(K.n_vertices, size=len(shares))]
+    return [v + t * (mean - v) for v, t in zip(ends, shares)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_universal_barrier_is_self_concordant(d):
+    # The solver's step rule needs |f'''| <= 2 f''^(3/2) along every line,
+    # f(t) = log |K^{*(z + t h)}| (Lee and Yue; 2 is sharp: a segment's f is
+    # a sum of two logs).  The k-th derivative of |K^{*z}| is k! times the
+    # cone-weighted sum of h_k, the complete symmetric polynomial of the
+    # values <y, h> at each polar cone's vertices y.
+    rng = np.random.default_rng(60 + d)
+    for _ in range(200):
+        K = mah.random_polytope(d, d + 3, rng)
+        fan, D = K._polar_fan
+        z, = _vertex_starts(K, rng, [10 ** rng.uniform(-6, 0)])
+        s = K.slack(z)
+        w = D / np.prod(s[fan], axis=1)
+        a = (K.normals / s[:, None])[fan] @ rng.normal(size=d)
+        p1, p2, p3 = ((a ** j).sum(axis=1) for j in (1, 2, 3))
+        g1, g2, g3 = (w @ g / w.sum() for g in (p1, p1 ** 2 + p2, p1 ** 3 + 3 * p1 * p2 + 2 * p3))
+        f2, f3 = g2 - g1 ** 2, g3 - 3 * g2 * g1 + 2 * g1 ** 3
+        assert abs(f3) <= 2 * f2 ** 1.5 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_santalo_steps_are_affine_invariant(d):
+    # The Newton step and its decrement are affine-invariant, so a solve of
+    # AK + b takes the steps of the solve of K, mapped: the same count, and
+    # S(AK + b) = A S(K) + b, here in K's frame, under maps with condition
+    # number up to 1e3
+    rng = np.random.default_rng(50 + d)
+    for _ in range(75):
+        K = mah.random_polytope(d, d + 3, rng)
+        q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        A = q1 @ np.diag(np.geomspace(1.0, 10 ** rng.uniform(0, 3), d)) @ q2
+        b = 3.0 * rng.normal(size=d)
+        ref, got = san.santalo_point(K), san.santalo_point(geo.apply_affine(K, A, b))
+        assert ref.converged and got.converged
+        assert got.iterations == ref.iterations
+        assert np.linalg.norm(np.linalg.solve(A, got.point - b) - ref.point) <= 1e-9 * K.scale()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_santalo_steps_descend(d):
+    # Damped Newton on a self-concordant f keeps every iterate inside K and
+    # lowers |K^{*z}| at every step, from any interior start: 200 (body,
+    # start) pairs in one stack, some at 1e-3 of the mean's slacks.  A step
+    # depends on its iterate alone, so solves capped at one step, each from
+    # the last one's point, walk the iterates of `santalo_point(K, start=z,
+    # max_iterations=k)` for k = 0, 1, ...; rounding may raise a volume by
+    # 1e-13 relative at most.
+    rng = np.random.default_rng(40 + d)
+    stacks = []
+    for _ in range(50):
+        K = mah.random_polytope(d, d + 3, rng)
+        stacks += [san._body_stack(K, z) for z in _vertex_starts(K, rng, [1e-3, 1e-2, 0.3, 1.0])]
+    N, b, *_ = stack = san._joined(stacks)
+    volume = san.santalo_stack(*stack, max_iterations=0).polar_volume
+    for _ in range(san.MAX_ITERATIONS):
+        out = san.santalo_stack(*stack, max_iterations=1)
+        stack[5:] = out.point, b - (N @ out.point[..., None])[..., 0]
+        assert (stack[6].min(axis=1) > 0).all()
+        assert (out.polar_volume <= volume * (1 + 1e-13)).all()
+        volume = out.polar_volume
+        if not out.iterations.any():
+            break
+    assert out.converged.all()
