@@ -139,8 +139,12 @@ def cmd_shadow(args, tol, out, line) -> tuple[dict, int]:
     system = _load(args.input, ser.system_from_dict)
     lo, hi = system.interval
     records = sh.sweep(system, np.linspace(lo, hi, args.grid))
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as fh:
-        fh.write(ser.sweep_to_csv(records, system.dim))
+    try:
+        fh = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out)
+    except OSError as exc:
+        raise _MalformedInput(f"cannot write --out {args.out}: {exc}") from exc
+    with fh as csv:
+        csv.write(ser.sweep_to_csv(records, system.dim))
     return {
         "grid": args.grid,
         "volume_convexity": asdict(sh.check_volume_convexity(records, tol_rel=tol)),

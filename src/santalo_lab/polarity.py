@@ -33,7 +33,7 @@ from .geometry import VPolytope
 
 # Relative zero of polar heights and half-volumes: times the largest of the kind.
 TAU_VOL = 1e-12
-# Message of every CenterNotInterior, and a stacked solve's note on such a row.
+# Message of every CenterNotInterior, and a failed sweep row's note.
 NOT_INTERIOR = "polarity center too close to the boundary"
 
 

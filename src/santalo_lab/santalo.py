@@ -50,8 +50,7 @@ def santalo_point(K: VPolytope, tol_sant: float = TOL_SANT,
     Starts at `start`, else at the vertex mean, which must be strictly
     interior (CenterNotInterior); a stack of one for `santalo_points`.
     """
-    return santalo_points([K], None if start is None else [start],
-                          tol_sant, max_iterations)[0]
+    return santalo_points([K], [start], tol_sant, max_iterations)[0]
 
 
 def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
@@ -64,8 +63,6 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
     stacks = [_body_stack(K, None if starts is None else starts[r])
               for r, K in enumerate(bodies)]
     out = santalo_stack(*_joined(stacks), tol_sant, max_iterations)
-    if any(out.note):
-        raise pol.CenterNotInterior(pol.NOT_INTERIOR)
     return [SantaloResult(out.point[r], float(out.polar_volume[r]), float(out.residual[r]),
                           int(out.iterations[r]), bool(out.converged[r]),
                           pol.PolarBody(K, out.point[r],
@@ -78,14 +75,12 @@ def santalo_points(bodies, starts=None, tol_sant: float = TOL_SANT,
 
 def _body_stack(K: VPolytope, start=None) -> tuple:
     """K as a solver stack of one row (N, b, fan, D, tau, z, s), from `start`
-    or else from the vertex mean; no fan is built when that is not strictly
-    interior (`santalo_stack` notes the row)."""
-    N, b, tau = K.normals[None], K.offsets[None], geo.TAU_GEOM * np.array([K.scale()])
-    z = K.vertices.mean(axis=0)[None] if start is None else geo.as_vector(start)[None]
-    s = pol._slack(N, b, z)
-    fan, D = (K._polar_fan if s.min() > tau[0] else
-              (np.zeros((1, K.dim), dtype=int), np.zeros(1)))
-    return N, b, fan[None], D[None], tau, z, s
+    or else from the vertex mean, which must be strictly interior, as for
+    `polarity.polar` (CenterNotInterior)."""
+    z, s = pol._check_interior(K, K.vertices.mean(axis=0) if start is None else start)
+    fan, D = K._polar_fan
+    return (K.normals[None], K.offsets[None], fan[None], D[None],
+            geo.TAU_GEOM * np.array([K.scale()]), z[None], s[None])
 
 
 def _joined(stacks) -> list:
@@ -101,8 +96,7 @@ def _joined(stacks) -> list:
 class StackSolve:
     """Row r of a `santalo_stack` pass: its last iterate, the polar there
     (vertices y, padded like the normals; volume, centroid, second moment),
-    residual and Newton steps.  A row that was not solved keeps its start
-    and NaNs, and note[r] says why."""
+    residual and Newton steps."""
 
     point: np.ndarray
     y: np.ndarray
@@ -112,7 +106,6 @@ class StackSolve:
     residual: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    note: list
 
 
 def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
@@ -120,31 +113,22 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
     """Damped Newton on f = log |K^{*z}|, on stacked rows.
 
     Row r is the polytope {x : N[r] x <= b[r]} with its polar fan fan[r]
-    (facet indices) and D_T = D[r] (`VPolytope._polar_fan`), started at z[r],
-    where its facet slacks are s[r].  grad f = (d+1) c and the Hessian is
-    (d+1)(d+2) M - (d+1)^2 c c^T, from the polar's centroid c and second
-    moment M.  A row takes the Newton step whole while its decrement
-    lambda <= 2/3, else times 1 / (1 + lambda); f falls by at least
-    lambda^2 + lambda + log(1 - lambda) or lambda - log(1 + lambda).  The
-    rows step together; a row retires, with the step count, once lambda <=
-    tol_sant, or non-converged at its last interior iterate: at the cap, or
-    on rounding, when a step would leave the interior (a slack at most
+    (facet indices) and D_T = D[r] (`VPolytope._polar_fan`), started at z[r]
+    with facet slacks s[r] > tau[r] (`_body_stack` checks).  grad f = (d+1) c
+    and the Hessian is (d+1)(d+2) M - (d+1)^2 c c^T, from the polar's
+    centroid c and second moment M.  A row takes the Newton step whole while
+    its decrement lambda <= 2/3, else times 1 / (1 + lambda); f falls by at
+    least lambda^2 + lambda + log(1 - lambda) or lambda - log(1 + lambda).
+    The rows step together; a row retires, with the step count, once lambda
+    <= tol_sant, or non-converged at its last interior iterate: at the cap,
+    or on rounding, when a step would leave the interior (a slack at most
     tau[r]) or a lambda below 1/3 did not fall (lambda' <= (lambda / (1 -
-    lambda))^2).  Its residual |c| / diam K^{*z} <= sqrt((d+2)/(d+1)) lambda is
-    for the record.  A row whose start has a slack at most tau[r] is not
-    solved: it fails with a note, and never raises, so one bad row cannot
-    cost the others their solve.
+    lambda))^2), and leaves the stack.  Its residual |c| / diam K^{*z} <=
+    sqrt((d+2)/(d+1)) lambda is for the record.
     """
     R, d = z.shape
-    interior = s.min(axis=1) > tau
-    note = ["" if ok else pol.NOT_INTERIOR for ok in interior]
-    body = np.flatnonzero(interior)  # the row of each working row
-    out = None if len(body) == R else _unsolved(z, N.shape[1], note)  # else made when needed
-    if not len(body):
-        return out
-    z, s = z[body], s[body]  # copies: no result aliases a caller's start
-    if len(body) < R:
-        N, b, fan, D, tau = (a[body] for a in (N, b, fan, D, tau))
+    z = z.copy()  # no result aliases a caller's start
+    body, out = np.arange(R), None  # the row of each working row; the result arrays
     incidence = geo._incidence(fan, N.shape[1])
     at = lambda fan: fan + N.shape[1] * np.arange(len(fan))[:, None, None]  # for `_cones`
 
@@ -155,7 +139,7 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
 
     corners = at(fan)
     y, vol, cen, second = measure(s)
-    k, last = 0, np.full(len(z), np.inf)  # the common step count; each row's last lambda
+    k, last = 0, np.full(R, np.inf)  # the common step count; each row's last lambda
     while True:
         # the Newton step -Hess^{-1} grad of f, with the (d+1)s cancelled
         step = np.linalg.solve((d + 2) * second - (d + 1) * cen[:, :, None] * cen[:, None],
@@ -166,37 +150,26 @@ def santalo_stack(N, b, fan, D, tau, z, s, tol_sant: float = TOL_SANT,
         done = ((lam <= tol_sant) | (k == max_iterations) | ((last < 1 / 3) & (lam >= last))
                 | ~(s_next.min(axis=1) > tau))  # not `<=`: a NaN slack leaves too
         if done.any():
-            yd = y[done]  # the residual |c| / diam, the diameter from the Gram matrix
-            sq = (yd * yd).sum(axis=-1)
-            gaps = sq[:, :, None] + sq[:, None] - 2 * yd @ yd.transpose(0, 2, 1)
-            res = np.sqrt((cen[done] ** 2).sum(axis=1) / gaps.max(axis=(1, 2)))
+            now = (z, y, vol, cen, second, np.full(len(z), k), lam <= tol_sant)
             if out is None and done.all():  # every row at once: these arrays are the result
-                return StackSolve(z, y, vol, cen, second, res, np.full(len(z), k),
-                                  lam <= tol_sant, note)
-            if out is None:
-                out = _unsolved(z, N.shape[1], note)
-            rows = body[done]
-            for name, a in (("point", z), ("y", y), ("polar_volume", vol), ("centroid", cen),
-                            ("second", second)):
-                getattr(out, name)[rows] = a[done]
-            out.residual[rows], out.iterations[rows], out.converged[rows] = (
-                res, k, lam[done] <= tol_sant)
+                out = now
+                break
+            out = out or [np.empty((R, *a.shape[1:]), a.dtype) for a in now]
+            for a, a_now in zip(out, now):
+                a[body[done]] = a_now[done]
             if done.all():
-                return out
+                break
             # only the rows that go on stay in the stack
             N, b, tau, fan, D, incidence, body, z_next, s_next, lam = (
                 a[~done] for a in (N, b, tau, fan, D, incidence, body, z_next, s_next, lam))
             corners = at(fan)
         k, last, z = k + 1, lam, z_next
         y, vol, cen, second = measure(s_next)
-
-
-def _unsolved(z, n_facets: int, note: list) -> StackSolve:
-    """A `santalo_stack` result whose rows keep their starts z, with NaNs."""
-    R, d = z.shape
-    nan = lambda *shape: np.full((R, *shape), math.nan)
-    return StackSolve(z.copy(), nan(n_facets, d), nan(), nan(d), nan(d, d), nan(),
-                      np.zeros(R, dtype=int), np.zeros(R, dtype=bool), note)
+    y, cen = out[1], out[3]
+    sq = (y * y).sum(axis=-1)  # the residual |c| / diam, the diameter from the Gram matrix
+    gaps = sq[:, :, None] + sq[:, None] - 2 * y @ y.transpose(0, 2, 1)
+    res = np.sqrt((cen ** 2).sum(axis=1) / gaps.max(axis=(1, 2)))
+    return StackSolve(*out[:5], res, *out[5:])
 
 
 def _padded(stacks, repeat_first: bool) -> np.ndarray:

@@ -118,12 +118,12 @@ def _certified(P: np.ndarray, tri: np.ndarray):
     A[r, j] solves <A, p - c[r]> = 1 on the corners p of simplex j, c[r] the
     vertex mean of row r: it is that facet's polar vertex about c[r], the
     facet <N, x> <= b has N = A_j / |A_j|, and c[r]'s slack is s = 1 / |A_j|.
-    Row r is certified when every point off a simplex has slack
-    > tau[r] = TAU_GEOM * scale for it, since a closed pseudomanifold of
-    strictly supporting simplices is the whole boundary; coplanar or
-    non-simplicial hulls never pass, nor do two facets that
-    `geometry._facet_rows` would merge.  volume[r] is the fan from c[r],
-    as `geometry.volume`.
+    Row r is certified when its start c[r] and every point off a simplex
+    have slack > tau[r] = TAU_GEOM * scale for it, since a closed
+    pseudomanifold of strictly supporting simplices is the whole boundary
+    and `santalo_stack` needs an interior start; coplanar or non-simplicial
+    hulls never pass, nor do two facets that `geometry._facet_rows` would
+    merge.  volume[r] is the fan from c[r], as `geometry.volume`.
     """
     m, d = tri.shape
     c = P[:, np.unique(tri)].mean(axis=1)
@@ -139,9 +139,9 @@ def _certified(P: np.ndarray, tri: np.ndarray):
     rows = np.concatenate([A, 1.0 + A @ c[..., None]], axis=2) / norm[..., None]
     r, j, k = np.nonzero(rows[..., :-1] @ rows[..., :-1].transpose(0, 2, 1) > 1 - 1e-12)
     bad[r[(j < k) & (np.abs(rows[r, j] - rows[r, k]).max(axis=1) <= geo.TAU_GEOM)]] = True
-    tau = geo.TAU_GEOM * np.maximum(1e-30, np.abs(P).max(axis=(1, 2)))
-    ok = ~bad & (slack.min(axis=(1, 2)) > tau)
-    return (ok, c, rows[..., :-1], rows[..., -1], 1.0 / norm, tau,
+    s, tau = 1.0 / norm, geo.TAU_GEOM * np.maximum(1e-30, np.abs(P).max(axis=(1, 2)))
+    ok = ~bad & (slack.min(axis=(1, 2)) > tau) & (s.min(axis=1) > tau)
+    return (ok, c, rows[..., :-1], rows[..., -1], s, tau,
             np.abs(dets).sum(axis=1) / math.factorial(d))
 
 
@@ -178,19 +178,17 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
     one bad parameter cannot abort a campaign.  The grid is cut into cells:
     a cell opens at a row with the body `body_at` gives there, and its
     boundary simplices are certified on the later rows, CERTIFY_ROWS at
-    once (`_cell`); the cell ends at the first row where they fail, which
-    opens the next.  A body that fails on its own simplices is solved as
-    Qhull built it.  A cell's rows are read off its arrays, with no polytope
-    per row, with one polar fan pulled from its simplices (`polarity._fans`),
-    and one `santalo.santalo_stack` call solves every row from its vertex mean.
+    once (`_cell`) with their vertex means strictly interior; the cell ends
+    at the first row where that fails, which opens the next.  A body failing
+    on its own simplices is solved as Qhull built it if its vertex mean is
+    strictly interior.  A cell's rows are read off its arrays, with no
+    polytope per row, one polar fan pulled from its simplices
+    (`polarity._fans`) and one `santalo.santalo_stack` call from the means.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted")
-    d = system.dim
     pts = system.points_at(np.array(grid))
-    failed = lambda t, why: SweepRecord(t, math.nan, math.nan, np.full(d, math.nan),
-                                        False, note=str(why))
     rows: list = [None] * len(grid)
     stacks, solved = [], []  # solver stacks, and the rows they hold in order
     i = 0
@@ -206,8 +204,9 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
             new = [(*san._body_stack(K), np.array([geo.volume(K)]))] if first else []
             if n > first:
                 new.append((N, b, *pol._fans(N, tri), tau, c, s, volume))
-        except DegenerateInput as exc:
-            rows[i] = failed(grid[i], exc)
+        except (DegenerateInput, pol.CenterNotInterior) as exc:
+            rows[i] = SweepRecord(grid[i], math.nan, math.nan, np.full(system.dim, math.nan),
+                                  False, note=str(exc))
             i += 1
             continue
         stacks += new
@@ -217,10 +216,9 @@ def sweep(system: ShadowSystem, grid) -> list[SweepRecord]:
         out = san.santalo_stack(*san._joined(stacks))
         volume = np.concatenate([x[-1] for x in stacks])
         for k, i in enumerate(solved):
-            rows[i] = (failed(grid[i], out.note[k]) if out.note[k] else
-                       SweepRecord(grid[i], float(volume[k]), float(out.polar_volume[k]),
-                                   out.point[k], bool(out.converged[k]),
-                                   int(out.iterations[k]), float(out.residual[k])))
+            rows[i] = SweepRecord(grid[i], float(volume[k]), float(out.polar_volume[k]),
+                                  out.point[k], bool(out.converged[k]),
+                                  int(out.iterations[k]), float(out.residual[k]))
     return rows
 
 

@@ -412,6 +412,13 @@ class TestMalformedInput:
         assert self._run(argv, capsys) == (2, "")
         assert not csv.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_path(self, where, system_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert run_cli(["shadow", system_file, "--grid", "5", "--out", str(out)]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
 
 class TestReportContract:
     """Every command ends with one JSON report line headed by `config`."""

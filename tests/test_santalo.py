@@ -211,19 +211,32 @@ class TestSantaloPoint:
         with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
             san.santalo_point(bodies[2], start=outside[2])
 
-    def test_stack_fails_a_row_whose_start_is_not_interior(self, rng):
+    def test_stack_fails_a_row_whose_start_is_not_interior(self, rng, monkeypatch):
         # a flat triangle's vertex mean lies within TAU_GEOM of its boundary:
-        # the stack records that row as failed and still solves the other,
-        # while `santalo_point` on the flat body raises
+        # its stack row is refused where it is built, so a stack of bodies
+        # raises before any solve, as `santalo_point` on the flat body does
         flat = geo.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]])
         K = random_body(rng, 2)
-        out = san.santalo_stack(*san._joined([san._body_stack(flat), san._body_stack(K)]))
-        assert out.note == [pol.NOT_INTERIOR, ""] and list(out.converged) == [False, True]
-        assert math.isnan(out.polar_volume[0]) and out.iterations[0] == 0
-        assert out.polar_volume[1] == pytest.approx(san.santalo_point(K).polar_volume,
-                                                    rel=1e-12)
-        with pytest.raises(pol.CenterNotInterior):
+        with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
+            san._body_stack(flat)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("santalo_stack ran on a non-interior start")
+
+        monkeypatch.setattr(san, "santalo_stack", unreachable)
+        with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
+            san.santalo_points([K, flat])
+        with pytest.raises(pol.CenterNotInterior, match=pol.NOT_INTERIOR):
             san.santalo_point(flat)
+
+    def test_no_result_aliases_its_start(self, rng):
+        # at step 0 every row retires at once, where the working arrays are
+        # the result: the solver copies its starts, so no result is a view
+        K = random_body(rng, 3)
+        z = K.vertices.mean(axis=0)
+        assert not np.shares_memory(san.santalo_point(K, start=z, max_iterations=0).point, z)
+        out = san.santalo_stack(*san._body_stack(K, z), max_iterations=0)
+        assert not np.shares_memory(out.point, z)
 
 
 class TestLogRatio:

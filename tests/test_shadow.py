@@ -568,29 +568,31 @@ class TestCarriedCells:
             _assert_rows_match_single_solves(system, grid, rows)
         assert mixed >= 3
 
-    def test_row_whose_solve_raises_is_recorded(self, rng, monkeypatch):
-        # row 4 starts on its body's boundary: the stacked solve records it
-        # as failed, raises nothing, and solves the other rows as before
-        system = sh.random_shadow_system(2, rng)
+    def test_row_whose_solve_raises_is_recorded(self):
+        # row 0 is a quadrilateral 2e-9 high, whose vertex mean is not
+        # strictly interior: the sweep records it as failed, raises
+        # nothing, and solves the other rows as a sweep of them alone does
+        system = sh.ShadowSystem([[0, 0], [1, 0], [0.2, 2e-9], [0.8, 2e-9]],
+                                 [0, 0, 1, 0.5], [0, 1], (0, 1))
         grid = np.linspace(*system.interval, 9)
-        plain = sh.sweep(system, grid)
-        solve = san.santalo_stack
-
-        def on_boundary(N, b, fan, D, tau, z, s, *args, **kwargs):
-            z, s = z.copy(), s.copy()
-            z[4] = sh.body_at(system, grid[4]).vertices[0]
-            s[4] = pol._slack(N[4], b[4], z[4])
-            assert s[4].min() <= tau[4]
-            return solve(N, b, fan, D, tau, z, s, *args, **kwargs)
-
-        monkeypatch.setattr(san, "santalo_stack", on_boundary)
         rows = sh.sweep(system, grid)
-        assert rows[4].note == pol.NOT_INTERIOR and not rows[4].converged
-        assert math.isnan(rows[4].polar_volume) and math.isnan(rows[4].volume)
-        assert np.isnan(rows[4].santalo).all() and rows[4].iterations == 0
-        for a, b in zip(rows[:4] + rows[5:], plain[:4] + plain[5:]):
-            assert a.converged and a.volume == b.volume
-            assert a.polar_volume == pytest.approx(b.polar_volume, rel=1e-12)
+        assert rows[0].note == pol.NOT_INTERIOR and not rows[0].converged
+        assert math.isnan(rows[0].polar_volume) and math.isnan(rows[0].volume)
+        assert np.isnan(rows[0].santalo).all() and rows[0].iterations == 0
+        for a, b in zip(rows[1:], sh.sweep(system, grid[1:])):
+            assert a.converged and not a.note
+            assert (a.t, a.volume, a.polar_volume, a.iterations, a.residual) == (
+                b.t, b.volume, b.polar_volume, b.iterations, b.residual)
+            assert np.array_equal(a.santalo, b.santalo)
+
+    def test_certificate_fails_a_row_whose_start_is_not_interior(self):
+        # a triangle 2e-9 high has a vertex mean 6.7e-10 from its base,
+        # below tau = 1e-9: that row fails, and a unit-height one passes
+        thin = [[0, 0], [1, 0], [0.5, 2e-9]]
+        pts = np.array([thin, [[0, 0], [1, 0], [0.5, 1]]], dtype=float)
+        ok, c, N, b, s, tau, volume = sh._certified(pts, np.array([[0, 1], [1, 2], [2, 0]]))
+        assert list(ok) == [False, True]
+        assert s[0].min() == pytest.approx(2e-9 / 3, rel=1e-6) and tau[0] == 1e-9
 
 
 class TestAffineFamily:
